@@ -542,7 +542,7 @@ def _run_bic_sweep(config):
     }
     header = ["n", "flexibility", "bic_penalty", "gap", "predicted_constant"]
     rows = [[n, f, b, g, sweep.predicted_constant] for n, f, b, g in
-            zip(sweep.ns, sweep.flexibilities, sweep.gaps, bic_values)]
+            zip(sweep.ns, sweep.flexibilities, bic_values, sweep.gaps)]
     return result, header, rows
 
 

@@ -25,10 +25,10 @@ from .exceptions import AccuracyFailure, CurvatureFailure, DegeneracyFailure
 from .generic import (
     GenericModelSpec,
     NormalizedPrior,
-    _eval_batch,
-    _eval_scalar,
+    HESS_STEP,
     _objective,
-    finite_difference_hessian,
+    _stencil_derivatives,
+    _value_at,
     log_trapezoid_integral,
     map_optimize,
     resolve_integration_box,
@@ -65,42 +65,24 @@ def _require_finite(name, value):
     return value
 
 
-def _log_prior_fn(model: GenericModelSpec, prior: NormalizedPrior):
-    log_z = prior.log_norm_const
-
-    def log_prior(points):
-        reg = model.regularizer(points)
-        if model.vectorized:
-            return -np.asarray(reg, dtype=float) - log_z
-        return -float(reg) - log_z
-
-    return log_prior
-
-
 def _log_joint_fn(model: GenericModelSpec, prior: NormalizedPrior):
-    log_z = prior.log_norm_const
-
-    def log_joint(points):
-        if model.vectorized:
-            return (np.asarray(model.log_lik(points), dtype=float)
-                    - np.asarray(model.regularizer(points), dtype=float) - log_z)
-        return float(model.log_lik(points)) - float(model.regularizer(points)) - log_z
-
-    return log_joint
+    psi, log_z = _objective(model), prior.log_norm_const
+    return lambda points: psi(points) - log_z
 
 
-def _integration_box(model, prior, log_joint):
-    if prior.box is not None:
-        return np.asarray(prior.box, dtype=float)
-    return resolve_integration_box(model, log_joint)
+def _box_and_map(model: GenericModelSpec, prior: NormalizedPrior, start, box=None):
+    """Integration box and the MAP searched from ``start``, or from the box centre.
 
-
-def _map_start(model: GenericModelSpec, box, start):
-    if start is not None:
-        return np.asarray(start, dtype=float)
-    center = box.mean(axis=1)
-    bounds = model.bounds()
-    return np.clip(center, bounds[:, 0], bounds[:, 1])
+    The box is ``box`` when given, else the prior's, else freshly resolved.
+    """
+    if box is None:
+        box = prior.box if prior.box is not None else \
+            resolve_integration_box(model, _log_joint_fn(model, prior))
+    box = np.asarray(box, dtype=float)
+    if start is None:
+        bounds = model.bounds()
+        start = np.clip(box.mean(axis=1), bounds[:, 0], bounds[:, 1])
+    return box, map_optimize(model, np.asarray(start, dtype=float))
 
 
 def evidence_quadrature(model: GenericModelSpec, prior: NormalizedPrior,
@@ -119,13 +101,9 @@ def evidence_quadrature(model: GenericModelSpec, prior: NormalizedPrior,
     if grid_points_per_dim < 5:
         raise ValueError("grid_points_per_dim must be >= 5")
 
+    box, theta_hat = _box_and_map(model, prior, start, box)
     log_joint = _log_joint_fn(model, prior)
-    if box is None:
-        box = _integration_box(model, prior, log_joint)
-    else:
-        box = np.asarray(box, dtype=float)
-    theta_hat = map_optimize(model, _map_start(model, box, start))
-    log_fit = _eval_scalar(model, model.log_lik, theta_hat)
+    log_fit = _value_at(model._log_lik_batch, theta_hat)
 
     log_e = log_trapezoid_integral(model, log_joint, box, grid_points_per_dim)
     coarse = log_trapezoid_integral(model, log_joint, box, (grid_points_per_dim + 1) // 2)
@@ -149,9 +127,7 @@ def laplace_curvature(model: GenericModelSpec, prior: NormalizedPrior, theta_hat
     ``log_lik - R``.  Raises :class:`CurvatureFailure` when the result is
     not positive definite.
     """
-    psi = _objective(model)
-    curvature = -finite_difference_hessian(psi, np.asarray(theta_hat, dtype=float))
-    curvature = (curvature + curvature.T) / 2.0
+    curvature = -_stencil_derivatives(_objective(model), theta_hat, hess_step=HESS_STEP)[1]
     try:
         np.linalg.cholesky(curvature)
     except LinAlgError as exc:
@@ -174,16 +150,14 @@ def evidence_laplace(model: GenericModelSpec, prior: NormalizedPrior, *, start=N
     quadrature run (grid size ``err_check_grid`` or a dimension-based
     default); above that no estimate is available and NaN is reported.
     """
-    box = _integration_box(model, prior, _log_joint_fn(model, prior))
-    theta_hat = map_optimize(model, _map_start(model, box, start))
+    box, theta_hat = _box_and_map(model, prior, start)
     curvature = laplace_curvature(model, prior, theta_hat)
     sign, log_det = np.linalg.slogdet(curvature)
     if sign <= 0:
         raise CurvatureFailure("curvature determinant is not positive")
 
-    log_fit = _eval_scalar(model, model.log_lik, theta_hat)
-    log_prior_at_map = -_eval_scalar(model, model.regularizer, theta_hat) \
-        - prior.log_norm_const
+    log_fit = _value_at(model._log_lik_batch, theta_hat)
+    log_prior_at_map = -_value_at(model._regularizer_batch, theta_hat) - prior.log_norm_const
     log_e = log_fit + log_prior_at_map + 0.5 * model.dim * LOG_2PI - 0.5 * log_det
 
     if model.dim <= 3:
@@ -223,15 +197,10 @@ def evidence_importance(model: GenericModelSpec, prior: NormalizedPrior,
     samples = int(samples)
     if samples < 2:
         raise ValueError("samples must be >= 2")
-    if theta_hat is None:
-        box = _integration_box(model, prior, _log_joint_fn(model, prior))
-        theta_hat = map_optimize(model, _map_start(model, box, start))
-    else:
-        theta_hat = np.asarray(theta_hat, dtype=float)
-    if curvature is None:
-        curvature = laplace_curvature(model, prior, theta_hat)
-    else:
-        curvature = np.asarray(curvature, dtype=float)
+    theta_hat = _box_and_map(model, prior, start)[1] if theta_hat is None \
+        else np.asarray(theta_hat, dtype=float)
+    curvature = laplace_curvature(model, prior, theta_hat) if curvature is None \
+        else np.asarray(curvature, dtype=float)
     chol_lower = np.linalg.cholesky(curvature)
     log_det = 2.0 * float(np.sum(np.log(np.diag(chol_lower))))
     d = model.dim
@@ -245,7 +214,7 @@ def evidence_importance(model: GenericModelSpec, prior: NormalizedPrior,
                     - 0.5 * np.einsum("ij,ij->i", z, z))
 
     log_joint = _log_joint_fn(model, prior)
-    log_ratios = _eval_batch(model, log_joint, points) - log_proposal
+    log_ratios = log_joint(points) - log_proposal
     top = float(np.max(log_ratios))
     weights = np.exp(log_ratios - top)
     mean_w = float(weights.mean())
@@ -256,7 +225,7 @@ def evidence_importance(model: GenericModelSpec, prior: NormalizedPrior,
 
     log_e = top + float(np.log(mean_w))
     err = float(weights.std(ddof=1) / (mean_w * np.sqrt(samples)))
-    log_fit = _eval_scalar(model, model.log_lik, theta_hat)
+    log_fit = _value_at(model._log_lik_batch, theta_hat)
     return EvidenceDecomposition(
         log_evidence=log_e, log_fit=log_fit, flexibility=log_fit - log_e,
         estimator="importance-sampling", err_estimate=err, theta_hat=theta_hat,

@@ -12,7 +12,8 @@ curvature is unusable.  Gradients are never requested from the caller.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -40,6 +41,8 @@ HESS_STEP = float(np.finfo(float).eps ** 0.25)  # ~1.2e-4, balances truncation v
 MAX_ITER = 500
 GRAD_TOL = 1e-6
 CURVATURE_TOL = 1e-4
+# A Newton decrement this many ulps of the objective is below its rounding.
+STALL_ULPS = 16.0
 
 BOUNDARY_MASS_RATIO = 1e-12
 MAX_BOX_DOUBLINGS = 6
@@ -94,6 +97,8 @@ class GenericModelSpec:
     -----
     Everything here is pure given the two callables; supplying functions
     that are safe to call concurrently is part of the interface contract.
+    The estimators only ever evaluate batches of points: scalar callables
+    are wrapped into batch callables once, here.
     """
 
     dim: int
@@ -102,12 +107,17 @@ class GenericModelSpec:
     support: np.ndarray | None = None
     effective_box: np.ndarray | None = None
     vectorized: bool = False
+    _log_lik_batch: Callable = field(init=False, repr=False)
+    _regularizer_batch: Callable = field(init=False, repr=False)
 
     def __post_init__(self):
         dim = int(self.dim)
         if dim < 1:
             raise ValueError("dim must be >= 1")
         object.__setattr__(self, "dim", dim)
+        batch = _chunked_batch if self.vectorized else _scalar_batch
+        object.__setattr__(self, "_log_lik_batch", partial(batch, self.log_lik))
+        object.__setattr__(self, "_regularizer_batch", partial(batch, self.regularizer))
         if self.support is not None:
             object.__setattr__(
                 self, "support", _as_box(self.support, dim, "support", require_finite=False))
@@ -148,78 +158,82 @@ class NormalizedPrior:
 
 
 # ---------------------------------------------------------------------------
-# Function evaluation helpers
+# Batch evaluation
 # ---------------------------------------------------------------------------
 
-def _eval_scalar(model: GenericModelSpec, fn, theta) -> float:
-    if model.vectorized:
-        return float(np.asarray(fn(np.asarray(theta, dtype=float)[None, :]))[0])
-    return float(fn(np.asarray(theta, dtype=float)))
-
-
-def _eval_batch(model: GenericModelSpec, fn, points) -> np.ndarray:
-    points = np.asarray(points, dtype=float)
-    if model.vectorized:
-        out = np.empty(points.shape[0])
-        for start in range(0, points.shape[0], EVAL_CHUNK):
-            stop = min(start + EVAL_CHUNK, points.shape[0])
-            out[start:stop] = np.asarray(fn(points[start:stop]), dtype=float)
-        return out
+def _scalar_batch(fn, points) -> np.ndarray:
+    """A scalar callable over the rows of ``points``."""
     return np.array([float(fn(p)) for p in points])
 
 
-def _objective(model: GenericModelSpec):
-    def psi(theta):
-        return _eval_scalar(model, model.log_lik, theta) \
-            - _eval_scalar(model, model.regularizer, theta)
-    return psi
+def _chunked_batch(fn, points) -> np.ndarray:
+    """A vectorized callable over ``points``, ``EVAL_CHUNK`` rows at a time."""
+    out = np.empty(points.shape[0])
+    for start in range(0, points.shape[0], EVAL_CHUNK):
+        out[start:start + EVAL_CHUNK] = fn(points[start:start + EVAL_CHUNK])
+    return out
+
+
+def _objective(model: GenericModelSpec) -> Callable:
+    """Batch ``log_lik - regularizer``."""
+    return lambda points: model._log_lik_batch(points) - model._regularizer_batch(points)
+
+
+def _value_at(batch_fn, theta) -> float:
+    """One point through a batch callable."""
+    return float(batch_fn(np.asarray(theta, dtype=float)[None, :])[0])
 
 
 # ---------------------------------------------------------------------------
 # Finite differences
 # ---------------------------------------------------------------------------
 
+def _stencil_derivatives(f_batch, theta, grad_step=None, hess_step=None):
+    """Central-difference gradient and Hessian from one batch of evaluations.
+
+    The points and formulas are those of :func:`finite_difference_gradient`
+    (step ``grad_step``) and :func:`finite_difference_hessian` (step
+    ``hess_step``); a step of None leaves that derivative out and returns
+    None in its place.
+    """
+    theta = np.asarray(theta, dtype=float)
+    d = theta.size
+    eye = np.eye(d)
+    i, j = np.triu_indices(d, k=1)
+    offsets = []
+    if grad_step is not None:
+        hg = grad_step * (1.0 + np.abs(theta))
+        offsets += [eye * hg, -eye * hg]
+    if hess_step is not None:
+        h = hess_step * (1.0 + np.abs(theta))
+        offsets += [np.zeros((1, d)), eye * h, -eye * h] + [
+            (si * eye[i] + sj * eye[j]) * h
+            for si, sj in ((1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0))]
+    parts = np.split(f_batch(theta + np.concatenate(offsets)),
+                     np.cumsum([len(o) for o in offsets])[:-1])
+
+    grad = hess = None
+    if grad_step is not None:
+        grad = (parts[0] - parts[1]) / (2.0 * hg)
+    if hess_step is not None:
+        f0, f_up, f_dn, f_pp, f_pm, f_mp, f_mm = parts[-7:]
+        hess = np.diag((f_up - 2.0 * f0 + f_dn) / h ** 2)
+        hess[i, j] = hess[j, i] = (f_pp - f_pm - f_mp + f_mm) / (4.0 * h[i] * h[j])
+    return grad, hess
+
+
 def finite_difference_gradient(f, theta, step=GRAD_STEP) -> np.ndarray:
     """Central-difference gradient with per-coordinate step ``step*(1+|theta_k|)``."""
-    theta = np.asarray(theta, dtype=float)
-    grad = np.empty(theta.size)
-    for k in range(theta.size):
-        h = step * (1.0 + abs(theta[k]))
-        up = theta.copy()
-        dn = theta.copy()
-        up[k] += h
-        dn[k] -= h
-        grad[k] = (f(up) - f(dn)) / (2.0 * h)
-    return grad
+    return _stencil_derivatives(partial(_scalar_batch, f), theta, grad_step=step)[0]
 
 
 def finite_difference_hessian(f, theta, step=HESS_STEP) -> np.ndarray:
-    """Central-difference Hessian, symmetrized.
+    """Central-difference Hessian, symmetric by construction.
 
     Uses a larger step than the gradient (fourth root of machine epsilon)
     because second differences divide by ``h**2``.
     """
-    theta = np.asarray(theta, dtype=float)
-    d = theta.size
-    h = step * (1.0 + np.abs(theta))
-    f0 = f(theta)
-    hess = np.empty((d, d))
-    for i in range(d):
-        up = theta.copy()
-        dn = theta.copy()
-        up[i] += h[i]
-        dn[i] -= h[i]
-        hess[i, i] = (f(up) - 2.0 * f0 + f(dn)) / h[i] ** 2
-    for i in range(d):
-        for j in range(i + 1, d):
-            pp = theta.copy(); pp[i] += h[i]; pp[j] += h[j]
-            pm = theta.copy(); pm[i] += h[i]; pm[j] -= h[j]
-            mp = theta.copy(); mp[i] -= h[i]; mp[j] += h[j]
-            mm = theta.copy(); mm[i] -= h[i]; mm[j] -= h[j]
-            val = (f(pp) - f(pm) - f(mp) + f(mm)) / (4.0 * h[i] * h[j])
-            hess[i, j] = val
-            hess[j, i] = val
-    return hess
+    return _stencil_derivatives(partial(_scalar_batch, f), theta, hess_step=step)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -290,9 +304,14 @@ def map_optimize(model: GenericModelSpec, start, *, max_iter=MAX_ITER,
     falls back to a coordinate-wise golden-section sweep.  Box constraints
     are handled by projection.
 
-    Convergence requires an interior point whose central-difference gradient
-    has sup-norm below ``grad_tol`` and whose Hessian is negative
-    semidefinite within ``curvature_tol``.
+    Each iteration evaluates the gradient and Hessian stencils as one batch.
+    Convergence requires an interior point whose Hessian is negative
+    semidefinite within ``curvature_tol`` and which is stationary: its
+    central-difference gradient has sup-norm below ``grad_tol``, or its
+    Newton decrement ``grad @ step`` is at most ``16 eps max(1, |value|)``.
+    The second test stops the search once the gain a Newton step predicts
+    is below the rounding of the objective, where the line search could
+    only accept steps of a few ulps.
 
     Raises
     ------
@@ -307,37 +326,35 @@ def map_optimize(model: GenericModelSpec, start, *, max_iter=MAX_ITER,
     if np.any(theta < bounds[:, 0]) or np.any(theta > bounds[:, 1]):
         raise ValueError("start lies outside the support box")
 
-    psi = _objective(model)
+    psi_batch = _objective(model)
+    psi = partial(_value_at, psi_batch)
     value = psi(theta)
     if not np.isfinite(value):
         raise ValueError("objective is not finite at the start point")
     best_theta, best_value = theta.copy(), value
+    stall = STALL_ULPS * np.finfo(float).eps
 
     for _ in range(max_iter):
-        grad = finite_difference_gradient(psi, theta)
-        hess = finite_difference_hessian(psi, theta)
-        hess = (hess + hess.T) / 2.0
+        grad, hess = _stencil_derivatives(psi_batch, theta, GRAD_STEP, HESS_STEP)
 
-        if _strictly_interior(theta, bounds) and np.max(np.abs(grad)) < grad_tol:
-            if float(np.linalg.eigvalsh(hess).max()) <= curvature_tol:
-                return theta
-
-        step = None
-        if np.all(np.isfinite(hess)):
-            try:
-                factor = cho_factor(-hess, lower=True)
-                step = cho_solve(factor, grad)
-            except LinAlgError:
-                step = None
+        try:  # Cholesky fails on an indefinite or non-finite Hessian
+            step = cho_solve(cho_factor(-hess, lower=True), grad)
+        except (LinAlgError, ValueError):
+            step = None
+        newton = step is not None and bool(np.all(np.isfinite(step)))
+        decrement = float(grad @ step) if newton else np.inf
+        stationary = np.max(np.abs(grad)) < grad_tol or decrement <= stall * max(1.0, abs(value))
+        if stationary and _strictly_interior(theta, bounds) \
+                and float(np.linalg.eigvalsh(hess).max()) <= curvature_tol:
+            return theta
 
         moved = False
-        if step is not None and np.all(np.isfinite(step)):
-            slope = float(grad @ step)
+        if newton:
             t = 1.0
             while t > 1e-12:
                 trial = np.clip(theta + t * step, bounds[:, 0], bounds[:, 1])
                 trial_value = psi(trial)
-                if np.isfinite(trial_value) and trial_value >= value + 1e-4 * t * slope:
+                if np.isfinite(trial_value) and trial_value >= value + 1e-4 * t * decrement:
                     theta, value, moved = trial, trial_value, True
                     break
                 t /= 2.0
@@ -396,13 +413,13 @@ def map_optimize_multistart(model: GenericModelSpec, seed: int, *, n_starts: int
               + rng.uniform(size=(n_starts, model.dim))) / n_starts
     starts = box[:, 0] + strata * (box[:, 1] - box[:, 0])
 
-    psi = _objective(model)
+    psi_batch = _objective(model)
     basins = []
     best_theta, best_value = None, -np.inf
     for start in starts:
         try:
             theta = map_optimize(model, start, **optimize_kwargs)
-            value = psi(theta)
+            value = _value_at(psi_batch, theta)
         except ConvergenceFailure as failure:
             theta, value = failure.best_theta, failure.best_value
         basins.append((start, theta, float(value)))
@@ -458,7 +475,10 @@ def _log_trapezoid_weights(axes):
 
 
 def log_trapezoid_integral(model: GenericModelSpec, log_integrand, box, points_per_dim) -> float:
-    """``log integral exp(log_integrand)`` by composite trapezoid in log space."""
+    """``log integral exp(log_integrand)`` by composite trapezoid in log space.
+
+    ``log_integrand`` maps an ``(m, dim)`` batch of points to ``m`` values.
+    """
     if points_per_dim < 3:
         raise ValueError("points_per_dim must be >= 3")
     if points_per_dim ** model.dim > MAX_GRID_NODES:
@@ -466,7 +486,7 @@ def log_trapezoid_integral(model: GenericModelSpec, log_integrand, box, points_p
             f"grid of {points_per_dim}^{model.dim} nodes exceeds the "
             f"{MAX_GRID_NODES} node limit")
     axes, points = _grid_nodes(np.asarray(box, dtype=float), points_per_dim)
-    values = _eval_batch(model, log_integrand, points)
+    values = log_integrand(points)
     return float(logsumexp(values + _log_trapezoid_weights(axes)))
 
 
@@ -484,7 +504,7 @@ def resolve_integration_box(model: GenericModelSpec, log_integrand) -> np.ndarra
         return box
     for attempt in range(MAX_BOX_DOUBLINGS + 1):
         axes, points = _grid_nodes(box, PROBE_POINTS_PER_DIM)
-        values = _eval_batch(model, log_integrand, points).reshape(
+        values = log_integrand(points).reshape(
             [PROBE_POINTS_PER_DIM] * model.dim)
         peak = float(values.max())
         boundary_max = -np.inf
@@ -531,9 +551,8 @@ def normalize_prior(model: GenericModelSpec, grid_points_per_dim: int,
     if grid_points_per_dim < 5:
         raise ValueError("grid_points_per_dim must be >= 5")
 
-    def neg_reg(theta):
-        reg = model.regularizer(theta)
-        return -np.asarray(reg, dtype=float) if model.vectorized else -float(reg)
+    def neg_reg(points):
+        return -model._regularizer_batch(points)
 
     box = resolve_integration_box(model, neg_reg)
     log_z = log_trapezoid_integral(model, neg_reg, box, grid_points_per_dim)
@@ -560,26 +579,35 @@ def wrap_glm(spec: GaussianLinearSpec, obs: ObservationSet) -> GenericModelSpec:
     covering ten standard deviations of both the prior and the posterior in
     every coordinate, so the generic estimators can be validated against the
     closed forms.
+
+    The log-likelihood reads sufficient statistics only, at O(d^2) per
+    point: with ``delta = theta - theta_hat`` and ``r = y - G theta_hat``,
+    ``||y - G theta||^2 = ||r||^2 - 2 delta'G'r + delta'G'G delta``.
+    Expanding about the posterior mean rather than 0 keeps every term small
+    near the mode, so no ``y'y``-sized terms cancel.
     """
     G = spec.G
     sigma2 = spec.sigma**2
     lam2 = spec.lam**2
-    y = obs.y
     const = -0.5 * spec.n * (LOG_2PI + np.log(sigma2))
+    post = gaussian_posterior(spec, obs)
+    theta_hat = post.theta_hat
+    resid = obs.y - G @ theta_hat
+    rss, g_resid, gram = float(resid @ resid), G.T @ resid, G.T @ G
 
     def log_lik(points):
-        resid = y[None, :] - points @ G.T
-        return const - np.einsum("ij,ij->i", resid, resid) / (2.0 * sigma2)
+        delta = points - theta_hat
+        sq = rss - 2.0 * (delta @ g_resid) + np.einsum("ij,ij->i", delta @ gram, delta)
+        return const - sq / (2.0 * sigma2)
 
     def regularizer(points):
         return 0.5 * lam2 * np.einsum("ij,ij->i", points, points)
 
-    post = gaussian_posterior(spec, obs)
     post_sd = np.sqrt(np.diag(cho_solve(cho_factor(post.post_precision, lower=True),
                                         np.eye(spec.d))))
     prior_sd = 1.0 / spec.lam
-    lo = np.minimum(-10.0 * prior_sd, post.theta_hat - 10.0 * post_sd)
-    hi = np.maximum(10.0 * prior_sd, post.theta_hat + 10.0 * post_sd)
+    lo = np.minimum(-10.0 * prior_sd, theta_hat - 10.0 * post_sd)
+    hi = np.maximum(10.0 * prior_sd, theta_hat + 10.0 * post_sd)
     return GenericModelSpec(
         dim=spec.d, log_lik=log_lik, regularizer=regularizer,
         support=None, effective_box=np.column_stack([lo, hi]), vectorized=True)

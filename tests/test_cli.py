@@ -219,6 +219,19 @@ class TestRun:
         assert lines[2].split(",")[0] == "n"
         assert len(lines) == 6
 
+    def test_bic_sweep_csv_columns(self, tmp_path):
+        out = str(tmp_path / "sweep.csv")
+        assert main(["bic-sweep", "--d", "2", "--ns", "100,1000,10000",
+                     "--seed", "13", "--out", out, "--format", "csv"]) == 0
+        lines = [line for line in open(out).read().splitlines() if not line.startswith("#")]
+        header = lines[0].split(",")
+        rows = [dict(zip(header, map(float, line.split(",")))) for line in lines[1:]]
+        assert [row["n"] for row in rows] == [100, 1000, 10000]
+        for row in rows:
+            assert row["bic_penalty"] == pytest.approx(np.log(row["n"]), rel=1e-15)
+            assert row["gap"] == pytest.approx(row["flexibility"] - row["bic_penalty"],
+                                               abs=1e-12)
+
     def test_byte_identical_reruns(self, xy_csv, tmp_path):
         out = str(tmp_path / "a.json")
         args = ["risk", "--degrees", "0,2", "--n", "40", "--sigma", "1",

@@ -5,10 +5,20 @@ import pytest
 
 import evidkit as ek
 from evidkit.exceptions import AccuracyFailure, ConvergenceFailure
+from evidkit.generic import GRAD_STEP, HESS_STEP, _stencil_derivatives
 
 from helpers import logistic_model, random_glm_instance
 
 HALF_LOG_2PI = 0.5 * np.log(2.0 * np.pi)
+
+
+def polynomial_glm(seed, d, n=200, sigma=0.5):
+    """Wrapped-GLM recipe of the benchmark: scaled polynomial design, unit prior."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(n)
+    G = ek.scaled_polynomial_design(x, d - 1, float(np.std(x)))
+    y = G @ rng.standard_normal(d) + sigma * rng.standard_normal(n)
+    return ek.GaussianLinearSpec(G=G, sigma=sigma, lam=1.0), ek.ObservationSet(y=y)
 
 
 def gaussian_prior_model(lam=1.0, bound=12.0, log_lik=None):
@@ -36,6 +46,57 @@ class TestFiniteDifferences:
         point = np.array([0.7, -1.3])
         hess = ek.finite_difference_hessian(f, point)
         np.testing.assert_allclose(hess, [[6 * 0.7, 2.0], [2.0, -2.0]], atol=1e-5)
+
+
+class TestStencil:
+    @staticmethod
+    def _f(theta):
+        return float(np.sin(theta @ theta) + theta[0] ** 3 * np.exp(theta[-1]))
+
+    @staticmethod
+    def _reference_hessian(f, theta, step):
+        # One point at a time, as written out in the textbook formulas.
+        d = theta.size
+        h = step * (1.0 + np.abs(theta))
+        f0 = f(theta)
+        hess = np.empty((d, d))
+        for i in range(d):
+            up, dn = theta.copy(), theta.copy()
+            up[i] += h[i]
+            dn[i] -= h[i]
+            hess[i, i] = (f(up) - 2.0 * f0 + f(dn)) / (h[i] * h[i])
+            for j in range(i + 1, d):
+                corners = []
+                for si, sj in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+                    p = theta.copy()
+                    p[i] += si * h[i]
+                    p[j] += sj * h[j]
+                    corners.append(f(p))
+                hess[i, j] = hess[j, i] = (corners[0] - corners[1] - corners[2]
+                                           + corners[3]) / (4.0 * h[i] * h[j])
+        return hess
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_one_batch_matches_public_functions_exactly(self, d):
+        rng = np.random.default_rng(d)
+        for _ in range(20):
+            theta = rng.standard_normal(d) * 10.0 ** rng.uniform(-3, 2)
+            batch_calls = []
+
+            def f_batch(points):
+                batch_calls.append(len(points))
+                return np.array([self._f(p) for p in points])
+
+            grad, hess = _stencil_derivatives(f_batch, theta, GRAD_STEP, HESS_STEP)
+            assert batch_calls == [1 + 2 * d + 2 * d * d]
+            np.testing.assert_array_equal(grad, ek.finite_difference_gradient(self._f, theta))
+            np.testing.assert_array_equal(hess, ek.finite_difference_hessian(self._f, theta))
+            np.testing.assert_array_equal(
+                hess, self._reference_hessian(self._f, theta, HESS_STEP))
+            h = GRAD_STEP * (1.0 + np.abs(theta))
+            reference_grad = [(self._f(theta + h[k] * e) - self._f(theta - h[k] * e))
+                              / (2.0 * h[k]) for k, e in enumerate(np.eye(d))]
+            np.testing.assert_array_equal(grad, reference_grad)
 
 
 class TestMapOptimize:
@@ -83,6 +144,25 @@ class TestMapOptimize:
         with pytest.raises(ConvergenceFailure) as excinfo:
             ek.map_optimize(model, np.array([0.5]), max_iter=25)
         assert excinfo.value.best_theta[0] == pytest.approx(1.0, abs=1e-6)
+
+    @pytest.mark.parametrize("seed,d", [(30, 3), (154, 2)])
+    def test_newton_stall_converges_to_closed_form(self, seed, d):
+        # Both cases end with Newton steps whose predicted gain is below the
+        # objective's rounding.  (30, 3) raised ConvergenceFailure when the
+        # likelihood formed the full residual; (154, 2) does without the
+        # Newton-decrement test.
+        spec, obs = polynomial_glm(seed, d)
+        model = ek.wrap_glm(spec, obs)
+        theta = ek.map_optimize(model, model.effective_box.mean(axis=1))
+        assert np.max(np.abs(theta - ek.map_estimate(spec, obs))) < 1e-6
+
+    def test_wrapped_glm_sweep_converges_from_box_centre(self):
+        for seed in range(34):
+            for d in (1, 2, 3):
+                spec, obs = polynomial_glm(seed, d)
+                model = ek.wrap_glm(spec, obs)
+                theta = ek.map_optimize(model, model.effective_box.mean(axis=1))
+                assert np.max(np.abs(theta - ek.map_estimate(spec, obs))) < 1e-6
 
     def test_start_outside_support_rejected(self):
         model = gaussian_prior_model()
@@ -218,9 +298,55 @@ class TestWrapGlm:
         wrapped = float(model.log_lik(theta[None, :])[0])
         assert wrapped == pytest.approx(ek.glm_log_likelihood(spec, obs, theta), abs=1e-10)
 
+    @pytest.mark.parametrize("n,d", [(200, 1), (200, 3), (1000, 2), (25, 3)])
+    def test_log_likelihood_matches_far_from_mode(self, n, d):
+        spec, obs = polynomial_glm(n + d, d, n=n)
+        model = ek.wrap_glm(spec, obs)
+        theta_hat = ek.map_estimate(spec, obs)
+        rng = np.random.default_rng(d)
+        # Corners and random points out to ten prior sd (1/lam) from the mode.
+        signs = np.array(np.meshgrid(*[[-1.0, 1.0]] * d)).reshape(d, -1).T
+        offsets = np.vstack([10.0 * signs, rng.uniform(-10.0, 10.0, (50, d)), np.zeros((1, d))])
+        points = theta_hat + offsets / spec.lam
+        wrapped = model.log_lik(points)
+        direct = [ek.glm_log_likelihood(spec, obs, p) for p in points]
+        np.testing.assert_allclose(wrapped, direct, rtol=1e-12)
+
     def test_closed_form_prior_normalizer(self):
         spec = ek.GaussianLinearSpec(G=[[1.0]], sigma=1.0, lam=2.0)
         prior = ek.glm_normalized_prior(spec)
         assert prior.method == "closed-form"
         assert prior.err_estimate == 0.0
         assert prior.log_norm_const == pytest.approx(0.5 * np.log(2 * np.pi / 4.0))
+
+
+class TestScalarAndVectorizedSpecs:
+    @staticmethod
+    def _pair():
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal(25)
+        y = (rng.uniform(size=25) < 1.0 / (1.0 + np.exp(-(0.3 + x)))).astype(float)
+
+        def log_lik(points):
+            eta = points[:, :1] + np.outer(points[:, 1], x)
+            return (y * eta - np.logaddexp(0.0, eta)).sum(axis=1)
+
+        def regularizer(points):
+            return 0.5 * (points * points).sum(axis=1)
+
+        support = [[-8.0, 8.0]] * 2
+        vectorized = ek.GenericModelSpec(dim=2, log_lik=log_lik, regularizer=regularizer,
+                                         support=support, vectorized=True)
+        scalar = ek.GenericModelSpec(
+            dim=2, log_lik=lambda t: float(log_lik(t[None, :])[0]),
+            regularizer=lambda t: float(regularizer(t[None, :])[0]), support=support)
+        return scalar, vectorized
+
+    def test_same_evidence(self):
+        results = []
+        for model in self._pair():
+            prior = ek.normalize_prior(model, 41)
+            results.append((prior.log_norm_const,
+                            ek.evidence_quadrature(model, prior, 41).log_evidence,
+                            ek.evidence_laplace(model, prior, err_check_grid=21).log_evidence))
+        np.testing.assert_allclose(results[0], results[1], rtol=0.0, atol=1e-12)
