@@ -14,13 +14,14 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from . import __version__
 from .dataio import read_observations, render_json, write_csv, write_json
 from .evidence import (
+    bic_penalty,
     bic_sweep,
     decompose,
     evidence_importance,
@@ -37,19 +38,18 @@ from .glm import (
     glm_log_likelihood,
     map_estimate,
 )
+from .records import ESTIMATORS
 from .selection import (
-    ModelSet,
+    RULES,
     mackay_crossover,
     polynomial_family,
     risk_mc,
-    scaled_polynomial_design,
     select,
     sweet_spot_experiment,
 )
 
 COMMANDS = ("fit", "evidence", "decompose", "select", "risk",
             "poly-demo", "mackay-demo", "bic-sweep")
-ESTIMATOR_CHOICES = ("glm-exact", "quadrature", "laplace", "importance-sampling")
 QUADRATURE_GRID_DEFAULT = {1: 2001, 2: 401, 3: 101}
 
 
@@ -138,7 +138,7 @@ def _build_parser() -> _Parser:
     add_model(p)
     p.add_argument("--degree", type=int, default=None,
                    help="polynomial degree (default: 1 with an x column, else 0)")
-    p.add_argument("--estimator", choices=list(ESTIMATOR_CHOICES), default="glm-exact")
+    p.add_argument("--estimator", choices=list(ESTIMATORS), default="glm-exact")
     p.add_argument("--grid", type=int, default=None,
                    help="grid points per dimension for quadrature")
     p.add_argument("--samples", type=int, default=20000,
@@ -161,8 +161,7 @@ def _build_parser() -> _Parser:
                    help="candidate degrees, e.g. '0..9' or '0,1,2'")
     p.add_argument("--weights", default=None,
                    help="prior model weights, comma separated, summing to 1")
-    p.add_argument("--rule", choices=["max-evidence", "max-posterior"],
-                   default="max-evidence")
+    p.add_argument("--rule", choices=list(RULES), default="max-evidence")
     p.add_argument("--seed", type=int, default=0)
     add_output(p)
 
@@ -171,7 +170,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--degrees", required=True)
     p.add_argument("--n", type=int, required=True, help="observations per replicate")
     p.add_argument("--reps", type=int, default=100)
-    p.add_argument("--rules", default="max-evidence,max-posterior")
+    p.add_argument("--rules", default=",".join(RULES))
     p.add_argument("--weights", default=None)
     p.add_argument("--seed", type=int, default=0)
     add_output(p)
@@ -263,28 +262,23 @@ def parse_args(argv) -> RunConfig:
         params["log_fit"] = float(ns.log_fit)
     if command == "select":
         params["rule"] = ns.rule
-    if command == "risk":
-        if ns.n < 1:
-            raise UsageError("n must be >= 1")
-        params["n"] = ns.n
-        if ns.reps < 1:
-            raise UsageError("reps must be >= 1")
-        params["reps"] = ns.reps
-        rules = tuple(part.strip() for part in ns.rules.split(","))
-        for rule in rules:
-            if rule not in ("max-evidence", "max-posterior"):
-                raise UsageError(f"unknown rule {rule!r}")
-        params["rules"] = rules
     if command == "poly-demo":
         if ns.true_degree not in params["degrees"]:
             raise UsageError("true-degree must be among degrees")
         params["true_degree"] = ns.true_degree
+    if command in ("risk", "poly-demo"):
         if ns.n < 1:
             raise UsageError("n must be >= 1")
         params["n"] = ns.n
         if ns.reps < 1:
             raise UsageError("reps must be >= 1")
         params["reps"] = ns.reps
+    if command == "risk":
+        rules = tuple(part.strip() for part in ns.rules.split(","))
+        for rule in rules:
+            if rule not in RULES:
+                raise UsageError(f"unknown rule {rule!r}")
+        params["rules"] = rules
     if command == "mackay-demo":
         params["sigma"] = _require_positive(ns.sigma, "sigma")
         params["lambda_simple"] = _require_positive(ns.lambda_simple, "lambda-simple")
@@ -327,16 +321,19 @@ def parse_args(argv) -> RunConfig:
 # Command execution
 # ---------------------------------------------------------------------------
 
-def _design_from_data(obs, degree, sigma, lam):
-    if degree is None:
-        degree = 1 if obs.x is not None else 0
+def _covariate(obs, degree):
+    """The x column, or zeros when the largest degree is 0 and the file has none."""
     if degree > 0 and obs.x is None:
         raise EvidkitError(f"degree {degree} requires an x column in the data file")
-    x = obs.x if obs.x is not None else np.zeros(obs.n)
-    scale_base = float(np.std(x))
-    design = scaled_polynomial_design(x, degree, scale_base)
-    scales = [scale_base**k if scale_base > 0 else 1.0 for k in range(degree + 1)]
-    return GaussianLinearSpec(G=design, sigma=sigma, lam=lam), degree, scales
+    return obs.x if obs.x is not None else np.zeros(obs.n)
+
+
+def _design_from_data(obs, params):
+    degree = params["degree"]
+    if degree is None:
+        degree = 1 if obs.x is not None else 0
+    family = polynomial_family(_covariate(obs, degree), [degree], params["sigma"], params["lam"])
+    return family.members[0], degree, list(family.info["column_scales"][0])
 
 
 def _decomposition_result(dec) -> dict:
@@ -354,8 +351,7 @@ def _decomposition_result(dec) -> dict:
 
 def _run_fit(config):
     obs = read_observations(config.data_path)
-    spec, degree, scales = _design_from_data(
-        obs, config.params["degree"], config.params["sigma"], config.params["lam"])
+    spec, degree, scales = _design_from_data(obs, config.params)
     theta_hat = map_estimate(spec, obs)
     log_fit = glm_log_likelihood(spec, obs, theta_hat)
     result = {"degree": degree, "theta_hat": theta_hat.tolist(),
@@ -368,8 +364,7 @@ def _run_fit(config):
 def _run_evidence(config):
     obs = read_observations(config.data_path)
     params = config.params
-    spec, degree, scales = _design_from_data(
-        obs, params["degree"], params["sigma"], params["lam"])
+    spec, degree, scales = _design_from_data(obs, params)
     estimator = params["estimator"]
     if estimator == "glm-exact":
         dec = glm_log_evidence(spec, obs)
@@ -414,20 +409,16 @@ def _run_decompose(config):
     return result, header, rows
 
 
-def _family_from_config(obs, params):
-    if obs.x is None and max(params["degrees"]) > 0:
-        raise EvidkitError("degrees above 0 require an x column in the data file")
-    x = obs.x if obs.x is not None else np.zeros(obs.n)
+def _family_from_config(x, params):
     family = polynomial_family(x, params["degrees"], params["sigma"], params["lam"])
     if params.get("weights") is not None:
-        family = ModelSet(members=family.members, weights=params["weights"],
-                          labels=family.labels, info=family.info)
+        family = replace(family, weights=params["weights"])
     return family
 
 
 def _run_select(config):
     obs = read_observations(config.data_path)
-    family = _family_from_config(obs, config.params)
+    family = _family_from_config(_covariate(obs, max(config.params["degrees"])), config.params)
     outcome = select(family, obs, config.params["rule"])
     per_model = []
     for i, dec in enumerate(outcome.decompositions):
@@ -448,12 +439,8 @@ def _run_select(config):
 
 def _run_risk(config):
     params = config.params
-    rng = np.random.default_rng(params["seed"])
-    x = rng.standard_normal(params["n"])
-    family = polynomial_family(x, params["degrees"], params["sigma"], params["lam"])
-    if params.get("weights") is not None:
-        family = ModelSet(members=family.members, weights=params["weights"],
-                          labels=family.labels, info=family.info)
+    x = np.random.default_rng(params["seed"]).standard_normal(params["n"])
+    family = _family_from_config(x, params)
     report = risk_mc(family, None, params["reps"], params["rules"], params["seed"])
     result = {
         "rule_names": list(report.rule_names),
@@ -529,7 +516,7 @@ def _run_bic_sweep(config):
     params = config.params
     family = polynomial_sweep_family(params["theta"], params["sigma"], params["lam"])
     sweep = bic_sweep(family, params["ns"], params["seed"])
-    bic_values = [0.5 * sweep.d * float(np.log(n)) for n in sweep.ns]
+    bic_values = [bic_penalty(sweep.d, n) for n in sweep.ns]
     result = {
         "d": sweep.d, "ns": list(sweep.ns),
         "flexibilities": sweep.flexibilities.tolist(),

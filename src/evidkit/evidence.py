@@ -18,8 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve, solve_triangular
-from scipy.special import logsumexp
+from scipy.linalg import LinAlgError, solve_triangular
 
 from .exceptions import AccuracyFailure, CurvatureFailure, DegeneracyFailure
 from .generic import (
@@ -33,7 +32,7 @@ from .generic import (
     map_optimize,
     resolve_integration_box,
 )
-from .glm import LOG_2PI, GaussianLinearSpec, ObservationSet, flexibility_exact, map_estimate
+from .glm import LOG_2PI, GaussianLinearSpec, ObservationSet, glm_log_evidence
 from .records import EvidenceDecomposition
 
 __all__ = [
@@ -51,8 +50,8 @@ __all__ = [
     "polynomial_sweep_family",
 ]
 
-# Default cross-check grids for the Laplace error estimate, by dimension.
-LAPLACE_CHECK_GRID = {1: 2001, 2: 201, 3: 41}
+# Default quadrature grid sizes per dimension, for selection and the Laplace check.
+DEFAULT_GRID = {1: 2001, 2: 201, 3: 41}
 
 MIN_ESS_FRACTION = 0.01
 DEFAULT_INFLATION = 1.5
@@ -70,19 +69,19 @@ def _log_joint_fn(model: GenericModelSpec, prior: NormalizedPrior):
     return lambda points: psi(points) - log_z
 
 
-def _box_and_map(model: GenericModelSpec, prior: NormalizedPrior, start, box=None):
-    """Integration box and the MAP searched from ``start``, or from the box centre.
+def _prior_box(model: GenericModelSpec, prior: NormalizedPrior) -> np.ndarray:
+    """The prior's integration box, or a freshly resolved one when it is closed form."""
+    return prior.box if prior.box is not None else \
+        resolve_integration_box(model, _log_joint_fn(model, prior))
 
-    The box is ``box`` when given, else the prior's, else freshly resolved.
-    """
-    if box is None:
-        box = prior.box if prior.box is not None else \
-            resolve_integration_box(model, _log_joint_fn(model, prior))
-    box = np.asarray(box, dtype=float)
+
+def _map_search(model: GenericModelSpec, prior: NormalizedPrior, start, box=None):
+    """The MAP searched from ``start``, or from the centre of ``box`` (default: the prior box)."""
     if start is None:
+        box = _prior_box(model, prior) if box is None else box
         bounds = model.bounds()
         start = np.clip(box.mean(axis=1), bounds[:, 0], bounds[:, 1])
-    return box, map_optimize(model, np.asarray(start, dtype=float))
+    return map_optimize(model, np.asarray(start, dtype=float))
 
 
 def evidence_quadrature(model: GenericModelSpec, prior: NormalizedPrior,
@@ -101,7 +100,8 @@ def evidence_quadrature(model: GenericModelSpec, prior: NormalizedPrior,
     if grid_points_per_dim < 5:
         raise ValueError("grid_points_per_dim must be >= 5")
 
-    box, theta_hat = _box_and_map(model, prior, start, box)
+    box = _prior_box(model, prior) if box is None else np.asarray(box, dtype=float)
+    theta_hat = _map_search(model, prior, start, box)
     log_joint = _log_joint_fn(model, prior)
     log_fit = _value_at(model._log_lik_batch, theta_hat)
 
@@ -146,11 +146,13 @@ def evidence_laplace(model: GenericModelSpec, prior: NormalizedPrior, *, start=N
     at the MAP.  Exact when the posterior is Gaussian, which is what the
     closed-form tests exploit.
 
-    When ``dim <= 3`` the error estimate is the absolute difference from a
-    quadrature run (grid size ``err_check_grid`` or a dimension-based
-    default); above that no estimate is available and NaN is reported.
+    When ``dim <= 3`` the error estimate is the absolute difference from
+    trapezoid quadrature over the same integration box (grid size
+    ``err_check_grid`` or a dimension-based default); above that no estimate
+    is available and NaN is reported.
     """
-    box, theta_hat = _box_and_map(model, prior, start)
+    box = _prior_box(model, prior)
+    theta_hat = _map_search(model, prior, start, box)
     curvature = laplace_curvature(model, prior, theta_hat)
     sign, log_det = np.linalg.slogdet(curvature)
     if sign <= 0:
@@ -161,9 +163,8 @@ def evidence_laplace(model: GenericModelSpec, prior: NormalizedPrior, *, start=N
     log_e = log_fit + log_prior_at_map + 0.5 * model.dim * LOG_2PI - 0.5 * log_det
 
     if model.dim <= 3:
-        grid = err_check_grid or LAPLACE_CHECK_GRID[model.dim]
-        reference = evidence_quadrature(model, prior, grid, start=theta_hat, box=box)
-        err = abs(log_e - reference.log_evidence)
+        grid = err_check_grid or DEFAULT_GRID[model.dim]
+        err = abs(log_e - log_trapezoid_integral(model, _log_joint_fn(model, prior), box, grid))
     else:
         err = float("nan")
 
@@ -197,7 +198,7 @@ def evidence_importance(model: GenericModelSpec, prior: NormalizedPrior,
     samples = int(samples)
     if samples < 2:
         raise ValueError("samples must be >= 2")
-    theta_hat = _box_and_map(model, prior, start)[1] if theta_hat is None \
+    theta_hat = _map_search(model, prior, start) if theta_hat is None \
         else np.asarray(theta_hat, dtype=float)
     curvature = laplace_curvature(model, prior, theta_hat) if curvature is None \
         else np.asarray(curvature, dtype=float)
@@ -368,13 +369,13 @@ def bic_sweep(family_generator, ns, seed: int) -> AsymptoticSweepResult:
             d = spec.d
         elif spec.d != d:
             raise ValueError(f"family dimension changed from {d} to {spec.d} at n={n}")
-        flexibilities[k] = flexibility_exact(spec, obs)
+        exact = glm_log_evidence(spec, obs)
+        flexibilities[k] = exact.flexibility
         gaps[k] = flexibilities[k] - bic_penalty(spec.d, n)
-        last = (spec, obs)
+        last = (spec, exact.theta_hat)
 
-    spec, obs = last
+    spec, m_hat = last
     H_hat = spec.G.T @ spec.G / spec.n
-    m_hat = map_estimate(spec, obs)
     sign, log_det_h = np.linalg.slogdet(H_hat)
     if sign <= 0:
         raise ValueError("empirical design moment matrix is not positive definite")

@@ -21,7 +21,7 @@ from scipy.linalg import LinAlgError, cho_factor, cho_solve
 from scipy.special import logsumexp
 
 from .exceptions import AccuracyFailure, ConvergenceFailure
-from .glm import LOG_2PI, GaussianLinearSpec, ObservationSet, gaussian_posterior
+from .glm import LOG_2PI, GaussianLinearSpec, ObservationSet, _posterior
 
 __all__ = [
     "GenericModelSpec",
@@ -590,10 +590,9 @@ def wrap_glm(spec: GaussianLinearSpec, obs: ObservationSet) -> GenericModelSpec:
     sigma2 = spec.sigma**2
     lam2 = spec.lam**2
     const = -0.5 * spec.n * (LOG_2PI + np.log(sigma2))
-    post = gaussian_posterior(spec, obs)
-    theta_hat = post.theta_hat
+    gram, _, factor, theta_hat = _posterior(spec, obs)
     resid = obs.y - G @ theta_hat
-    rss, g_resid, gram = float(resid @ resid), G.T @ resid, G.T @ G
+    rss, g_resid = float(resid @ resid), G.T @ resid
 
     def log_lik(points):
         delta = points - theta_hat
@@ -603,8 +602,7 @@ def wrap_glm(spec: GaussianLinearSpec, obs: ObservationSet) -> GenericModelSpec:
     def regularizer(points):
         return 0.5 * lam2 * np.einsum("ij,ij->i", points, points)
 
-    post_sd = np.sqrt(np.diag(cho_solve(cho_factor(post.post_precision, lower=True),
-                                        np.eye(spec.d))))
+    post_sd = np.sqrt(np.diag(cho_solve(factor, np.eye(spec.d))))
     prior_sd = 1.0 / spec.lam
     lo = np.minimum(-10.0 * prior_sd, theta_hat - 10.0 * post_sd)
     hi = np.maximum(10.0 * prior_sd, theta_hat + 10.0 * post_sd)

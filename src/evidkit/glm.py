@@ -200,6 +200,30 @@ def _check_dims(spec: GaussianLinearSpec, obs: ObservationSet):
         raise ValueError(f"observation length {obs.n} does not match model rows {spec.n}")
 
 
+def _precision(spec: GaussianLinearSpec) -> tuple[np.ndarray, np.ndarray]:
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = spec.G.T @ spec.G
+        p_star = gram / spec.sigma**2 + spec.prior_precision
+    _check_finite_matrix(p_star, "posterior precision")
+    return gram, p_star
+
+
+def _posterior(spec: GaussianLinearSpec, obs: ObservationSet) -> tuple:
+    """``(G'G, P*, cho_factor(P*), theta_hat)``: the one factorization of ``P*`` per model.
+
+    Factored by scipy's ``cho_factor``: numpy's ``cholesky`` can round
+    differently from d = 5 on, and seeded outputs hold MAPs solved with scipy's.
+    """
+    _check_dims(spec, obs)
+    gram, p_star = _precision(spec)
+    rhs = spec.G.T @ obs.y / spec.sigma**2
+    try:
+        factor = cho_factor(p_star, lower=True)
+    except LinAlgError as exc:
+        raise NumericFailure(f"posterior precision factorization failed: {exc}") from exc
+    return gram, p_star, factor, cho_solve(factor, rhs)
+
+
 def posterior_precision(spec: GaussianLinearSpec) -> np.ndarray:
     """Posterior precision ``P* = G'G / sigma**2 + lam**2 * I``.
 
@@ -208,23 +232,12 @@ def posterior_precision(spec: GaussianLinearSpec) -> np.ndarray:
     NumericFailure
         If the accumulation overflows, naming the offending entry.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        gram = spec.G.T @ spec.G
-        p_star = gram / spec.sigma**2 + spec.prior_precision
-    _check_finite_matrix(p_star, "posterior precision")
-    return p_star
+    return _precision(spec)[1]
 
 
 def map_estimate(spec: GaussianLinearSpec, obs: ObservationSet) -> np.ndarray:
     """MAP estimate ``theta_hat = (P*)^-1 G'y / sigma**2``, via Cholesky solve."""
-    _check_dims(spec, obs)
-    p_star = posterior_precision(spec)
-    rhs = spec.G.T @ obs.y / spec.sigma**2
-    try:
-        factor = cho_factor(p_star, lower=True)
-    except LinAlgError as exc:
-        raise NumericFailure(f"posterior precision factorization failed: {exc}") from exc
-    return cho_solve(factor, rhs)
+    return _posterior(spec, obs)[3]
 
 
 def glm_log_likelihood(spec: GaussianLinearSpec, obs: ObservationSet, theta) -> float:
@@ -249,14 +262,7 @@ def flexibility_exact(spec: GaussianLinearSpec, obs: ObservationSet) -> float:
     Both summands are nonnegative for this model, so the result is >= 0.
     The determinant ratio is evaluated in log space from Cholesky diagonals.
     """
-    _check_dims(spec, obs)
-    p_star = posterior_precision(spec)
-    L = _spd_cholesky(p_star, "posterior precision")
-    log_det_post = 2.0 * float(np.sum(np.log(np.diag(L))))
-    log_det_prior = 2.0 * spec.d * np.log(spec.lam)
-    theta_hat = map_estimate(spec, obs)
-    return 0.5 * (log_det_post - log_det_prior) \
-        + 0.5 * spec.lam**2 * float(theta_hat @ theta_hat)
+    return glm_log_evidence(spec, obs).flexibility
 
 
 def gram_eigen_range(spec: GaussianLinearSpec) -> tuple[float, float]:
@@ -266,7 +272,7 @@ def gram_eigen_range(spec: GaussianLinearSpec) -> tuple[float, float]:
     barely identify some parameter directions and the regularizer is doing
     the work.
     """
-    eigs = np.linalg.eigvalsh(spec.G.T @ spec.G)
+    eigs = np.linalg.eigvalsh(_precision(spec)[0])
     return float(eigs[0]), float(eigs[-1])
 
 
@@ -282,11 +288,15 @@ def glm_log_evidence(spec: GaussianLinearSpec, obs: ObservationSet) -> EvidenceD
         when the smallest eigenvalue of ``G'G`` falls below
         ``1e-10`` times the largest.
     """
-    theta_hat = map_estimate(spec, obs)
+    gram, _, factor, theta_hat = _posterior(spec, obs)
     log_fit = glm_log_likelihood(spec, obs, theta_hat)
-    flexibility = flexibility_exact(spec, obs)
+    log_det_post = 2.0 * float(np.sum(np.log(np.diag(factor[0]))))
+    log_det_prior = 2.0 * spec.d * np.log(spec.lam)
+    flexibility = 0.5 * (log_det_post - log_det_prior) \
+        + 0.5 * spec.lam**2 * float(theta_hat @ theta_hat)
     warnings: tuple[str, ...] = ()
-    low, high = gram_eigen_range(spec)
+    eigs = np.linalg.eigvalsh(gram)
+    low, high = float(eigs[0]), float(eigs[-1])
     if low < RANK_WARNING_RATIO * high:
         warnings = (
             f"model matrix is numerically rank deficient "
@@ -307,9 +317,10 @@ def glm_log_evidence(spec: GaussianLinearSpec, obs: ObservationSet) -> EvidenceD
 
 def gaussian_posterior(spec: GaussianLinearSpec, obs: ObservationSet) -> GaussianPosterior:
     """Exact posterior ``N(theta_hat, (P*)^-1)`` paired with its prior."""
+    _, p_star, _, theta_hat = _posterior(spec, obs)
     return GaussianPosterior(
-        theta_hat=map_estimate(spec, obs),
-        post_precision=posterior_precision(spec),
+        theta_hat=theta_hat,
+        post_precision=p_star,
         prior_precision=spec.prior_precision,
     )
 

@@ -19,10 +19,10 @@ from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
-from .evidence import evidence_laplace, evidence_quadrature
+from .evidence import DEFAULT_GRID, evidence_laplace, evidence_quadrature
 from .exceptions import EvidkitError, SelectionFailure
 from .generic import GenericModelSpec, normalize_prior
-from .glm import GaussianLinearSpec, ObservationSet, glm_log_evidence, map_estimate
+from .glm import GaussianLinearSpec, ObservationSet, glm_log_evidence
 from .records import EvidenceDecomposition
 
 __all__ = [
@@ -41,9 +41,6 @@ __all__ = [
 
 TIE_TOL = 1e-12
 RULES = ("max-evidence", "max-posterior")
-
-# Default normalizer/quadrature grids per dimension for generic members.
-GENERIC_GRID = {1: 2001, 2: 201, 3: 41}
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,7 +128,7 @@ def _member_evidence(member, obs: ObservationSet, generic_estimator: str,
                      grid_points_per_dim: int | None) -> EvidenceDecomposition:
     if isinstance(member, GaussianLinearSpec):
         return glm_log_evidence(member, obs)
-    grid = grid_points_per_dim or GENERIC_GRID.get(member.dim)
+    grid = grid_points_per_dim or DEFAULT_GRID.get(member.dim)
     if grid is None:
         raise ValueError(f"no default grid for dimension {member.dim}; pass grid_points_per_dim")
     prior = normalize_prior(member, grid)
@@ -140,6 +137,33 @@ def _member_evidence(member, obs: ObservationSet, generic_estimator: str,
     if generic_estimator == "laplace":
         return evidence_laplace(member, prior)
     raise ValueError(f"unknown generic estimator {generic_estimator!r}")
+
+
+def _evaluate(model_set: ModelSet, obs: ObservationSet, generic_estimator: str = "laplace",
+              grid_points_per_dim: int | None = None) -> tuple[EvidenceDecomposition, ...]:
+    decomps = []
+    for i, member in enumerate(model_set.members):
+        try:
+            decomps.append(_member_evidence(member, obs, generic_estimator,
+                                            grid_points_per_dim))
+        except EvidkitError as exc:
+            raise SelectionFailure(
+                f"evidence evaluation failed for member {i}: {exc}", index=i) from exc
+    return tuple(decomps)
+
+
+def _choose(model_set: ModelSet, decomps, rule: str) -> SelectionOutcome:
+    log_evidences = np.array([dec.log_evidence for dec in decomps])
+    if rule == "max-posterior":
+        log_scores = np.log(model_set.weights) + log_evidences
+    else:
+        log_scores = log_evidences
+    top = float(log_scores.max())
+    tied = np.flatnonzero(log_scores >= top - TIE_TOL)
+    chosen = int(tied[0])
+    return SelectionOutcome(
+        chosen=chosen, log_scores=log_scores, rule=rule,
+        tie_broken=bool(tied.size > 1), decompositions=decomps)
 
 
 def select(model_set: ModelSet, obs: ObservationSet, rule: str = "max-evidence", *,
@@ -158,25 +182,8 @@ def select(model_set: ModelSet, obs: ObservationSet, rule: str = "max-evidence",
     """
     if rule not in RULES:
         raise ValueError(f"unknown rule {rule!r}; expected one of {RULES}")
-    decomps = []
-    for i, member in enumerate(model_set.members):
-        try:
-            decomps.append(_member_evidence(member, obs, generic_estimator,
-                                            grid_points_per_dim))
-        except EvidkitError as exc:
-            raise SelectionFailure(
-                f"evidence evaluation failed for member {i}: {exc}", index=i) from exc
-    log_evidences = np.array([dec.log_evidence for dec in decomps])
-    if rule == "max-posterior":
-        log_scores = np.log(model_set.weights) + log_evidences
-    else:
-        log_scores = log_evidences
-    top = float(log_scores.max())
-    tied = np.flatnonzero(log_scores >= top - TIE_TOL)
-    chosen = int(tied[0])
-    return SelectionOutcome(
-        chosen=chosen, log_scores=log_scores, rule=rule,
-        tie_broken=bool(tied.size > 1), decompositions=tuple(decomps))
+    return _choose(model_set, _evaluate(model_set, obs, generic_estimator,
+                                        grid_points_per_dim), rule)
 
 
 def prior_predictive_generator(model_set: ModelSet) -> Callable:
@@ -238,9 +245,9 @@ def risk_mc(model_set: ModelSet, generator: Callable | None, reps: int,
             if not 0 <= true_index < k:
                 raise ValueError(f"generator returned out-of-range true index {true_index}")
             true_counts[true_index] += 1
+            decomps = _evaluate(model_set, obs)
             for r, rule in enumerate(rules):
-                outcome = select(model_set, obs, rule)
-                if outcome.chosen != true_index:
+                if _choose(model_set, decomps, rule).chosen != true_index:
                     errors[true_index, r] += 1
         except EvidkitError as exc:
             raise SelectionFailure(
@@ -258,14 +265,16 @@ def risk_mc(model_set: ModelSet, generator: Callable | None, reps: int,
 # Polynomial regression family
 # ---------------------------------------------------------------------------
 
+def _column_scales(degree: int, scale_base: float) -> tuple[float, ...]:
+    """Divisor of each design column: ``scale_base**k``, or 1 for a constant covariate."""
+    return tuple((scale_base**k if scale_base > 0 else 1.0) for k in range(degree + 1))
+
+
 def scaled_polynomial_design(x, degree: int, scale_base: float) -> np.ndarray:
     """Design matrix ``[1, x, x^2, ...]`` with column k divided by ``scale_base**k``."""
     x = np.asarray(x, dtype=float)
-    cols = []
-    for k in range(degree + 1):
-        scale = scale_base**k if scale_base > 0 else 1.0
-        cols.append(x**k / scale)
-    design = np.column_stack(cols)
+    design = np.column_stack(
+        [x**k / scale for k, scale in enumerate(_column_scales(degree, scale_base))])
     if not np.all(np.isfinite(design)):
         raise ValueError(f"design for degree {degree} has non-finite entries")
     return design
@@ -298,19 +307,16 @@ def polynomial_family(x, degrees: Sequence[int], sigma: float, lam: float) -> Mo
             f"{x.size} observations are available; the fit is prior-dominated",
             stacklevel=2)
 
+    # Every member's design is the leading columns of the largest one.
     scale_base = float(np.std(x))
-    members = []
-    scales = []
-    for p in degrees:
-        design = scaled_polynomial_design(x, p, scale_base)
-        members.append(GaussianLinearSpec(G=design, sigma=sigma, lam=lam))
-        scales.append(tuple((scale_base**k if scale_base > 0 else 1.0)
-                            for k in range(p + 1)))
+    design = scaled_polynomial_design(x, max(degrees), scale_base)
+    scales = _column_scales(max(degrees), scale_base)
     return ModelSet(
-        members=tuple(members),
+        members=tuple(GaussianLinearSpec(G=design[:, :p + 1], sigma=sigma, lam=lam)
+                      for p in degrees),
         labels=tuple(f"degree-{p}" for p in degrees),
         info={"degrees": tuple(degrees), "x_std": scale_base,
-              "column_scales": tuple(scales)})
+              "column_scales": tuple(scales[:p + 1] for p in degrees)})
 
 
 # ---------------------------------------------------------------------------
@@ -394,11 +400,11 @@ def sweet_spot_experiment(true_degree: int, degrees: Sequence[int], n: int,
         counts[outcome.chosen] += 1
 
         x_test = rng.standard_normal(10 * n)
-        mean_test = scaled_polynomial_design(x_test, true_degree, scale_base) @ theta_true
+        test_design = scaled_polynomial_design(x_test, max(degrees), scale_base)
+        mean_test = test_design[:, :true_degree + 1] @ theta_true
         y_test = mean_test + sigma * rng.standard_normal(10 * n)
-        for i, p in enumerate(degrees):
-            theta_hat = map_estimate(family.members[i], obs)
-            pred = scaled_polynomial_design(x_test, p, scale_base) @ theta_hat
+        for i, (p, dec) in enumerate(zip(degrees, outcome.decompositions)):
+            pred = test_design[:, :p + 1] @ dec.theta_hat
             rmse[rep, i] = float(np.sqrt(np.mean((pred - y_test) ** 2)))
         best = int(np.argmin(rmse[rep]))
         best_deg[rep] = degrees[best]
@@ -466,15 +472,12 @@ def mackay_crossover(model_simple: GaussianLinearSpec,
     if np.any(np.diff(y_grid) <= 0):
         raise ValueError("y_grid must be strictly increasing")
 
-    def diff_at(y):
+    def log_evidences(y):
         obs = ObservationSet(y=[y])
-        return (glm_log_evidence(model_simple, obs).log_evidence
-                - glm_log_evidence(model_complex, obs).log_evidence)
+        return (glm_log_evidence(model_simple, obs).log_evidence,
+                glm_log_evidence(model_complex, obs).log_evidence)
 
-    log_e_simple = np.array(
-        [glm_log_evidence(model_simple, ObservationSet(y=[y])).log_evidence for y in y_grid])
-    log_e_complex = np.array(
-        [glm_log_evidence(model_complex, ObservationSet(y=[y])).log_evidence for y in y_grid])
+    log_e_simple, log_e_complex = np.array([log_evidences(y) for y in y_grid]).T
     diff = log_e_simple - log_e_complex
     signs = np.sign(diff).astype(np.int8)
 
@@ -486,7 +489,7 @@ def mackay_crossover(model_simple: GaussianLinearSpec,
         f_lo = diff[i]
         while hi - lo > 1e-12 * max(1.0, abs(lo) + abs(hi)):
             mid = (lo + hi) / 2.0
-            f_mid = diff_at(mid)
+            f_mid = np.subtract(*log_evidences(mid))
             if f_mid == 0.0:
                 lo = hi = mid
                 break

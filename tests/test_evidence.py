@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 import evidkit as ek
+import evidkit.evidence
+import evidkit.generic
 from evidkit.exceptions import CurvatureFailure, DegeneracyFailure
 
 from helpers import logistic_model, random_glm_instance
@@ -91,6 +93,26 @@ class TestLaplace:
         with pytest.raises(CurvatureFailure):
             ek.evidence_laplace(model, prior, start=np.array([0.3, 0.0]))
 
+    def test_one_map_search_and_reference_on_the_same_box(self, monkeypatch):
+        rng = np.random.default_rng(29)
+        _, _, model, prior = wrapped_instance(rng, n=20, d=2, lam_range=(0.5, 2.0))
+        searches = []
+
+        def counting(model, start, **kwargs):
+            searches.append(start)
+            return evidkit.generic.map_optimize(model, start, **kwargs)
+
+        monkeypatch.setattr(evidkit.evidence, "map_optimize", counting)
+        dec = ek.evidence_laplace(model, prior, err_check_grid=101)
+        assert len(searches) == 1
+
+        def log_joint(points):
+            return model.log_lik(points) - model.regularizer(points) - prior.log_norm_const
+
+        box = evidkit.generic.resolve_integration_box(model, log_joint)
+        reference = evidkit.generic.log_trapezoid_integral(model, log_joint, box, 101)
+        assert dec.err_estimate == abs(dec.log_evidence - reference)
+
     def test_unknown_error_above_dim3(self):
         rng = np.random.default_rng(31)
         spec, obs, model, prior = wrapped_instance(rng, n=20, d=4,
@@ -107,6 +129,18 @@ class TestImportanceSampling:
         dec = ek.evidence_importance(model, prior, 100_000, seed=1)
         assert abs(dec.log_evidence - exact.log_evidence) < 0.05
         assert dec.info["ess"] > 0.2 * 100_000
+
+    def test_start_resolves_no_integration_box(self, monkeypatch):
+        rng = np.random.default_rng(44)
+        spec, obs, model, prior = wrapped_instance(rng, n=15, d=2, lam_range=(0.5, 2.0))
+        exact = ek.glm_log_evidence(spec, obs)
+
+        def forbidden(model, log_integrand):
+            raise AssertionError("resolved an integration box although start was given")
+
+        monkeypatch.setattr(evidkit.evidence, "resolve_integration_box", forbidden)
+        dec = ek.evidence_importance(model, prior, 2000, seed=1, start=exact.theta_hat + 0.1)
+        np.testing.assert_allclose(dec.theta_hat, exact.theta_hat, atol=1e-6)
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(42)

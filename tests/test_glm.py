@@ -71,6 +71,16 @@ class TestPosteriorPrecision:
         with pytest.raises(NumericFailure, match=r"\[0,0\].*not finite"):
             ek.posterior_precision(spec)
 
+    @pytest.mark.parametrize("closed_form", [
+        ek.map_estimate, ek.glm_log_evidence, lambda spec, obs: ek.gram_eigen_range(spec)],
+        ids=["map_estimate", "glm_log_evidence", "gram_eigen_range"])
+    def test_overflow_raises_numeric_failure(self, closed_form):
+        # G'G overflows; with RuntimeWarning an error, this also catches a G'G
+        # formed outside the overflow guard.
+        spec = ek.GaussianLinearSpec(G=[[1e200, 0.0]], sigma=1.0, lam=1.0)
+        with pytest.raises(NumericFailure, match="not finite"):
+            closed_form(spec, ek.ObservationSet(y=[1.0]))
+
 
 class TestMapEstimate:
     def test_zero_responses_give_zero_fit(self):

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 import evidkit as ek
+import evidkit.glm
+import evidkit.selection
 from evidkit.exceptions import SelectionFailure
 
 from helpers import random_glm_instance
@@ -133,6 +135,19 @@ class TestRiskMc:
                               equal_nan=True)
         assert np.array_equal(first.true_counts, second.true_counts)
 
+    def test_each_member_evaluated_once_per_replicate(self, monkeypatch):
+        calls = []
+
+        def counting(spec, obs):
+            calls.append(spec)
+            return evidkit.glm.glm_log_evidence(spec, obs)
+
+        monkeypatch.setattr(evidkit.selection, "glm_log_evidence", counting)
+        x = np.random.default_rng(6).standard_normal(20)
+        family = ek.polynomial_family(x, [0, 1, 2], sigma=0.5, lam=1.0)
+        ek.risk_mc(family, None, 7, ["max-evidence", "max-posterior"], seed=3)
+        assert len(calls) == 7 * 3
+
     def test_risks_within_unit_interval(self):
         rng = np.random.default_rng(5)
         x = rng.standard_normal(20)
@@ -196,6 +211,15 @@ class TestSweetSpot:
     def test_true_degree_must_be_candidate(self):
         with pytest.raises(ValueError, match="among"):
             ek.sweet_spot_experiment(4, [0, 1, 2], 50, 1.0, 1.0, reps=10, seed=0)
+
+    def test_maps_come_from_the_selection(self, monkeypatch):
+        def forbidden(spec, obs):
+            raise AssertionError("map_estimate re-solved a MAP the selection returned")
+
+        monkeypatch.setattr(evidkit.glm, "map_estimate", forbidden)
+        monkeypatch.setattr(evidkit.selection, "map_estimate", forbidden, raising=False)
+        report = ek.sweet_spot_experiment(1, [0, 1, 2], 20, 0.5, 1.0, reps=3, seed=0)
+        assert report.counts.sum() == 3
 
     def test_report_shapes(self):
         report = ek.sweet_spot_experiment(1, [0, 1, 2], 40, 1.0, 1.0, reps=12, seed=5)
