@@ -41,6 +41,8 @@ from .glm import (
 from .records import ESTIMATORS
 from .selection import (
     RULES,
+    _check_degrees,
+    _check_weights,
     mackay_crossover,
     polynomial_family,
     risk_mc,
@@ -105,6 +107,14 @@ def _require_positive(value: float, name: str) -> float:
     if not (np.isfinite(value) and value > 0):
         raise UsageError(f"{name} must be positive")
     return float(value)
+
+
+def _library_check(check, *args):
+    """Run a library validator, reporting its ``ValueError`` as a usage error."""
+    try:
+        check(*args)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def _build_parser() -> _Parser:
@@ -227,22 +237,14 @@ def parse_args(argv) -> RunConfig:
         params["degree"] = ns.degree
     if command in ("select", "risk", "poly-demo"):
         degrees = _parse_int_list(ns.degrees, "degrees")
-        if any(p < 0 for p in degrees):
-            raise UsageError("degrees must be nonnegative")
-        if len(set(degrees)) != len(degrees):
-            raise UsageError("degrees must be distinct")
+        _library_check(_check_degrees, degrees)
         params["degrees"] = degrees
     if command in ("select", "risk"):
         if ns.weights is None:
             params["weights"] = None
         else:
             weights = _parse_float_list(ns.weights, "weights")
-            if len(weights) != len(params["degrees"]):
-                raise UsageError(f"{len(weights)} weights for {len(params['degrees'])} degrees")
-            if any(w <= 0 for w in weights):
-                raise UsageError("weights must be positive")
-            if abs(sum(weights) - 1.0) > 1e-12:
-                raise UsageError("weights must sum to 1")
+            _library_check(_check_weights, weights, len(params["degrees"]))
             params["weights"] = weights
 
     if command == "evidence":

@@ -20,13 +20,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import LinAlgError, solve_triangular
 
-from .exceptions import AccuracyFailure, CurvatureFailure, DegeneracyFailure
+from .exceptions import CurvatureFailure, DegeneracyFailure
 from .generic import (
     GenericModelSpec,
     NormalizedPrior,
     HESS_STEP,
     _objective,
     _stencil_derivatives,
+    _richardson_log_integral,
     _value_at,
     log_trapezoid_integral,
     map_optimize,
@@ -86,38 +87,40 @@ def _map_search(model: GenericModelSpec, prior: NormalizedPrior, start, box=None
 
 def evidence_quadrature(model: GenericModelSpec, prior: NormalizedPrior,
                         grid_points_per_dim: int, *, start=None,
-                        max_err: float | None = None, box=None) -> EvidenceDecomposition:
+                        max_err: float | None = None) -> EvidenceDecomposition:
     """Log-evidence by dense trapezoid quadrature in log space, dim <= 3.
 
     Integrates ``exp(log_lik - R) / Z_R`` over the prior's integration box
-    (or a freshly resolved box when the prior is closed form; ``box``
-    overrides both).  The error estimate is a half-resolution Richardson
-    comparison, as in :func:`evidkit.generic.normalize_prior`.
+    (or a freshly resolved box when the prior is closed form).  The error
+    estimate is a half-resolution Richardson comparison, as in
+    :func:`evidkit.generic.normalize_prior`.  The MAP search follows the
+    integral.
     """
-    if model.dim > 3:
-        raise ValueError("grid quadrature supports dim <= 3")
-    grid_points_per_dim = int(grid_points_per_dim)
-    if grid_points_per_dim < 5:
-        raise ValueError("grid_points_per_dim must be >= 5")
-
-    box = _prior_box(model, prior) if box is None else np.asarray(box, dtype=float)
+    box, log_e, err = _richardson_log_integral(
+        model, _log_joint_fn(model, prior), grid_points_per_dim, max_err, "quadrature",
+        box=prior.box)
     theta_hat = _map_search(model, prior, start, box)
-    log_joint = _log_joint_fn(model, prior)
     log_fit = _value_at(model._log_lik_batch, theta_hat)
-
-    log_e = log_trapezoid_integral(model, log_joint, box, grid_points_per_dim)
-    coarse = log_trapezoid_integral(model, log_joint, box, (grid_points_per_dim + 1) // 2)
-    err = abs(log_e - coarse) / 3.0
-    if max_err is not None and err > max_err:
-        raise AccuracyFailure(
-            f"quadrature error estimate {err:.3e} exceeds tolerance {max_err:.3e} "
-            f"(fine {log_e:.12g}, half-resolution {coarse:.12g})",
-            value=log_e, coarse_value=coarse, err_estimate=err)
-
     return EvidenceDecomposition(
         log_evidence=log_e, log_fit=log_fit, flexibility=log_fit - log_e,
         estimator="quadrature", err_estimate=err, theta_hat=theta_hat,
-        info={"grid_points_per_dim": grid_points_per_dim, "box": np.asarray(box).tolist()})
+        info={"grid_points_per_dim": int(grid_points_per_dim), "box": np.asarray(box).tolist()})
+
+
+def _laplace_factor(model: GenericModelSpec, theta_hat, curvature=None):
+    """The Laplace curvature at the MAP (computed when None) and its lower Cholesky factor.
+
+    The factorization is the positive-definiteness test: a curvature that
+    fails it raises :class:`CurvatureFailure`.
+    """
+    if curvature is None:
+        curvature = -_stencil_derivatives(_objective(model), theta_hat, hess_step=HESS_STEP)[1]
+    try:
+        return curvature, np.linalg.cholesky(curvature)
+    except LinAlgError as exc:
+        raise CurvatureFailure(
+            "Hessian at the MAP is not positive definite (saddle or ridge); "
+            "the Laplace approximation is undefined here") from exc
 
 
 def laplace_curvature(model: GenericModelSpec, prior: NormalizedPrior, theta_hat) -> np.ndarray:
@@ -127,14 +130,7 @@ def laplace_curvature(model: GenericModelSpec, prior: NormalizedPrior, theta_hat
     ``log_lik - R``.  Raises :class:`CurvatureFailure` when the result is
     not positive definite.
     """
-    curvature = -_stencil_derivatives(_objective(model), theta_hat, hess_step=HESS_STEP)[1]
-    try:
-        np.linalg.cholesky(curvature)
-    except LinAlgError as exc:
-        raise CurvatureFailure(
-            "Hessian at the MAP is not positive definite (saddle or ridge); "
-            "the Laplace approximation is undefined here") from exc
-    return curvature
+    return _laplace_factor(model, theta_hat)[0]
 
 
 def evidence_laplace(model: GenericModelSpec, prior: NormalizedPrior, *, start=None,
@@ -151,12 +147,11 @@ def evidence_laplace(model: GenericModelSpec, prior: NormalizedPrior, *, start=N
     ``err_check_grid`` or a dimension-based default); above that no estimate
     is available and NaN is reported.
     """
-    box = _prior_box(model, prior)
+    # The box serves the reference quadrature and a search from its centre only.
+    box = _prior_box(model, prior) if model.dim <= 3 else None
     theta_hat = _map_search(model, prior, start, box)
-    curvature = laplace_curvature(model, prior, theta_hat)
-    sign, log_det = np.linalg.slogdet(curvature)
-    if sign <= 0:
-        raise CurvatureFailure("curvature determinant is not positive")
+    chol_lower = _laplace_factor(model, theta_hat)[1]
+    log_det = 2.0 * float(np.sum(np.log(np.diag(chol_lower))))
 
     log_fit = _value_at(model._log_lik_batch, theta_hat)
     log_prior_at_map = -_value_at(model._regularizer_batch, theta_hat) - prior.log_norm_const
@@ -192,17 +187,21 @@ def evidence_importance(model: GenericModelSpec, prior: NormalizedPrior,
 
     Raises
     ------
+    CurvatureFailure
+        When the curvature, computed or supplied, is not positive definite.
     DegeneracyFailure
-        When the effective sample size falls below 1% of ``samples``.
+        When the effective sample size falls below 1% of ``samples`` or is
+        not a number.
     """
     samples = int(samples)
     if samples < 2:
         raise ValueError("samples must be >= 2")
+    inflation = float(inflation)
+    if not (np.isfinite(inflation) and inflation > 0):
+        raise ValueError(f"inflation must be finite and > 0, got {inflation}")
     theta_hat = _map_search(model, prior, start) if theta_hat is None \
         else np.asarray(theta_hat, dtype=float)
-    curvature = laplace_curvature(model, prior, theta_hat) if curvature is None \
-        else np.asarray(curvature, dtype=float)
-    chol_lower = np.linalg.cholesky(curvature)
+    chol_lower = _laplace_factor(model, theta_hat, curvature)[1]
     log_det = 2.0 * float(np.sum(np.log(np.diag(chol_lower))))
     d = model.dim
 
@@ -220,7 +219,7 @@ def evidence_importance(model: GenericModelSpec, prior: NormalizedPrior,
     weights = np.exp(log_ratios - top)
     mean_w = float(weights.mean())
     ess = float(weights.sum() ** 2 / (weights @ weights))
-    if ess < MIN_ESS_FRACTION * samples:
+    if not ess >= MIN_ESS_FRACTION * samples:  # a NaN ESS fails too
         raise DegeneracyFailure(
             f"importance weights degenerate: ESS {ess:.1f} of {samples} draws", ess=ess)
 

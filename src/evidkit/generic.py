@@ -459,26 +459,19 @@ def _grid_nodes(box, points_per_dim):
     return axes, points
 
 
-def _log_trapezoid_weights(axes):
-    """Log of the tensor-product trapezoid weights, flattened to grid order."""
-    log_w_axes = []
+def _log_trapezoid_sum(axes, values) -> float:
+    """Log trapezoid sum over the grid ``axes`` of ``exp(values)``, values in grid order."""
+    total = np.zeros(1)  # tensor product of the per-axis log weights, in grid order
     for nodes in axes:
-        h = nodes[1] - nodes[0]
-        w = np.full(nodes.size, np.log(h))
+        w = np.full(nodes.size, np.log(nodes[1] - nodes[0]))
         w[0] += np.log(0.5)
         w[-1] += np.log(0.5)
-        log_w_axes.append(w)
-    total = log_w_axes[0]
-    for w in log_w_axes[1:]:
         total = (total[:, None] + w[None, :]).reshape(-1)
-    return total
+    return float(logsumexp(values + total))
 
 
-def log_trapezoid_integral(model: GenericModelSpec, log_integrand, box, points_per_dim) -> float:
-    """``log integral exp(log_integrand)`` by composite trapezoid in log space.
-
-    ``log_integrand`` maps an ``(m, dim)`` batch of points to ``m`` values.
-    """
+def _evaluate_grid(model: GenericModelSpec, log_integrand, box, points_per_dim):
+    """Grid axes over ``box`` and the integrand's values at every node, in grid order."""
     if points_per_dim < 3:
         raise ValueError("points_per_dim must be >= 3")
     if points_per_dim ** model.dim > MAX_GRID_NODES:
@@ -486,8 +479,15 @@ def log_trapezoid_integral(model: GenericModelSpec, log_integrand, box, points_p
             f"grid of {points_per_dim}^{model.dim} nodes exceeds the "
             f"{MAX_GRID_NODES} node limit")
     axes, points = _grid_nodes(np.asarray(box, dtype=float), points_per_dim)
-    values = log_integrand(points)
-    return float(logsumexp(values + _log_trapezoid_weights(axes)))
+    return axes, log_integrand(points)
+
+
+def log_trapezoid_integral(model: GenericModelSpec, log_integrand, box, points_per_dim) -> float:
+    """``log integral exp(log_integrand)`` by composite trapezoid in log space.
+
+    ``log_integrand`` maps an ``(m, dim)`` batch of points to ``m`` values.
+    """
+    return _log_trapezoid_sum(*_evaluate_grid(model, log_integrand, box, points_per_dim))
 
 
 def resolve_integration_box(model: GenericModelSpec, log_integrand) -> np.ndarray:
@@ -531,9 +531,42 @@ def resolve_integration_box(model: GenericModelSpec, log_integrand) -> np.ndarra
         err_estimate=float(np.exp(boundary_max - peak)))
 
 
+def _richardson_log_integral(model: GenericModelSpec, log_integrand, grid_points_per_dim,
+                            max_err, what, box=None):
+    """``(box, fine, err)``: the trapezoid log-integral and its Richardson error estimate.
+
+    ``box`` is resolved from the integrand when None.  The half-resolution
+    rule has ``(g + 1) // 2`` points per axis: an odd ``g`` grid holds it as
+    its even-indexed nodes, so the integrand is evaluated once; an even
+    ``g`` has no such nodes and needs a second grid.  :class:`AccuracyFailure`
+    names the integral by ``what``.
+    """
+    if model.dim > 3:
+        raise ValueError("grid quadrature supports dim <= 3")
+    g = int(grid_points_per_dim)
+    if g < 5:
+        raise ValueError("grid_points_per_dim must be >= 5")
+
+    box = resolve_integration_box(model, log_integrand) if box is None else box
+    axes, values = _evaluate_grid(model, log_integrand, box, g)
+    fine = _log_trapezoid_sum(axes, values)
+    if g % 2:
+        even_nodes = values.reshape([g] * model.dim)[(slice(None, None, 2),) * model.dim]
+        coarse = _log_trapezoid_sum([nodes[::2] for nodes in axes], even_nodes.reshape(-1))
+    else:
+        coarse = log_trapezoid_integral(model, log_integrand, box, (g + 1) // 2)
+    err = abs(fine - coarse) / 3.0
+    if max_err is not None and err > max_err:
+        raise AccuracyFailure(
+            f"{what} error estimate {err:.3e} exceeds tolerance {max_err:.3e} "
+            f"(fine {fine:.12g}, half-resolution {coarse:.12g})",
+            value=fine, coarse_value=coarse, err_estimate=err)
+    return box, fine, err
+
+
 def normalize_prior(model: GenericModelSpec, grid_points_per_dim: int,
                     max_err: float | None = None) -> NormalizedPrior:
-    """Log normalizer of ``exp(-R)`` by trapezoid quadrature in log space.
+    """Log normalizer of ``exp(-R)`` by trapezoid quadrature in log space, dim <= 3.
 
     The error estimate is a Richardson comparison against the same rule at
     half resolution (trapezoid error scales as the squared step, so a third
@@ -545,27 +578,14 @@ def normalize_prior(model: GenericModelSpec, grid_points_per_dim: int,
         When ``max_err`` is given and the estimate exceeds it; the error
         carries both resolutions' values.
     """
-    if model.dim > 3:
-        raise ValueError("grid quadrature normalizer supports dim <= 3")
-    grid_points_per_dim = int(grid_points_per_dim)
-    if grid_points_per_dim < 5:
-        raise ValueError("grid_points_per_dim must be >= 5")
-
     def neg_reg(points):
         return -model._regularizer_batch(points)
 
-    box = resolve_integration_box(model, neg_reg)
-    log_z = log_trapezoid_integral(model, neg_reg, box, grid_points_per_dim)
-    coarse = log_trapezoid_integral(model, neg_reg, box, (grid_points_per_dim + 1) // 2)
-    err = abs(log_z - coarse) / 3.0
-    if max_err is not None and err > max_err:
-        raise AccuracyFailure(
-            f"prior normalizer error estimate {err:.3e} exceeds tolerance "
-            f"{max_err:.3e} (fine {log_z:.12g}, half-resolution {coarse:.12g})",
-            value=log_z, coarse_value=coarse, err_estimate=err)
+    box, log_z, err = _richardson_log_integral(
+        model, neg_reg, grid_points_per_dim, max_err, "prior normalizer")
     return NormalizedPrior(
         log_norm_const=log_z, method="grid-quadrature", err_estimate=err,
-        box=box, grid_points_per_dim=grid_points_per_dim)
+        box=box, grid_points_per_dim=int(grid_points_per_dim))
 
 
 # ---------------------------------------------------------------------------

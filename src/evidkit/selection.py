@@ -43,6 +43,30 @@ TIE_TOL = 1e-12
 RULES = ("max-evidence", "max-posterior")
 
 
+def _check_weights(weights, k: int) -> np.ndarray:
+    """Prior model weights as an array: k positive values summing to 1 within 1e-12."""
+    weights = np.array(weights, dtype=float)
+    if weights.shape != (k,):
+        raise ValueError(f"{weights.size} weights for {k} members")
+    if not np.all(weights > 0):
+        raise ValueError("weights must all be positive")
+    if not abs(weights.sum() - 1.0) <= 1e-12:
+        raise ValueError(f"weights sum to {weights.sum()!r}, expected 1 within 1e-12")
+    return weights
+
+
+def _check_degrees(degrees) -> list[int]:
+    """Polynomial degrees as ints: nonempty, nonnegative and distinct."""
+    degrees = [int(p) for p in degrees]
+    if len(degrees) == 0:
+        raise ValueError("degrees must be nonempty")
+    if any(p < 0 for p in degrees):
+        raise ValueError("degrees must be nonnegative")
+    if len(set(degrees)) != len(degrees):
+        raise ValueError("degrees must be distinct")
+    return degrees
+
+
 @dataclass(frozen=True, eq=False)
 class ModelSet:
     """Ordered candidate models with prior weights.
@@ -77,13 +101,7 @@ class ModelSet:
         if self.weights is None:
             weights = np.full(len(members), 1.0 / len(members))
         else:
-            weights = np.array(self.weights, dtype=float)
-            if weights.shape != (len(members),):
-                raise ValueError("weights length does not match members")
-            if np.any(weights <= 0):
-                raise ValueError("weights must all be positive")
-            if abs(weights.sum() - 1.0) > 1e-12:
-                raise ValueError(f"weights sum to {weights.sum()!r}, expected 1 within 1e-12")
+            weights = _check_weights(self.weights, len(members))
         weights.setflags(write=False)
         object.__setattr__(self, "weights", weights)
         if self.labels is not None:
@@ -294,13 +312,7 @@ def polynomial_family(x, degrees: Sequence[int], sigma: float, lam: float) -> Mo
     x = np.asarray(x, dtype=float)
     if x.ndim != 1 or x.size < 1:
         raise ValueError("x must be a nonempty vector")
-    degrees = [int(p) for p in degrees]
-    if len(degrees) == 0:
-        raise ValueError("degrees must be nonempty")
-    if any(p < 0 for p in degrees):
-        raise ValueError("degrees must be nonnegative")
-    if len(set(degrees)) != len(degrees):
-        raise ValueError("degrees must be distinct")
+    degrees = _check_degrees(degrees)
     if max(degrees) + 1 > x.size:
         _warnings.warn(
             f"largest degree {max(degrees)} needs {max(degrees) + 1} columns but only "
@@ -366,7 +378,7 @@ def sweet_spot_experiment(true_degree: int, degrees: Sequence[int], n: int,
     each degree was chosen and the predictive regret of the selected degree
     against the per-replicate best.
     """
-    degrees = [int(p) for p in degrees]
+    degrees = _check_degrees(degrees)
     true_degree = int(true_degree)
     if true_degree not in degrees:
         raise ValueError(f"true_degree {true_degree} is not among degrees {degrees}")

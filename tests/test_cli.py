@@ -80,6 +80,22 @@ class TestParseArgs:
                         "--sigma", "1", "--lambda", "1", "--data", y_csv,
                         "--out", "s.json"])
 
+    @pytest.mark.parametrize("command, extra", [
+        ("select", ["--degrees=-1,0"]),
+        ("select", ["--degrees", "0,1,1"]),
+        ("select", ["--degrees", "0,1", "--weights", "0.5,0.6"]),
+        ("select", ["--degrees", "0,1", "--weights", "nan,nan"]),
+        ("select", ["--degrees", "0,1", "--weights", "1.0"]),
+        ("risk", ["--degrees", "0,0"]),
+        ("risk", ["--degrees", "0,1", "--weights", "0.3,0.3"]),
+        ("poly-demo", ["--degrees=-2..1", "--true-degree", "0"]),
+    ])
+    def test_degree_and_weight_checks_are_usage_errors(self, y_csv, command, extra):
+        data = ["--data", y_csv] if command == "select" else ["--n", "10"]
+        with pytest.raises(UsageError, match="degrees|weights"):
+            parse_args([command, *extra, "--sigma", "1", "--lambda", "1", *data,
+                        "--out", "s.json"])
+
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             parse_args(["--help"])

@@ -294,3 +294,68 @@ class TestBicSweep:
 
         with pytest.raises(ValueError, match="dimension"):
             ek.bic_sweep(family, [10, 100], seed=0)
+
+
+class TestCurvatureFactor:
+    @staticmethod
+    def _counting_cholesky(monkeypatch):
+        calls = []
+        original = np.linalg.cholesky
+
+        def counting(matrix):
+            calls.append(np.array(matrix))
+            return original(matrix)
+
+        monkeypatch.setattr(np.linalg, "cholesky", counting)
+        return calls
+
+    def test_laplace_factors_once(self, monkeypatch):
+        rng = np.random.default_rng(51)
+        _, _, model, prior = wrapped_instance(rng, n=20, d=2, lam_range=(0.5, 2.0))
+        calls = self._counting_cholesky(monkeypatch)
+        dec = ek.evidence_laplace(model, prior, err_check_grid=21)
+        assert len(calls) == 1
+        sign, log_det = np.linalg.slogdet(calls[0])
+        assert sign > 0
+        assert dec.info["log_det_curvature"] == pytest.approx(log_det, rel=0.0, abs=1e-12)
+
+    def test_importance_factors_once(self, monkeypatch):
+        rng = np.random.default_rng(52)
+        _, _, model, prior = wrapped_instance(rng, n=20, d=4, lam_range=(0.5, 2.0))
+        calls = self._counting_cholesky(monkeypatch)
+        ek.evidence_importance(model, prior, 500, seed=2)
+        assert len(calls) == 1
+
+    def test_supplied_indefinite_curvature_is_a_curvature_failure(self):
+        model = logistic_model()
+        prior = ek.normalize_prior(model, 201)
+        with pytest.raises(CurvatureFailure):
+            ek.evidence_importance(model, prior, 100, seed=0, theta_hat=[0.0],
+                                   curvature=[[-1.0]])
+
+
+class TestLaplaceBox:
+    def test_no_box_above_dim3_when_start_given(self, monkeypatch):
+        rng = np.random.default_rng(53)
+        spec, obs, model, prior = wrapped_instance(rng, n=20, d=4, lam_range=(0.5, 2.0))
+        exact = ek.glm_log_evidence(spec, obs)
+        resolved = []
+
+        def counting(model, log_integrand):
+            resolved.append(model)
+            return evidkit.generic.resolve_integration_box(model, log_integrand)
+
+        monkeypatch.setattr(evidkit.evidence, "resolve_integration_box", counting)
+        dec = ek.evidence_laplace(model, prior, start=exact.theta_hat + 0.1)
+        assert resolved == []
+        assert np.isnan(dec.err_estimate)
+        assert dec.log_evidence == pytest.approx(exact.log_evidence, abs=1e-6)
+
+
+class TestImportanceInflation:
+    @pytest.mark.parametrize("inflation", [-1.5, 0.0, float("nan"), float("inf")])
+    def test_bad_inflation_rejected(self, inflation):
+        model = logistic_model()
+        prior = ek.normalize_prior(model, 201)
+        with pytest.raises(ValueError, match="inflation"):
+            ek.evidence_importance(model, prior, 100, seed=0, inflation=inflation)

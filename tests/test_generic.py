@@ -5,7 +5,7 @@ import pytest
 
 import evidkit as ek
 from evidkit.exceptions import AccuracyFailure, ConvergenceFailure
-from evidkit.generic import GRAD_STEP, HESS_STEP, _stencil_derivatives
+from evidkit.generic import GRAD_STEP, HESS_STEP, _stencil_derivatives, log_trapezoid_integral
 
 from helpers import logistic_model, random_glm_instance
 
@@ -350,3 +350,64 @@ class TestScalarAndVectorizedSpecs:
                             ek.evidence_quadrature(model, prior, 41).log_evidence,
                             ek.evidence_laplace(model, prior, err_check_grid=21).log_evidence))
         np.testing.assert_allclose(results[0], results[1], rtol=0.0, atol=1e-12)
+
+
+class TestRichardsonGrid:
+    """One grid serves both resolutions of the Richardson error estimate."""
+
+    GRIDS = {1: (41, 40), 2: (21, 20), 3: (11, 10)}
+
+    @staticmethod
+    def _model(d):
+        spec, obs = polynomial_glm(3 + d, d, n=40)
+        wrapped = ek.wrap_glm(spec, obs)
+        # Bounded support keeps the box fixed, so only the grid differs.
+        return ek.GenericModelSpec(dim=d, log_lik=wrapped.log_lik,
+                                   regularizer=wrapped.regularizer,
+                                   support=wrapped.effective_box, vectorized=True)
+
+    @staticmethod
+    def _two_grids(model, log_integrand, box, g):
+        fine = log_trapezoid_integral(model, log_integrand, box, g)
+        coarse = log_trapezoid_integral(model, log_integrand, box, (g + 1) // 2)
+        return fine, abs(fine - coarse) / 3.0
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("odd", [True, False])
+    def test_equal_to_two_separate_grids(self, d, odd):
+        model = self._model(d)
+        g = self.GRIDS[d][0 if odd else 1]
+
+        prior = ek.normalize_prior(model, g)
+        fine, err = self._two_grids(model, lambda p: -model.regularizer(p), prior.box, g)
+        assert (prior.log_norm_const, prior.err_estimate) == (fine, err)
+
+        def log_joint(points):
+            return model.log_lik(points) - model.regularizer(points) - prior.log_norm_const
+
+        dec = ek.evidence_quadrature(model, prior, g)
+        fine, err = self._two_grids(model, log_joint, np.array(dec.info["box"]), g)
+        assert (dec.log_evidence, dec.err_estimate) == (fine, err)
+
+    @pytest.mark.parametrize("g, batches", [(21, {441: 1, 121: 0}), (20, {400: 1, 100: 1})])
+    def test_odd_grid_is_evaluated_once(self, g, batches):
+        base = self._model(2)
+        prior = ek.normalize_prior(base, g)
+        sizes = []
+
+        def log_lik(points):
+            sizes.append(len(points))
+            return base.log_lik(points)
+
+        model = ek.GenericModelSpec(dim=2, log_lik=log_lik, regularizer=base.regularizer,
+                                    support=base.support, vectorized=True)
+        ek.evidence_quadrature(model, prior, g)
+        assert {size: sizes.count(size) for size in batches} == batches
+
+    def test_accuracy_failure_from_quadrature_carries_both_values(self):
+        model = self._model(1)
+        prior = ek.normalize_prior(model, 41)
+        with pytest.raises(AccuracyFailure, match="^quadrature error estimate") as excinfo:
+            ek.evidence_quadrature(model, prior, 41, max_err=1e-300)
+        failure = excinfo.value
+        assert failure.err_estimate == abs(failure.value - failure.coarse_value) / 3.0
