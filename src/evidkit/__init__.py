@@ -6,130 +6,19 @@ for ridge-regularized Gaussian linear models, generic evidence estimators
 arithmetic relating flexibility to conventional criteria, and seeded
 selection/risk experiments.  All functions are pure and deterministic
 given explicit seeds.
+
+Each module's ``__all__`` is its public list; the package re-exports them all.
 """
 
-from .evidence import (
-    AsymptoticSweepResult,
-    Decomposition,
-    PenaltyComparison,
-    bic_penalty,
-    bic_sweep,
-    compare_penalties,
-    decompose,
-    evidence_importance,
-    evidence_laplace,
-    evidence_quadrature,
-    pen_prime,
-    polynomial_sweep_family,
-)
-from .exceptions import (
-    AccuracyFailure,
-    ConvergenceFailure,
-    CurvatureFailure,
-    DataError,
-    DegeneracyFailure,
-    EvidkitError,
-    NumericFailure,
-    SelectionFailure,
-    UsageError,
-)
-from .generic import (
-    GenericModelSpec,
-    MultistartResult,
-    NormalizedPrior,
-    finite_difference_gradient,
-    finite_difference_hessian,
-    glm_normalized_prior,
-    map_optimize,
-    map_optimize_multistart,
-    normalize_prior,
-    wrap_glm,
-)
-from .glm import (
-    GaussianLinearSpec,
-    GaussianPosterior,
-    ObservationSet,
-    evidence_via_candidate,
-    flexibility_exact,
-    gaussian_posterior,
-    glm_log_evidence,
-    glm_log_likelihood,
-    gram_eigen_range,
-    map_estimate,
-    posterior_precision,
-)
-from .records import EvidenceDecomposition
-from .selection import (
-    CrossoverReport,
-    ModelSet,
-    RiskReport,
-    SelectionOutcome,
-    SweetSpotReport,
-    mackay_crossover,
-    polynomial_family,
-    prior_predictive_generator,
-    risk_mc,
-    scaled_polynomial_design,
-    select,
-    sweet_spot_experiment,
-)
+from . import evidence, exceptions, generic, glm, records, selection
+from .evidence import *
+from .exceptions import *
+from .generic import *
+from .glm import *
+from .records import *
+from .selection import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AccuracyFailure",
-    "AsymptoticSweepResult",
-    "ConvergenceFailure",
-    "CrossoverReport",
-    "CurvatureFailure",
-    "DataError",
-    "Decomposition",
-    "DegeneracyFailure",
-    "EvidenceDecomposition",
-    "EvidkitError",
-    "GaussianLinearSpec",
-    "GaussianPosterior",
-    "GenericModelSpec",
-    "ModelSet",
-    "MultistartResult",
-    "NormalizedPrior",
-    "NumericFailure",
-    "ObservationSet",
-    "PenaltyComparison",
-    "RiskReport",
-    "SelectionFailure",
-    "SelectionOutcome",
-    "SweetSpotReport",
-    "UsageError",
-    "bic_penalty",
-    "bic_sweep",
-    "compare_penalties",
-    "decompose",
-    "evidence_importance",
-    "evidence_laplace",
-    "evidence_quadrature",
-    "evidence_via_candidate",
-    "finite_difference_gradient",
-    "finite_difference_hessian",
-    "flexibility_exact",
-    "gaussian_posterior",
-    "glm_log_evidence",
-    "glm_log_likelihood",
-    "glm_normalized_prior",
-    "gram_eigen_range",
-    "mackay_crossover",
-    "map_estimate",
-    "map_optimize",
-    "map_optimize_multistart",
-    "normalize_prior",
-    "pen_prime",
-    "polynomial_family",
-    "polynomial_sweep_family",
-    "posterior_precision",
-    "prior_predictive_generator",
-    "risk_mc",
-    "scaled_polynomial_design",
-    "select",
-    "sweet_spot_experiment",
-    "wrap_glm",
-]
+__all__ = sorted({name for module in (evidence, exceptions, generic, glm, records, selection)
+                  for name in module.__all__})

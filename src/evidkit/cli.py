@@ -6,8 +6,10 @@ One executable with subcommands that map onto the library: ``fit``,
 output that embeds the resolved configuration and the original argv, so any
 output file can be reproduced by replaying the argv it contains.
 
-Exit codes: 0 success, 1 domain or numeric error, 2 usage error.  No
-environment variables are consulted; all state comes from argv and files.
+Arguments are checked at parse time by the library's own validators.
+Exit codes: 0 success, 1 domain or numeric error (a library ``ValueError``
+raised at run time included), 2 usage error.  No environment variables are
+consulted; all state comes from argv and files.
 """
 
 from __future__ import annotations
@@ -21,6 +23,9 @@ import numpy as np
 from . import __version__
 from .dataio import read_observations, render_json, write_csv, write_json
 from .evidence import (
+    _check_sample_sizes,
+    _check_samples,
+    _require_finite,
     bic_penalty,
     bic_sweep,
     decompose,
@@ -30,10 +35,17 @@ from .evidence import (
     polynomial_sweep_family,
 )
 from .exceptions import EvidkitError, UsageError
-from .generic import glm_normalized_prior, map_optimize_multistart, wrap_glm
+from .generic import (
+    _check_grid_dim,
+    _check_grid_size,
+    glm_normalized_prior,
+    map_optimize_multistart,
+    wrap_glm,
+)
 from .glm import (
     GaussianLinearSpec,
     ObservationSet,
+    _check_scale,
     glm_log_evidence,
     glm_log_likelihood,
     map_estimate,
@@ -41,7 +53,10 @@ from .glm import (
 from .records import ESTIMATORS
 from .selection import (
     RULES,
+    _check_count,
     _check_degrees,
+    _check_rules,
+    _check_true_degree,
     _check_weights,
     mackay_crossover,
     polynomial_family,
@@ -103,16 +118,10 @@ def _parse_float_list(text: str, name: str) -> tuple[float, ...]:
         raise UsageError(f"cannot parse number list {text!r} for {name}") from None
 
 
-def _require_positive(value: float, name: str) -> float:
-    if not (np.isfinite(value) and value > 0):
-        raise UsageError(f"{name} must be positive")
-    return float(value)
-
-
 def _library_check(check, *args):
-    """Run a library validator, reporting its ``ValueError`` as a usage error."""
+    """A library validator's checked value; its ``ValueError`` becomes a usage error."""
     try:
-        check(*args)
+        return check(*args)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
@@ -229,11 +238,11 @@ def parse_args(argv) -> RunConfig:
     params: dict = {}
 
     if command in ("fit", "evidence", "select", "risk", "poly-demo"):
-        params["sigma"] = _require_positive(ns.sigma, "sigma")
-        params["lam"] = _require_positive(ns.lam, "lambda")
+        params["sigma"] = _library_check(_check_scale, ns.sigma, "sigma")
+        params["lam"] = _library_check(_check_scale, ns.lam, "lambda")
     if command in ("fit", "evidence"):
-        if ns.degree is not None and ns.degree < 0:
-            raise UsageError("degree must be nonnegative")
+        if ns.degree is not None:
+            _library_check(_check_degrees, [ns.degree])
         params["degree"] = ns.degree
     if command in ("select", "risk", "poly-demo"):
         degrees = _parse_int_list(ns.degrees, "degrees")
@@ -249,42 +258,28 @@ def parse_args(argv) -> RunConfig:
 
     if command == "evidence":
         params["estimator"] = ns.estimator
-        if ns.grid is not None and ns.grid < 5:
-            raise UsageError("grid must be >= 5")
-        params["grid"] = ns.grid
-        if ns.samples < 2:
-            raise UsageError("samples must be >= 2")
-        params["samples"] = ns.samples
-        params["inflation"] = _require_positive(ns.inflation, "inflation")
+        params["grid"] = None if ns.grid is None else _library_check(_check_grid_size, ns.grid)
+        params["samples"] = _library_check(_check_samples, ns.samples)
+        params["inflation"] = _library_check(_check_scale, ns.inflation, "inflation")
     if command == "decompose":
         for name in ("log_evidence", "log_fit"):
-            if not np.isfinite(getattr(ns, name)):
-                raise UsageError(f"{name.replace('_', '-')} must be finite")
-        params["log_evidence"] = float(ns.log_evidence)
-        params["log_fit"] = float(ns.log_fit)
+            params[name] = _library_check(_require_finite, name, getattr(ns, name))
     if command == "select":
         params["rule"] = ns.rule
     if command == "poly-demo":
-        if ns.true_degree not in params["degrees"]:
-            raise UsageError("true-degree must be among degrees")
-        params["true_degree"] = ns.true_degree
+        params["true_degree"] = _library_check(
+            _check_true_degree, ns.true_degree, params["degrees"])
     if command in ("risk", "poly-demo"):
-        if ns.n < 1:
-            raise UsageError("n must be >= 1")
-        params["n"] = ns.n
-        if ns.reps < 1:
-            raise UsageError("reps must be >= 1")
-        params["reps"] = ns.reps
+        params["n"] = _library_check(_check_count, ns.n, "n")
+        params["reps"] = _library_check(_check_count, ns.reps, "reps")
     if command == "risk":
-        rules = tuple(part.strip() for part in ns.rules.split(","))
-        for rule in rules:
-            if rule not in RULES:
-                raise UsageError(f"unknown rule {rule!r}")
-        params["rules"] = rules
+        params["rules"] = _library_check(
+            _check_rules, [part.strip() for part in ns.rules.split(",")])
     if command == "mackay-demo":
-        params["sigma"] = _require_positive(ns.sigma, "sigma")
-        params["lambda_simple"] = _require_positive(ns.lambda_simple, "lambda-simple")
-        params["lambda_complex"] = _require_positive(ns.lambda_complex, "lambda-complex")
+        params["sigma"] = _library_check(_check_scale, ns.sigma, "sigma")
+        params["lambda_simple"] = _library_check(_check_scale, ns.lambda_simple, "lambda-simple")
+        params["lambda_complex"] = _library_check(
+            _check_scale, ns.lambda_complex, "lambda-complex")
         if not ns.y_min < ns.y_max:
             raise UsageError("y-min must be below y-max")
         params["y_min"] = float(ns.y_min)
@@ -293,17 +288,10 @@ def parse_args(argv) -> RunConfig:
             raise UsageError("grid must be >= 2")
         params["grid"] = ns.grid
     if command == "bic-sweep":
-        if ns.d < 1:
-            raise UsageError("d must be >= 1")
-        params["d"] = ns.d
-        ns_list = _parse_int_list(ns.ns, "ns")
-        if any(n < 1 for n in ns_list):
-            raise UsageError("ns must be positive")
-        if any(b <= a for a, b in zip(ns_list, ns_list[1:])):
-            raise UsageError("ns must be strictly increasing")
-        params["ns"] = ns_list
-        params["sigma"] = _require_positive(ns.sigma, "sigma")
-        params["lam"] = _require_positive(ns.lam, "lambda")
+        params["d"] = _library_check(_check_count, ns.d, "d")
+        params["ns"] = _library_check(_check_sample_sizes, _parse_int_list(ns.ns, "ns"))
+        params["sigma"] = _library_check(_check_scale, ns.sigma, "sigma")
+        params["lam"] = _library_check(_check_scale, ns.lam, "lambda")
         if ns.theta is None:
             params["theta"] = tuple((-0.5) ** k for k in range(ns.d))
         else:
@@ -372,6 +360,8 @@ def _run_evidence(config):
         dec = glm_log_evidence(spec, obs)
         search = None
     else:
+        if estimator == "quadrature":  # refuse before the search
+            _check_grid_dim(spec.d)
         model = wrap_glm(spec, obs)
         prior = glm_normalized_prior(spec)
         # Generic estimators only find a local MAP; restart from 8 seeded
@@ -379,8 +369,6 @@ def _run_evidence(config):
         search = map_optimize_multistart(model, params["seed"],
                                          box=model.effective_box)
         if estimator == "quadrature":
-            if spec.d > 3:
-                raise EvidkitError(f"quadrature supports dimension <= 3, got d={spec.d}")
             grid = params["grid"] or QUADRATURE_GRID_DEFAULT[spec.d]
             dec = evidence_quadrature(model, prior, grid, start=search.theta)
         elif estimator == "laplace":
@@ -573,7 +561,7 @@ def run(config: RunConfig) -> int:
             ]
             write_csv(config.output_path, header, rows, comments)
         return 0
-    except EvidkitError as exc:
+    except (EvidkitError, ValueError) as exc:
         print(f"evidkit: error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

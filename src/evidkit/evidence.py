@@ -33,7 +33,7 @@ from .generic import (
     map_optimize,
     resolve_integration_box,
 )
-from .glm import LOG_2PI, GaussianLinearSpec, ObservationSet, glm_log_evidence
+from .glm import LOG_2PI, GaussianLinearSpec, ObservationSet, _check_scale, glm_log_evidence
 from .records import EvidenceDecomposition
 
 __all__ = [
@@ -63,6 +63,26 @@ def _require_finite(name, value):
     if not np.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value}")
     return value
+
+
+def _check_samples(samples) -> int:
+    """An importance-sampling draw count: at least 2, so the weights have a spread."""
+    samples = int(samples)
+    if samples < 2:
+        raise ValueError("samples must be >= 2")
+    return samples
+
+
+def _check_sample_sizes(ns) -> tuple[int, ...]:
+    """Sample sizes as ints: nonempty, each >= 1, strictly increasing."""
+    ns = tuple(int(n) for n in ns)
+    if len(ns) < 1:
+        raise ValueError("ns must be nonempty")
+    if any(n < 1 for n in ns):
+        raise ValueError("ns must be >= 1")
+    if any(b <= a for a, b in zip(ns, ns[1:])):
+        raise ValueError("ns must be strictly increasing")
+    return ns
 
 
 def _log_joint_fn(model: GenericModelSpec, prior: NormalizedPrior):
@@ -193,12 +213,8 @@ def evidence_importance(model: GenericModelSpec, prior: NormalizedPrior,
         When the effective sample size falls below 1% of ``samples`` or is
         not a number.
     """
-    samples = int(samples)
-    if samples < 2:
-        raise ValueError("samples must be >= 2")
-    inflation = float(inflation)
-    if not (np.isfinite(inflation) and inflation > 0):
-        raise ValueError(f"inflation must be finite and > 0, got {inflation}")
+    samples = _check_samples(samples)
+    inflation = _check_scale(inflation, "inflation")
     theta_hat = _map_search(model, prior, start) if theta_hat is None \
         else np.asarray(theta_hat, dtype=float)
     chol_lower = _laplace_factor(model, theta_hat, curvature)[1]
@@ -347,15 +363,11 @@ def bic_sweep(family_generator, ns, seed: int) -> AsymptoticSweepResult:
         fresh draw at the requested sample size.  Covariates are regenerated
         independently at each n (derived child seeds, not nested data).
     ns : sequence of int
-        Strictly increasing sample sizes.
+        Strictly increasing sample sizes, each >= 1.
     seed : int
         Root seed; each n receives a spawned child stream.
     """
-    ns = tuple(int(n) for n in ns)
-    if len(ns) < 1:
-        raise ValueError("ns must be nonempty")
-    if any(b <= a for a, b in zip(ns, ns[1:])):
-        raise ValueError("ns must be strictly increasing")
+    ns = _check_sample_sizes(ns)
 
     children = np.random.SeedSequence(seed).spawn(len(ns))
     gaps = np.empty(len(ns))

@@ -1,5 +1,17 @@
 """Exception types shared across the toolkit."""
 
+__all__ = [
+    "EvidkitError",
+    "NumericFailure",
+    "ConvergenceFailure",
+    "AccuracyFailure",
+    "CurvatureFailure",
+    "DegeneracyFailure",
+    "SelectionFailure",
+    "DataError",
+    "UsageError",
+]
+
 
 class EvidkitError(Exception):
     """Base class for all toolkit errors."""

@@ -41,6 +41,7 @@ HESS_STEP = float(np.finfo(float).eps ** 0.25)  # ~1.2e-4, balances truncation v
 MAX_ITER = 500
 GRAD_TOL = 1e-6
 CURVATURE_TOL = 1e-4
+MULTISTART_STARTS = 8
 # A Newton decrement this many ulps of the objective is below its rounding.
 STALL_ULPS = 16.0
 
@@ -295,8 +296,7 @@ def _strictly_interior(theta, bounds):
     return bool(np.all(lo_ok & hi_ok))
 
 
-def map_optimize(model: GenericModelSpec, start, *, max_iter=MAX_ITER,
-                 grad_tol=GRAD_TOL, curvature_tol=CURVATURE_TOL) -> np.ndarray:
+def map_optimize(model: GenericModelSpec, start, *, max_iter=MAX_ITER) -> np.ndarray:
     """Local maximizer of ``log_lik(theta) - regularizer(theta)``.
 
     Safeguarded Newton with backtracking on finite-difference derivatives;
@@ -306,8 +306,8 @@ def map_optimize(model: GenericModelSpec, start, *, max_iter=MAX_ITER,
 
     Each iteration evaluates the gradient and Hessian stencils as one batch.
     Convergence requires an interior point whose Hessian is negative
-    semidefinite within ``curvature_tol`` and which is stationary: its
-    central-difference gradient has sup-norm below ``grad_tol``, or its
+    semidefinite within ``CURVATURE_TOL`` and which is stationary: its
+    central-difference gradient has sup-norm below ``GRAD_TOL``, or its
     Newton decrement ``grad @ step`` is at most ``16 eps max(1, |value|)``.
     The second test stops the search once the gain a Newton step predicts
     is below the rounding of the objective, where the line search could
@@ -343,9 +343,9 @@ def map_optimize(model: GenericModelSpec, start, *, max_iter=MAX_ITER,
             step = None
         newton = step is not None and bool(np.all(np.isfinite(step)))
         decrement = float(grad @ step) if newton else np.inf
-        stationary = np.max(np.abs(grad)) < grad_tol or decrement <= stall * max(1.0, abs(value))
+        stationary = np.max(np.abs(grad)) < GRAD_TOL or decrement <= stall * max(1.0, abs(value))
         if stationary and _strictly_interior(theta, bounds) \
-                and float(np.linalg.eigvalsh(hess).max()) <= curvature_tol:
+                and float(np.linalg.eigvalsh(hess).max()) <= CURVATURE_TOL:
             return theta
 
         moved = False
@@ -389,28 +389,24 @@ class MultistartResult:
     basins: tuple[tuple[np.ndarray, np.ndarray, float], ...]
 
 
-def map_optimize_multistart(model: GenericModelSpec, seed: int, *, n_starts: int = 8,
-                            box=None, **optimize_kwargs) -> MultistartResult:
+def map_optimize_multistart(model: GenericModelSpec, seed: int, *, box=None) -> MultistartResult:
     """MAP search restarted from seeded Latin-hypercube points.
 
     :func:`map_optimize` is a local method; multimodal objectives need
-    several starts.  Starts are a Latin-hypercube sample over ``box`` (the
-    support box by default, which must then be finite), one stratum per
-    start in every coordinate.  The best local maximum wins; all basins are
-    returned for inspection.
+    several starts.  The ``MULTISTART_STARTS`` (8) starts are a
+    Latin-hypercube sample over ``box`` (the support box by default, which
+    must then be finite), one stratum per start in every coordinate.  The
+    best local maximum wins; all basins are returned for inspection.
     """
     if box is None:
         box = model.bounds()
     box = np.asarray(box, dtype=float)
     if not np.all(np.isfinite(box)):
         raise ValueError("multistart needs a finite box; pass one for unbounded support")
-    n_starts = int(n_starts)
-    if n_starts < 1:
-        raise ValueError("n_starts must be >= 1")
 
     rng = np.random.default_rng(seed)
-    strata = (rng.permuted(np.tile(np.arange(n_starts), (model.dim, 1)), axis=1).T
-              + rng.uniform(size=(n_starts, model.dim))) / n_starts
+    strata = (rng.permuted(np.tile(np.arange(MULTISTART_STARTS), (model.dim, 1)), axis=1).T
+              + rng.uniform(size=(MULTISTART_STARTS, model.dim))) / MULTISTART_STARTS
     starts = box[:, 0] + strata * (box[:, 1] - box[:, 0])
 
     psi_batch = _objective(model)
@@ -418,7 +414,7 @@ def map_optimize_multistart(model: GenericModelSpec, seed: int, *, n_starts: int
     best_theta, best_value = None, -np.inf
     for start in starts:
         try:
-            theta = map_optimize(model, start, **optimize_kwargs)
+            theta = map_optimize(model, start)
             value = _value_at(psi_batch, theta)
         except ConvergenceFailure as failure:
             theta, value = failure.best_theta, failure.best_value
@@ -531,6 +527,21 @@ def resolve_integration_box(model: GenericModelSpec, log_integrand) -> np.ndarra
         err_estimate=float(np.exp(boundary_max - peak)))
 
 
+def _check_grid_dim(dim: int) -> int:
+    """The dimension of a grid quadrature: at most 3."""
+    if dim > 3:
+        raise ValueError(f"grid quadrature supports dim <= 3, got dim={dim}")
+    return dim
+
+
+def _check_grid_size(grid_points_per_dim) -> int:
+    """Points per axis of a Richardson-checked grid: at least 5."""
+    g = int(grid_points_per_dim)
+    if g < 5:
+        raise ValueError("grid_points_per_dim must be >= 5")
+    return g
+
+
 def _richardson_log_integral(model: GenericModelSpec, log_integrand, grid_points_per_dim,
                             max_err, what, box=None):
     """``(box, fine, err)``: the trapezoid log-integral and its Richardson error estimate.
@@ -541,11 +552,8 @@ def _richardson_log_integral(model: GenericModelSpec, log_integrand, grid_points
     ``g`` has no such nodes and needs a second grid.  :class:`AccuracyFailure`
     names the integral by ``what``.
     """
-    if model.dim > 3:
-        raise ValueError("grid quadrature supports dim <= 3")
-    g = int(grid_points_per_dim)
-    if g < 5:
-        raise ValueError("grid_points_per_dim must be >= 5")
+    _check_grid_dim(model.dim)
+    g = _check_grid_size(grid_points_per_dim)
 
     box = resolve_integration_box(model, log_integrand) if box is None else box
     axes, values = _evaluate_grid(model, log_integrand, box, g)

@@ -58,6 +58,14 @@ def _frozen_array(value, ndim, name):
     return arr
 
 
+def _check_scale(value, name) -> float:
+    """A noise, regularizer or proposal scale as a float: positive and finite."""
+    value = float(value)
+    if not (np.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be positive and finite")
+    return value
+
+
 @dataclass(frozen=True, eq=False)
 class ObservationSet:
     """Observed response vector, plus an optional scalar covariate column.
@@ -107,14 +115,8 @@ class GaussianLinearSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "G", _frozen_array(self.G, 2, "G"))
-        sigma = float(self.sigma)
-        lam = float(self.lam)
-        if not (np.isfinite(sigma) and sigma > 0):
-            raise ValueError("sigma must be positive and finite")
-        if not (np.isfinite(lam) and lam > 0):
-            raise ValueError("lam must be positive and finite")
-        object.__setattr__(self, "sigma", sigma)
-        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "sigma", _check_scale(self.sigma, "sigma"))
+        object.__setattr__(self, "lam", _check_scale(self.lam, "lam"))
 
     @property
     def n(self) -> int:
@@ -163,12 +165,12 @@ class GaussianPosterior:
         return self.theta_hat.size
 
     def log_prior_density(self, theta) -> float:
-        return _gaussian_logpdf(np.asarray(theta, dtype=float),
-                                np.zeros(self.d), self.prior_precision)
+        return _gaussian_logpdf(np.asarray(theta, dtype=float), np.zeros(self.d),
+                                _spd_cholesky(self.prior_precision, "prior_precision"))
 
     def log_posterior_density(self, theta) -> float:
-        return _gaussian_logpdf(np.asarray(theta, dtype=float),
-                                self.theta_hat, self.post_precision)
+        return _gaussian_logpdf(np.asarray(theta, dtype=float), self.theta_hat,
+                                _spd_cholesky(self.post_precision, "post_precision"))
 
 
 def _spd_cholesky(matrix, name):
@@ -186,9 +188,8 @@ def _check_finite_matrix(matrix, name):
         raise NumericFailure(f"entry [{idx}] of {name} is not finite")
 
 
-def _gaussian_logpdf(theta, mean, precision):
-    """Multivariate normal log-density parameterized by its precision."""
-    L = _spd_cholesky(precision, "precision")
+def _gaussian_logpdf(theta, mean, L):
+    """Multivariate normal log-density whose precision has the lower Cholesky factor ``L``."""
     log_det = 2.0 * float(np.sum(np.log(np.diag(L))))
     dev = theta - mean
     quad = float(np.dot(L.T @ dev, L.T @ dev))
@@ -334,10 +335,10 @@ def evidence_via_candidate(spec: GaussianLinearSpec, obs: ObservationSet, theta0
     ``theta0`` up to rounding, a useful cross-check on the closed forms.
     """
     theta0 = np.asarray(theta0, dtype=float)
-    if theta0.shape != (spec.d,):
-        raise ValueError(f"theta0 has shape {theta0.shape}, expected ({spec.d},)")
     if not np.all(np.isfinite(theta0)):
         raise ValueError("theta0 contains non-finite entries")
-    post = gaussian_posterior(spec, obs)
-    return glm_log_likelihood(spec, obs, theta0) \
-        + post.log_prior_density(theta0) - post.log_posterior_density(theta0)
+    log_lik = glm_log_likelihood(spec, obs, theta0)
+    _, _, factor, theta_hat = _posterior(spec, obs)
+    # ``lam * I`` factors the prior precision; ``P*`` comes factored by ``_posterior``.
+    return log_lik + _gaussian_logpdf(theta0, np.zeros(spec.d), spec.lam * np.eye(spec.d)) \
+        - _gaussian_logpdf(theta0, theta_hat, np.tril(factor[0]))

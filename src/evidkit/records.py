@@ -7,6 +7,8 @@ from typing import Any, Mapping
 
 import numpy as np
 
+__all__ = ["EvidenceDecomposition"]
+
 ESTIMATORS = ("glm-exact", "quadrature", "laplace", "importance-sampling")
 
 

@@ -32,6 +32,7 @@ __all__ = [
     "SweetSpotReport",
     "CrossoverReport",
     "select",
+    "prior_predictive_generator",
     "risk_mc",
     "polynomial_family",
     "scaled_polynomial_design",
@@ -65,6 +66,31 @@ def _check_degrees(degrees) -> list[int]:
     if len(set(degrees)) != len(degrees):
         raise ValueError("degrees must be distinct")
     return degrees
+
+
+def _check_true_degree(true_degree, degrees) -> int:
+    """The true degree as an int, which must be one of ``degrees``."""
+    true_degree = int(true_degree)
+    if true_degree not in degrees:
+        raise ValueError(f"true_degree {true_degree} is not among degrees {list(degrees)}")
+    return true_degree
+
+
+def _check_rules(rules) -> tuple[str, ...]:
+    """Selection rule names as a tuple, each one of ``RULES``."""
+    rules = tuple(rules)
+    for rule in rules:
+        if rule not in RULES:
+            raise ValueError(f"unknown rule {rule!r}; expected one of {RULES}")
+    return rules
+
+
+def _check_count(value, name) -> int:
+    """A sample size or replicate count as an int: at least 1."""
+    value = int(value)
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1")
+    return value
 
 
 @dataclass(frozen=True, eq=False)
@@ -198,8 +224,7 @@ def select(model_set: ModelSet, obs: ObservationSet, rule: str = "max-evidence",
     Ties within 1e-12 of the maximum go to the lowest index and set
     ``tie_broken``.
     """
-    if rule not in RULES:
-        raise ValueError(f"unknown rule {rule!r}; expected one of {RULES}")
+    _check_rules([rule])
     return _choose(model_set, _evaluate(model_set, obs, generic_estimator,
                                         grid_points_per_dim), rule)
 
@@ -241,13 +266,8 @@ def risk_mc(model_set: ModelSet, generator: Callable | None, reps: int,
     rules : sequence of str
         Selection rules to score on the same simulated datasets.
     """
-    reps = int(reps)
-    if reps < 1:
-        raise ValueError("reps must be >= 1")
-    rules = tuple(rules)
-    for rule in rules:
-        if rule not in RULES:
-            raise ValueError(f"unknown rule {rule!r}; expected one of {RULES}")
+    reps = _check_count(reps, "reps")
+    rules = _check_rules(rules)
     if generator is None:
         generator = prior_predictive_generator(model_set)
 
@@ -379,13 +399,9 @@ def sweet_spot_experiment(true_degree: int, degrees: Sequence[int], n: int,
     against the per-replicate best.
     """
     degrees = _check_degrees(degrees)
-    true_degree = int(true_degree)
-    if true_degree not in degrees:
-        raise ValueError(f"true_degree {true_degree} is not among degrees {degrees}")
-    n = int(n)
-    reps = int(reps)
-    if n < 1 or reps < 1:
-        raise ValueError("n and reps must be >= 1")
+    true_degree = _check_true_degree(true_degree, degrees)
+    n = _check_count(n, "n")
+    reps = _check_count(reps, "reps")
 
     true_pos = degrees.index(true_degree)
     k = len(degrees)

@@ -7,6 +7,7 @@ import os
 import numpy as np
 import pytest
 
+import evidkit.cli
 from evidkit.cli import RunConfig, main, parse_args, run
 from evidkit.dataio import format_number, read_observations, render_json
 from evidkit.exceptions import DataError, UsageError
@@ -312,3 +313,101 @@ class TestRun:
                 "--out", "o.json"]
         assert parse_args(argv) == parse_args(list(argv))
         assert isinstance(parse_args(argv), RunConfig)
+
+
+_MODEL = ["--sigma", "1", "--lambda", "1"]
+_DATA = ["--data", "unused.csv"]
+
+# Every argv that parse_args rejects: the library's rules, applied at parse
+# time through its validators, and the rules only the CLI states.
+REJECTED = {
+    "fit-sigma-zero": ["fit", *_DATA, "--sigma", "0", "--lambda", "1"],
+    "fit-sigma-nan": ["fit", *_DATA, "--sigma", "nan", "--lambda", "1"],
+    "fit-lambda-negative": ["fit", *_DATA, "--sigma", "1", "--lambda", "-1"],
+    "fit-lambda-inf": ["fit", *_DATA, "--sigma", "1", "--lambda", "inf"],
+    "fit-degree-negative": ["fit", *_DATA, *_MODEL, "--degree", "-1"],
+    "evidence-sigma-negative": ["evidence", *_DATA, "--sigma", "-1", "--lambda", "1"],
+    "evidence-degree-negative": ["evidence", *_DATA, *_MODEL, "--degree", "-2"],
+    "evidence-grid-4": ["evidence", *_DATA, *_MODEL, "--grid", "4"],
+    "evidence-samples-1": ["evidence", *_DATA, *_MODEL, "--samples", "1"],
+    "evidence-inflation-zero": ["evidence", *_DATA, *_MODEL, "--inflation", "0"],
+    "evidence-inflation-nan": ["evidence", *_DATA, *_MODEL, "--inflation", "nan"],
+    "decompose-evidence-inf": ["decompose", "--log-evidence", "inf", "--log-fit", "0"],
+    "decompose-fit-nan": ["decompose", "--log-evidence", "0", "--log-fit", "nan"],
+    "select-sigma-zero": ["select", *_DATA, "--sigma", "0", "--lambda", "1", "--degrees", "0,1"],
+    "select-degrees-repeated": ["select", *_DATA, *_MODEL, "--degrees", "1,1"],
+    "select-degrees-negative": ["select", *_DATA, *_MODEL, "--degrees=-1,0"],
+    "select-weights-sum": ["select", *_DATA, *_MODEL, "--degrees", "0,1",
+                           "--weights", "0.5,0.6"],
+    "select-weights-count": ["select", *_DATA, *_MODEL, "--degrees", "0,1", "--weights", "1"],
+    "risk-lambda-zero": ["risk", "--sigma", "1", "--lambda", "0", "--degrees", "0,1",
+                         "--n", "10"],
+    "risk-n-zero": ["risk", *_MODEL, "--degrees", "0,1", "--n", "0"],
+    "risk-reps-zero": ["risk", *_MODEL, "--degrees", "0,1", "--n", "10", "--reps", "0"],
+    "risk-rule-unknown": ["risk", *_MODEL, "--degrees", "0,1", "--n", "10",
+                          "--rules", "max-evidence,max-likelihood"],
+    "poly-demo-true-degree": ["poly-demo", *_MODEL, "--degrees", "0..3",
+                              "--true-degree", "4", "--n", "10"],
+    "poly-demo-n-zero": ["poly-demo", *_MODEL, "--degrees", "0..3", "--true-degree", "1",
+                         "--n", "0"],
+    "poly-demo-reps-negative": ["poly-demo", *_MODEL, "--degrees", "0..3",
+                                "--true-degree", "1", "--n", "10", "--reps", "-1"],
+    "mackay-demo-sigma-zero": ["mackay-demo", "--sigma", "0", "--lambda-simple", "1",
+                               "--lambda-complex", "0.1"],
+    "mackay-demo-lambda-simple-zero": ["mackay-demo", "--lambda-simple", "0",
+                                       "--lambda-complex", "0.1"],
+    "mackay-demo-lambda-complex-negative": ["mackay-demo", "--lambda-simple", "1",
+                                            "--lambda-complex", "-0.1"],
+    "mackay-demo-y-range-empty": ["mackay-demo", "--lambda-simple", "1",
+                                  "--lambda-complex", "0.1", "--y-min", "1", "--y-max", "1"],
+    "mackay-demo-grid-1": ["mackay-demo", "--lambda-simple", "1", "--lambda-complex", "0.1",
+                           "--grid", "1"],
+    "bic-sweep-d-zero": ["bic-sweep", "--d", "0", "--ns", "10,100"],
+    "bic-sweep-ns-decreasing": ["bic-sweep", "--d", "2", "--ns", "100,10"],
+    "bic-sweep-ns-repeated": ["bic-sweep", "--d", "2", "--ns", "10,10"],
+    "bic-sweep-ns-zero": ["bic-sweep", "--d", "2", "--ns", "0,5"],
+    "bic-sweep-sigma-zero": ["bic-sweep", "--d", "2", "--ns", "10,100", "--sigma", "0"],
+    "bic-sweep-lambda-nan": ["bic-sweep", "--d", "2", "--ns", "10,100", "--lambda", "nan"],
+    "bic-sweep-theta-length": ["bic-sweep", "--d", "2", "--ns", "10,100", "--theta", "1"],
+}
+
+
+class TestRejectedArguments:
+    @pytest.mark.parametrize("argv", list(REJECTED.values()), ids=list(REJECTED))
+    def test_usage_error_at_parse_time(self, argv, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        argv = argv + ["--out", str(out)]
+        with pytest.raises(UsageError):
+            parse_args(argv)
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("evidkit: usage error: ")
+        assert not out.exists()
+
+
+class TestRunTimeLibraryErrors:
+    @pytest.mark.parametrize("argv", [
+        ["mackay-demo", "--lambda-simple", "1", "--lambda-complex", "0.1",
+         "--y-min", "0", "--y-max", "0.1", "--grid", "5"],
+        ["bic-sweep", "--d", "2", "--ns", "1"],
+    ], ids=["mackay-demo-one-preference-region", "bic-sweep-single-observation"])
+    def test_value_error_exits_1(self, argv, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        assert main(argv + ["--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("evidkit: error: ")
+        assert not out.exists()
+
+    def test_quadrature_refuses_dimension_above_3_before_searching(
+            self, xy_csv, tmp_path, monkeypatch):
+        searches = []
+        search = evidkit.cli.map_optimize_multistart
+
+        def counting(*args, **kwargs):
+            searches.append(args)
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(evidkit.cli, "map_optimize_multistart", counting)
+        out = tmp_path / "q.json"
+        assert main(["evidence", "--data", xy_csv, *_MODEL, "--degree", "3",
+                     "--estimator", "quadrature", "--out", str(out)]) == 1
+        assert searches == []
+        assert not out.exists()

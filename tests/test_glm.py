@@ -5,6 +5,7 @@ import pytest
 from scipy.stats import norm
 
 import evidkit as ek
+import evidkit.glm
 from evidkit.exceptions import NumericFailure
 
 from helpers import marginal_log_evidence_oracle, random_glm_instance
@@ -266,3 +267,24 @@ class TestEigenDiagnostics:
         eigs = np.linalg.eigvalsh(spec.G.T @ spec.G)
         assert low == pytest.approx(eigs[0])
         assert high == pytest.approx(eigs[-1])
+
+
+class TestCandidateFactorization:
+    def test_reads_the_one_posterior_factor(self, monkeypatch):
+        rng = np.random.default_rng(15)
+        spec, obs = random_glm_instance(rng, n=20, d=4)
+        theta0 = rng.standard_normal(spec.d)
+        calls = {"cho_factor": 0, "cholesky": 0, "eigvalsh": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(evidkit.glm, "cho_factor",
+                            counted("cho_factor", evidkit.glm.cho_factor))
+        monkeypatch.setattr(np.linalg, "cholesky", counted("cholesky", np.linalg.cholesky))
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
+        ek.evidence_via_candidate(spec, obs, theta0)
+        assert calls == {"cho_factor": 1, "cholesky": 0, "eigvalsh": 0}
