@@ -23,6 +23,7 @@ import numpy as np
 from . import __version__
 from .dataio import read_observations, render_json, write_csv, write_json
 from .evidence import (
+    DEFAULT_INFLATION,
     _check_sample_sizes,
     _check_samples,
     _require_finite,
@@ -58,6 +59,7 @@ from .selection import (
     _check_rules,
     _check_true_degree,
     _check_weights,
+    _check_y_grid,
     mackay_crossover,
     polynomial_family,
     risk_mc,
@@ -65,9 +67,9 @@ from .selection import (
     sweet_spot_experiment,
 )
 
-COMMANDS = ("fit", "evidence", "decompose", "select", "risk",
-            "poly-demo", "mackay-demo", "bic-sweep")
 QUADRATURE_GRID_DEFAULT = {1: 2001, 2: 401, 3: 101}
+# Namespace keys that route the run rather than parameterize it.
+_ROUTING_KEYS = ("command", "data_path", "output_path", "format")
 
 
 @dataclass(frozen=True)
@@ -87,41 +89,64 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _parse_int_list(text: str, name: str) -> tuple[int, ...]:
+def _parse_int_list(text: str) -> tuple[int, ...]:
     """Expand '0..9' ranges and comma lists of integers."""
     values: list[int] = []
     for part in text.split(","):
         part = part.strip()
         if not part:
-            raise UsageError(f"empty entry in {name} {text!r}")
+            raise argparse.ArgumentTypeError(f"empty entry in {text!r}")
         if ".." in part:
             lo_text, _, hi_text = part.partition("..")
             try:
                 lo, hi = int(lo_text), int(hi_text)
             except ValueError:
-                raise UsageError(f"cannot parse range {part!r} in {name}") from None
+                raise argparse.ArgumentTypeError(f"cannot parse range {part!r}") from None
             if hi < lo:
-                raise UsageError(f"descending range {part!r} in {name}")
+                raise argparse.ArgumentTypeError(f"descending range {part!r}")
             values.extend(range(lo, hi + 1))
         else:
             try:
                 values.append(int(part))
             except ValueError:
-                raise UsageError(f"cannot parse integer {part!r} in {name}") from None
+                raise argparse.ArgumentTypeError(f"cannot parse integer {part!r}") from None
     return tuple(values)
 
 
-def _parse_float_list(text: str, name: str) -> tuple[float, ...]:
+def _parse_float_list(text: str) -> tuple[float, ...]:
     try:
         return tuple(float(part) for part in text.split(","))
     except ValueError:
-        raise UsageError(f"cannot parse number list {text!r} for {name}") from None
+        raise argparse.ArgumentTypeError(f"cannot parse number list {text!r}") from None
+
+
+def _parse_names(text: str) -> tuple[str, ...]:
+    return tuple(part.strip() for part in text.split(","))
+
+
+def _checked(parse, check, *args):
+    """An argparse ``type``: the parsed text, once the library's ``check(value, *args)`` passes.
+
+    The check's ``ValueError`` becomes an argparse error, which names the
+    argument; text that ``parse`` rejects keeps argparse's "invalid <type>
+    value" message.
+    """
+    def convert(text):
+        value = parse(text)
+        try:
+            check(value, *args)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return value
+
+    convert.__name__ = parse.__name__
+    return convert
 
 
 def _library_check(check, *args):
-    """A library validator's checked value; its ``ValueError`` becomes a usage error."""
+    """Run a library validator; its ``ValueError`` becomes a usage error."""
     try:
-        return check(*args)
+        check(*args)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
@@ -132,96 +157,102 @@ def _build_parser() -> _Parser:
         description="Model selection by evidence: exact Gaussian-linear closed forms, "
                     "generic estimators, penalty comparisons, and seeded experiments.")
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
+    sigma = _checked(float, _check_scale, "sigma")
+    lam = _checked(float, _check_scale, "lambda")
+    degree = _checked(int, lambda value: _check_degrees([value]))
+    degrees = _checked(_parse_int_list, _check_degrees)
 
-    def add_output(p):
+    def add_common(p):
+        """``--seed``, ``--out`` and ``--format``, which every command takes last."""
+        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", dest="output_path", required=True, metavar="PATH",
                        help="output file (written atomically)")
         p.add_argument("--format", choices=["json", "csv"], default="json",
-                       help="output format (default json)")
+                       help="output format (default %(default)s)")
 
     def add_model(p):
-        p.add_argument("--sigma", type=float, required=True, help="noise scale, > 0")
-        p.add_argument("--lambda", dest="lam", type=float, required=True,
+        p.add_argument("--sigma", type=sigma, required=True, help="noise scale, > 0")
+        p.add_argument("--lambda", dest="lam", type=lam, required=True,
                        help="regularizer scale, > 0")
 
     p = sub.add_parser("fit", help="MAP fit of a polynomial model to a data file")
     p.add_argument("--data", dest="data_path", required=True, metavar="CSV")
     add_model(p)
-    p.add_argument("--degree", type=int, default=None,
+    p.add_argument("--degree", type=degree,
                    help="polynomial degree (default: 1 with an x column, else 0)")
-    p.add_argument("--seed", type=int, default=0)
-    add_output(p)
+    add_common(p)
 
     p = sub.add_parser("evidence", help="log-evidence decomposition for one model")
     p.add_argument("--data", dest="data_path", required=True, metavar="CSV")
     add_model(p)
-    p.add_argument("--degree", type=int, default=None,
+    p.add_argument("--degree", type=degree,
                    help="polynomial degree (default: 1 with an x column, else 0)")
     p.add_argument("--estimator", choices=list(ESTIMATORS), default="glm-exact")
-    p.add_argument("--grid", type=int, default=None,
+    p.add_argument("--grid", type=_checked(int, _check_grid_size),
                    help="grid points per dimension for quadrature")
-    p.add_argument("--samples", type=int, default=20000,
-                   help="importance sampling draws (default 20000)")
-    p.add_argument("--inflation", type=float, default=1.5,
-                   help="importance proposal covariance inflation (default 1.5)")
-    p.add_argument("--seed", type=int, default=0)
-    add_output(p)
+    p.add_argument("--samples", type=_checked(int, _check_samples), default=20000,
+                   help="importance sampling draws (default %(default)s)")
+    p.add_argument("--inflation", type=_checked(float, _check_scale, "inflation"),
+                   default=DEFAULT_INFLATION,
+                   help="importance proposal covariance inflation (default %(default)s)")
+    add_common(p)
 
     p = sub.add_parser("decompose", help="flexibility implied by evidence and fit values")
-    p.add_argument("--log-evidence", dest="log_evidence", type=float, required=True)
-    p.add_argument("--log-fit", dest="log_fit", type=float, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    add_output(p)
+    p.add_argument("--log-evidence", dest="log_evidence", required=True,
+                   type=_checked(float, _require_finite, "log_evidence"))
+    p.add_argument("--log-fit", dest="log_fit", required=True,
+                   type=_checked(float, _require_finite, "log_fit"))
+    add_common(p)
 
     p = sub.add_parser("select", help="choose a polynomial degree by evidence")
     p.add_argument("--data", dest="data_path", required=True, metavar="CSV")
     add_model(p)
-    p.add_argument("--degrees", required=True,
+    p.add_argument("--degrees", type=degrees, required=True,
                    help="candidate degrees, e.g. '0..9' or '0,1,2'")
-    p.add_argument("--weights", default=None,
+    p.add_argument("--weights", type=_parse_float_list,
                    help="prior model weights, comma separated, summing to 1")
     p.add_argument("--rule", choices=list(RULES), default="max-evidence")
-    p.add_argument("--seed", type=int, default=0)
-    add_output(p)
+    add_common(p)
 
     p = sub.add_parser("risk", help="Monte Carlo zero-one risk of selection rules")
     add_model(p)
-    p.add_argument("--degrees", required=True)
-    p.add_argument("--n", type=int, required=True, help="observations per replicate")
-    p.add_argument("--reps", type=int, default=100)
-    p.add_argument("--rules", default=",".join(RULES))
-    p.add_argument("--weights", default=None)
-    p.add_argument("--seed", type=int, default=0)
-    add_output(p)
+    p.add_argument("--degrees", type=degrees, required=True)
+    p.add_argument("--weights", type=_parse_float_list)
+    p.add_argument("--n", type=_checked(int, _check_count, "n"), required=True,
+                   help="observations per replicate")
+    p.add_argument("--reps", type=_checked(int, _check_count, "reps"), default=100)
+    p.add_argument("--rules", type=_checked(_parse_names, _check_rules), default=",".join(RULES))
+    add_common(p)
 
     p = sub.add_parser("poly-demo", help="degree sweet-spot selection experiment")
     add_model(p)
-    p.add_argument("--degrees", required=True)
+    p.add_argument("--degrees", type=degrees, required=True)
     p.add_argument("--true-degree", dest="true_degree", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--reps", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
-    add_output(p)
+    p.add_argument("--n", type=_checked(int, _check_count, "n"), required=True)
+    p.add_argument("--reps", type=_checked(int, _check_count, "reps"), default=100)
+    add_common(p)
 
     p = sub.add_parser("mackay-demo", help="evidence crossover of a stiff vs flexible model")
-    p.add_argument("--sigma", type=float, default=1.0)
-    p.add_argument("--lambda-simple", dest="lambda_simple", type=float, required=True)
-    p.add_argument("--lambda-complex", dest="lambda_complex", type=float, required=True)
+    p.add_argument("--sigma", type=sigma, default=1.0)
+    p.add_argument("--lambda-simple", dest="lambda_simple", required=True,
+                   type=_checked(float, _check_scale, "lambda-simple"))
+    p.add_argument("--lambda-complex", dest="lambda_complex", required=True,
+                   type=_checked(float, _check_scale, "lambda-complex"))
     p.add_argument("--y-min", dest="y_min", type=float, default=-25.0)
     p.add_argument("--y-max", dest="y_max", type=float, default=25.0)
-    p.add_argument("--grid", type=int, default=1001)
-    p.add_argument("--seed", type=int, default=0)
-    add_output(p)
+    p.add_argument("--grid", type=_checked(int, _check_count, "grid"), default=1001)
+    add_common(p)
 
     p = sub.add_parser("bic-sweep", help="flexibility vs (d/2) log n over sample sizes")
-    p.add_argument("--d", type=int, required=True, help="parameter dimension")
-    p.add_argument("--ns", required=True, help="sample sizes, e.g. '100,1000,10000'")
-    p.add_argument("--sigma", type=float, default=1.0)
-    p.add_argument("--lambda", dest="lam", type=float, default=1.0)
-    p.add_argument("--theta", default=None,
+    p.add_argument("--d", type=_checked(int, _check_count, "d"), required=True,
+                   help="parameter dimension")
+    p.add_argument("--ns", type=_checked(_parse_int_list, _check_sample_sizes), required=True,
+                   help="sample sizes, e.g. '100,1000,10000'")
+    p.add_argument("--sigma", type=sigma, default=1.0)
+    p.add_argument("--lambda", dest="lam", type=lam, default=1.0)
+    p.add_argument("--theta", type=_parse_float_list,
                    help="true coefficients, comma separated (default (-1/2)^k pattern)")
-    p.add_argument("--seed", type=int, default=0)
-    add_output(p)
+    add_common(p)
 
     return parser
 
@@ -229,82 +260,34 @@ def _build_parser() -> _Parser:
 def parse_args(argv) -> RunConfig:
     """Validate argv into a fully resolved RunConfig.
 
-    Raises :class:`UsageError` on unknown keys, missing required keys,
-    malformed numbers, or out-of-range values.
+    Each argument's ``type`` runs the library's validator for it; this adds
+    only the rules that relate two arguments.  Raises :class:`UsageError` on
+    unknown keys, missing required keys, malformed numbers, or out-of-range
+    values.
     """
     argv = [str(a) for a in argv]
-    ns = _build_parser().parse_args(argv)
-    command = ns.command
-    params: dict = {}
+    params = vars(_build_parser().parse_args(argv))
+    routing = {key: params.pop(key, None) for key in _ROUTING_KEYS}
+    if params.get("weights") is not None:
+        _library_check(_check_weights, params["weights"], len(params["degrees"]))
+    if "true_degree" in params:
+        _library_check(_check_true_degree, params["true_degree"], params["degrees"])
+    if "y_min" in params:
+        _library_check(_check_y_grid, _y_grid(params))
+    if "theta" in params:
+        if params["theta"] is None:
+            params["theta"] = tuple((-0.5) ** k for k in range(params["d"]))
+        elif len(params["theta"]) != params["d"]:
+            raise UsageError(f"theta has {len(params['theta'])} entries but d is {params['d']}")
+    return RunConfig(argv=tuple(argv), params=params, **routing)
 
-    if command in ("fit", "evidence", "select", "risk", "poly-demo"):
-        params["sigma"] = _library_check(_check_scale, ns.sigma, "sigma")
-        params["lam"] = _library_check(_check_scale, ns.lam, "lambda")
-    if command in ("fit", "evidence"):
-        if ns.degree is not None:
-            _library_check(_check_degrees, [ns.degree])
-        params["degree"] = ns.degree
-    if command in ("select", "risk", "poly-demo"):
-        degrees = _parse_int_list(ns.degrees, "degrees")
-        _library_check(_check_degrees, degrees)
-        params["degrees"] = degrees
-    if command in ("select", "risk"):
-        if ns.weights is None:
-            params["weights"] = None
-        else:
-            weights = _parse_float_list(ns.weights, "weights")
-            _library_check(_check_weights, weights, len(params["degrees"]))
-            params["weights"] = weights
 
-    if command == "evidence":
-        params["estimator"] = ns.estimator
-        params["grid"] = None if ns.grid is None else _library_check(_check_grid_size, ns.grid)
-        params["samples"] = _library_check(_check_samples, ns.samples)
-        params["inflation"] = _library_check(_check_scale, ns.inflation, "inflation")
-    if command == "decompose":
-        for name in ("log_evidence", "log_fit"):
-            params[name] = _library_check(_require_finite, name, getattr(ns, name))
-    if command == "select":
-        params["rule"] = ns.rule
-    if command == "poly-demo":
-        params["true_degree"] = _library_check(
-            _check_true_degree, ns.true_degree, params["degrees"])
-    if command in ("risk", "poly-demo"):
-        params["n"] = _library_check(_check_count, ns.n, "n")
-        params["reps"] = _library_check(_check_count, ns.reps, "reps")
-    if command == "risk":
-        params["rules"] = _library_check(
-            _check_rules, [part.strip() for part in ns.rules.split(",")])
-    if command == "mackay-demo":
-        params["sigma"] = _library_check(_check_scale, ns.sigma, "sigma")
-        params["lambda_simple"] = _library_check(_check_scale, ns.lambda_simple, "lambda-simple")
-        params["lambda_complex"] = _library_check(
-            _check_scale, ns.lambda_complex, "lambda-complex")
-        if not ns.y_min < ns.y_max:
-            raise UsageError("y-min must be below y-max")
-        params["y_min"] = float(ns.y_min)
-        params["y_max"] = float(ns.y_max)
-        if ns.grid < 2:
-            raise UsageError("grid must be >= 2")
-        params["grid"] = ns.grid
-    if command == "bic-sweep":
-        params["d"] = _library_check(_check_count, ns.d, "d")
-        params["ns"] = _library_check(_check_sample_sizes, _parse_int_list(ns.ns, "ns"))
-        params["sigma"] = _library_check(_check_scale, ns.sigma, "sigma")
-        params["lam"] = _library_check(_check_scale, ns.lam, "lambda")
-        if ns.theta is None:
-            params["theta"] = tuple((-0.5) ** k for k in range(ns.d))
-        else:
-            theta = _parse_float_list(ns.theta, "theta")
-            if len(theta) != ns.d:
-                raise UsageError(f"theta has {len(theta)} entries but d is {ns.d}")
-            params["theta"] = theta
-
-    params["seed"] = int(ns.seed)
-    return RunConfig(
-        command=command, argv=tuple(argv),
-        data_path=getattr(ns, "data_path", None),
-        output_path=ns.output_path, format=ns.format, params=params)
+def _y_grid(params):
+    """The ``mackay-demo`` response grid."""
+    # Bounds that are not finite, or a span that overflows, give non-finite
+    # points for ``_check_y_grid`` to reject, not numpy warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.linspace(params["y_min"], params["y_max"], params["grid"])
 
 
 # ---------------------------------------------------------------------------
@@ -481,8 +464,7 @@ def _run_mackay_demo(config):
     simple = GaussianLinearSpec(G=[[1.0]], sigma=params["sigma"], lam=params["lambda_simple"])
     flexible = GaussianLinearSpec(G=[[1.0]], sigma=params["sigma"],
                                   lam=params["lambda_complex"])
-    grid = np.linspace(params["y_min"], params["y_max"], params["grid"])
-    report = mackay_crossover(simple, flexible, grid)
+    report = mackay_crossover(simple, flexible, _y_grid(params))
     result = {
         "y_grid": report.y_grid.tolist(),
         "log_evidence_simple": report.log_evidence_simple.tolist(),
@@ -544,9 +526,6 @@ def run(config: RunConfig) -> int:
     try:
         result, header, rows = _RUNNERS[config.command](config)
         config_dict = asdict(config)
-        config_dict["argv"] = list(config.argv)
-        config_dict["params"] = {k: (list(v) if isinstance(v, tuple) else v)
-                                 for k, v in config.params.items()}
         if config.format == "json":
             payload = {
                 "config": config_dict,
@@ -556,7 +535,7 @@ def run(config: RunConfig) -> int:
             write_json(config.output_path, payload)
         else:
             comments = [
-                "argv: " + render_json(list(config.argv), indent=None),
+                "argv: " + render_json(config.argv, indent=None),
                 "config: " + render_json(config_dict, indent=None),
             ]
             write_csv(config.output_path, header, rows, comments)

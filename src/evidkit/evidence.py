@@ -58,7 +58,7 @@ MIN_ESS_FRACTION = 0.01
 DEFAULT_INFLATION = 1.5
 
 
-def _require_finite(name, value):
+def _require_finite(value, name):
     value = float(value)
     if not np.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value}")
@@ -270,8 +270,8 @@ class Decomposition:
 
 def decompose(log_evidence: float, log_fit: float) -> Decomposition:
     """Flexibility implied by an evidence value: ``log_fit - log_evidence``."""
-    log_evidence = _require_finite("log_evidence", log_evidence)
-    log_fit = _require_finite("log_fit", log_fit)
+    log_evidence = _require_finite(log_evidence, "log_evidence")
+    log_fit = _require_finite(log_fit, "log_fit")
     flexibility = log_fit - log_evidence
     note = None
     if flexibility < 0:
@@ -303,8 +303,8 @@ def pen_prime(supplied_penalty: float, flexibility: float) -> float:
     algebraically identical to penalizing log-evidence with
     ``supplied_penalty - flexibility``.
     """
-    return _require_finite("supplied_penalty", supplied_penalty) \
-        - _require_finite("flexibility", flexibility)
+    return _require_finite(supplied_penalty, "supplied_penalty") \
+        - _require_finite(flexibility, "flexibility")
 
 
 @dataclass(frozen=True)
@@ -322,8 +322,8 @@ class PenaltyComparison:
 def compare_penalties(flexibility: float, supplied_penalty: float,
                       d: int, n: int) -> PenaltyComparison:
     """Full penalty comparison record for one model."""
-    flexibility = _require_finite("flexibility", flexibility)
-    supplied_penalty = _require_finite("supplied_penalty", supplied_penalty)
+    flexibility = _require_finite(flexibility, "flexibility")
+    supplied_penalty = _require_finite(supplied_penalty, "supplied_penalty")
     return PenaltyComparison(
         flexibility=flexibility, supplied_penalty=supplied_penalty,
         d=int(d), n=int(n), bic_penalty=bic_penalty(d, n),

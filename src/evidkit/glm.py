@@ -18,7 +18,7 @@ explicitly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
@@ -142,16 +142,19 @@ class GaussianPosterior:
     theta_hat: np.ndarray
     post_precision: np.ndarray
     prior_precision: np.ndarray
+    _post_factor: np.ndarray = field(init=False, repr=False)
+    _prior_factor: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         theta_hat = _frozen_array(self.theta_hat, 1, "theta_hat")
         post = _frozen_array(self.post_precision, 2, "post_precision")
         prior = _frozen_array(self.prior_precision, 2, "prior_precision")
-        for name, mat in (("post_precision", post), ("prior_precision", prior)):
+        for name, mat, factor in (("post_precision", post, "_post_factor"),
+                                  ("prior_precision", prior, "_prior_factor")):
             scale = np.abs(mat).max()
             if not np.allclose(mat, mat.T, atol=1e-10 * max(scale, 1.0)):
                 raise ValueError(f"{name} is not symmetric")
-            _spd_cholesky(mat, name)
+            object.__setattr__(self, factor, _spd_cholesky(mat, name))
         gap = post - prior
         min_eig = float(np.linalg.eigvalsh((gap + gap.T) / 2.0).min())
         if min_eig < -1e-8 * max(np.abs(post).max(), 1.0):
@@ -166,11 +169,11 @@ class GaussianPosterior:
 
     def log_prior_density(self, theta) -> float:
         return _gaussian_logpdf(np.asarray(theta, dtype=float), np.zeros(self.d),
-                                _spd_cholesky(self.prior_precision, "prior_precision"))
+                                self._prior_factor)
 
     def log_posterior_density(self, theta) -> float:
         return _gaussian_logpdf(np.asarray(theta, dtype=float), self.theta_hat,
-                                _spd_cholesky(self.post_precision, "post_precision"))
+                                self._post_factor)
 
 
 def _spd_cholesky(matrix, name):

@@ -21,7 +21,7 @@ import numpy as np
 
 from .evidence import DEFAULT_GRID, evidence_laplace, evidence_quadrature
 from .exceptions import EvidkitError, SelectionFailure
-from .generic import GenericModelSpec, normalize_prior
+from .generic import GenericModelSpec, _check_grid_dim, normalize_prior
 from .glm import GaussianLinearSpec, ObservationSet, glm_log_evidence
 from .records import EvidenceDecomposition
 
@@ -52,7 +52,7 @@ def _check_weights(weights, k: int) -> np.ndarray:
     if not np.all(weights > 0):
         raise ValueError("weights must all be positive")
     if not abs(weights.sum() - 1.0) <= 1e-12:
-        raise ValueError(f"weights sum to {weights.sum()!r}, expected 1 within 1e-12")
+        raise ValueError(f"weights sum to {float(weights.sum())!r}, expected 1 within 1e-12")
     return weights
 
 
@@ -83,6 +83,18 @@ def _check_rules(rules) -> tuple[str, ...]:
         if rule not in RULES:
             raise ValueError(f"unknown rule {rule!r}; expected one of {RULES}")
     return rules
+
+
+def _check_y_grid(y_grid) -> np.ndarray:
+    """A response grid as a float vector: at least 2 points, all finite, strictly increasing."""
+    y_grid = np.asarray(y_grid, dtype=float)
+    if y_grid.ndim != 1 or y_grid.size < 2:
+        raise ValueError("y_grid must be a vector with at least 2 points")
+    if not np.all(np.isfinite(y_grid)):
+        raise ValueError("y_grid contains non-finite entries")
+    if np.any(np.diff(y_grid) <= 0):
+        raise ValueError("y_grid must be strictly increasing")
+    return y_grid
 
 
 def _check_count(value, name) -> int:
@@ -172,9 +184,7 @@ def _member_evidence(member, obs: ObservationSet, generic_estimator: str,
                      grid_points_per_dim: int | None) -> EvidenceDecomposition:
     if isinstance(member, GaussianLinearSpec):
         return glm_log_evidence(member, obs)
-    grid = grid_points_per_dim or DEFAULT_GRID.get(member.dim)
-    if grid is None:
-        raise ValueError(f"no default grid for dimension {member.dim}; pass grid_points_per_dim")
+    grid = grid_points_per_dim or DEFAULT_GRID[_check_grid_dim(member.dim)]
     prior = normalize_prior(member, grid)
     if generic_estimator == "quadrature":
         return evidence_quadrature(member, prior, grid)
@@ -494,11 +504,7 @@ def mackay_crossover(model_simple: GaussianLinearSpec,
     for name, spec in (("model_simple", model_simple), ("model_complex", model_complex)):
         if spec.n != 1:
             raise ValueError(f"{name} must have a single observation row, got n={spec.n}")
-    y_grid = np.asarray(y_grid, dtype=float)
-    if y_grid.ndim != 1 or y_grid.size < 2:
-        raise ValueError("y_grid must be a vector with at least 2 points")
-    if np.any(np.diff(y_grid) <= 0):
-        raise ValueError("y_grid must be strictly increasing")
+    y_grid = _check_y_grid(y_grid)
 
     def log_evidences(y):
         obs = ObservationSet(y=[y])

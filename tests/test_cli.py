@@ -3,6 +3,8 @@
 import hashlib
 import json
 import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -102,6 +104,12 @@ class TestParseArgs:
             parse_args(["--help"])
         assert excinfo.value.code == 0
         assert "command" in capsys.readouterr().out
+
+    def test_weight_sum_message_is_a_plain_number(self, y_csv, capsys):
+        assert main(["select", "--data", y_csv, *_MODEL, "--degrees", "0,1",
+                     "--weights", "0.5,0.6", "--out", "s.json"]) == 2
+        assert capsys.readouterr().err == (
+            "evidkit: usage error: weights sum to 1.1, expected 1 within 1e-12\n")
 
     def test_bic_sweep_theta_default(self):
         config = parse_args(["bic-sweep", "--d", "2", "--ns", "100,1000",
@@ -369,7 +377,114 @@ REJECTED = {
     "bic-sweep-sigma-zero": ["bic-sweep", "--d", "2", "--ns", "10,100", "--sigma", "0"],
     "bic-sweep-lambda-nan": ["bic-sweep", "--d", "2", "--ns", "10,100", "--lambda", "nan"],
     "bic-sweep-theta-length": ["bic-sweep", "--d", "2", "--ns", "10,100", "--theta", "1"],
+    "mackay-demo-y-max-inf": ["mackay-demo", "--lambda-simple", "10", "--lambda-complex", "0.1",
+                              "--y-max", "inf"],
+    "mackay-demo-y-min-nan": ["mackay-demo", "--lambda-simple", "10", "--lambda-complex", "0.1",
+                              "--y-min", "nan"],
+    "mackay-demo-grid-0": ["mackay-demo", "--lambda-simple", "1", "--lambda-complex", "0.1",
+                           "--grid", "0"],
+    "mackay-demo-y-span-overflows": ["mackay-demo", "--lambda-simple", "10",
+                                     "--lambda-complex", "0.1", "--y-min=-1e308",
+                                     "--y-max", "1e308"],
 }
+
+
+# parse_args results for every command, with and without its optional
+# arguments: (argv, (data_path, output_path, format), params).  Params are
+# compared by repr, so key order and value types (int against float, tuple
+# against list) count as well as values.
+PARSED = {
+    "fit-defaults": ("fit --data d.csv --sigma 0.3 --lambda 1 --out o",
+                     ("d.csv", "o", "json"),
+                     {"sigma": 0.3, "lam": 1.0, "degree": None, "seed": 0}),
+    "fit-all": ("fit --data d.csv --sigma 0.3 --lambda 1 --degree 2 --seed 4 --out o "
+                "--format csv",
+                ("d.csv", "o", "csv"),
+                {"sigma": 0.3, "lam": 1.0, "degree": 2, "seed": 4}),
+    "evidence-defaults": ("evidence --data d.csv --sigma 0.3 --lambda 1 --out o",
+                          ("d.csv", "o", "json"),
+                          {"sigma": 0.3, "lam": 1.0, "degree": None, "estimator": "glm-exact",
+                           "grid": None, "samples": 20000, "inflation": 1.5, "seed": 0}),
+    "evidence-all": ("evidence --data d.csv --sigma 0.3 --lambda 1 --degree 1 "
+                     "--estimator quadrature --grid 51 --samples 300 --inflation 2 --seed 9 "
+                     "--out o",
+                     ("d.csv", "o", "json"),
+                     {"sigma": 0.3, "lam": 1.0, "degree": 1, "estimator": "quadrature",
+                      "grid": 51, "samples": 300, "inflation": 2.0, "seed": 9}),
+    "decompose-defaults": ("decompose --log-evidence -2.5 --log-fit -1 --out o",
+                           (None, "o", "json"),
+                           {"log_evidence": -2.5, "log_fit": -1.0, "seed": 0}),
+    "decompose-all": ("decompose --log-evidence -2.5 --log-fit -1 --seed 3 --out o --format csv",
+                      (None, "o", "csv"),
+                      {"log_evidence": -2.5, "log_fit": -1.0, "seed": 3}),
+    "select-defaults": ("select --data d.csv --degrees 0..3 --sigma 0.3 --lambda 1 --out o",
+                        ("d.csv", "o", "json"),
+                        {"sigma": 0.3, "lam": 1.0, "degrees": (0, 1, 2, 3), "weights": None,
+                         "rule": "max-evidence", "seed": 0}),
+    "select-all": ("select --data d.csv --degrees 0,2 --sigma 0.3 --lambda 1 "
+                   "--weights 0.25,0.75 --rule max-posterior --seed 1 --out o",
+                   ("d.csv", "o", "json"),
+                   {"sigma": 0.3, "lam": 1.0, "degrees": (0, 2), "weights": (0.25, 0.75),
+                    "rule": "max-posterior", "seed": 1}),
+    "risk-defaults": ("risk --degrees 1,5 --n 40 --sigma 0.3 --lambda 1 --out o",
+                      (None, "o", "json"),
+                      {"sigma": 0.3, "lam": 1.0, "degrees": (1, 5), "weights": None, "n": 40,
+                       "reps": 100, "rules": ("max-evidence", "max-posterior"), "seed": 0}),
+    "risk-all": ("risk --degrees 0..2 --n 40 --sigma 0.3 --lambda 1 --reps 7 "
+                 "--rules max-posterior --weights 0.5,0.25,0.25 --seed 2 --out o",
+                 (None, "o", "json"),
+                 {"sigma": 0.3, "lam": 1.0, "degrees": (0, 1, 2), "weights": (0.5, 0.25, 0.25),
+                  "n": 40, "reps": 7, "rules": ("max-posterior",), "seed": 2}),
+    "poly-demo-defaults": ("poly-demo --true-degree 1 --degrees 0..3 --n 30 --sigma 0.3 "
+                           "--lambda 1 --out o",
+                           (None, "o", "json"),
+                           {"sigma": 0.3, "lam": 1.0, "degrees": (0, 1, 2, 3), "true_degree": 1,
+                            "n": 30, "reps": 100, "seed": 0}),
+    "poly-demo-all": ("poly-demo --true-degree 1 --degrees 0..3 --n 30 --sigma 0.3 --lambda 1 "
+                      "--reps 5 --seed 8 --out o",
+                      (None, "o", "json"),
+                      {"sigma": 0.3, "lam": 1.0, "degrees": (0, 1, 2, 3), "true_degree": 1,
+                       "n": 30, "reps": 5, "seed": 8}),
+    "mackay-demo-defaults": ("mackay-demo --lambda-simple 10 --lambda-complex 0.1 --out o",
+                             (None, "o", "json"),
+                             {"sigma": 1.0, "lambda_simple": 10.0, "lambda_complex": 0.1,
+                              "y_min": -25.0, "y_max": 25.0, "grid": 1001, "seed": 0}),
+    "mackay-demo-all": ("mackay-demo --sigma 2 --lambda-simple 10 --lambda-complex 0.1 "
+                        "--y-min -30 --y-max 30 --grid 101 --seed 5 --out o",
+                        (None, "o", "json"),
+                        {"sigma": 2.0, "lambda_simple": 10.0, "lambda_complex": 0.1,
+                         "y_min": -30.0, "y_max": 30.0, "grid": 101, "seed": 5}),
+    "bic-sweep-defaults": ("bic-sweep --d 2 --ns 100,1000 --out o",
+                           (None, "o", "json"),
+                           {"d": 2, "ns": (100, 1000), "sigma": 1.0, "lam": 1.0,
+                            "theta": (1.0, -0.5), "seed": 0}),
+    "bic-sweep-all": ("bic-sweep --d 2 --ns 100,1000 --sigma 0.5 --lambda 2 --theta 1,-1 "
+                      "--seed 13 --out o",
+                      (None, "o", "json"),
+                      {"d": 2, "ns": (100, 1000), "sigma": 0.5, "lam": 2.0, "theta": (1.0, -1.0),
+                       "seed": 13}),
+}
+
+
+class TestParsedTable:
+    @pytest.mark.parametrize("line, routing, params", list(PARSED.values()), ids=list(PARSED))
+    def test_parse_args_result(self, line, routing, params):
+        argv = line.split()
+        config = parse_args(argv)
+        assert (config.command, config.argv) == (argv[0], tuple(argv))
+        assert (config.data_path, config.output_path, config.format) == routing
+        assert repr(config.params) == repr(params)
+
+    def test_readme_command_lines_parse(self):
+        """Every ``evidkit`` line of README's command-line block, optional parts dropped."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("## Command line", 1)[1].split("```")[1]
+        lines = [line for line in block.splitlines() if line.startswith("evidkit ")]
+        assert sorted(line.split()[1] for line in lines) == sorted(
+            ["fit", "evidence", "decompose", "select", "risk", "poly-demo", "mackay-demo",
+             "bic-sweep"])
+        for line in lines:
+            parse_args(re.sub(r"\[[^]]*\]", "", line).split()[1:])
 
 
 class TestRejectedArguments:

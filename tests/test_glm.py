@@ -248,6 +248,30 @@ class TestGaussianPosterior:
             post.post_precision - post.prior_precision,
             spec.G.T @ spec.G / spec.sigma**2, atol=1e-10)
 
+    def test_densities_reuse_the_validation_factors(self, monkeypatch):
+        rng = np.random.default_rng(15)
+        spec, obs = random_glm_instance(rng, n=20, d=3)
+        post = ek.gaussian_posterior(spec, obs)
+        thetas = rng.standard_normal((5, 3))
+        # The reference factors each precision afresh; the kept factors must match it bit for bit.
+        logpdf = evidkit.glm._gaussian_logpdf
+        prior_factor = np.linalg.cholesky(post.prior_precision)
+        post_factor = np.linalg.cholesky(post.post_precision)
+        expected = [(logpdf(theta, np.zeros(3), prior_factor),
+                     logpdf(theta, post.theta_hat, post_factor)) for theta in thetas]
+        calls = []
+        cholesky = np.linalg.cholesky
+
+        def counting(matrix):
+            calls.append(matrix)
+            return cholesky(matrix)
+
+        monkeypatch.setattr(np.linalg, "cholesky", counting)
+        got = [(post.log_prior_density(theta), post.log_posterior_density(theta))
+               for theta in thetas]
+        assert calls == []
+        assert got == expected
+
     def test_rejects_indefinite_precision(self):
         with pytest.raises((ValueError, NumericFailure)):
             ek.GaussianPosterior(theta_hat=[0.0], post_precision=[[-1.0]],

@@ -52,6 +52,17 @@ class TestSelect:
             by_posterior = ek.select(model_set, obs, "max-posterior")
             assert by_evidence.chosen == by_posterior.chosen
 
+    def test_dimension_above_3_refused_alike_with_and_without_a_grid(self):
+        model = ek.GenericModelSpec(dim=4, log_lik=lambda theta: 0.0,
+                                    regularizer=lambda theta: 0.5 * float(theta @ theta))
+        model_set, obs = ek.ModelSet(members=(model,)), ek.ObservationSet(y=[0.0])
+        messages = []
+        for grid in (None, 11):
+            with pytest.raises(ValueError) as excinfo:
+                ek.select(model_set, obs, grid_points_per_dim=grid)
+            messages.append(str(excinfo.value))
+        assert messages == ["grid quadrature supports dim <= 3, got dim=4"] * 2
+
     def test_identical_members_tie_break(self):
         spec = ek.GaussianLinearSpec(G=[[1.0], [0.5]], sigma=1.0, lam=1.0)
         model_set = ek.ModelSet(members=(spec, spec))
