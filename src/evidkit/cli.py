@@ -25,7 +25,6 @@ from .dataio import read_observations, render_json, write_csv, write_json
 from .evidence import (
     DEFAULT_INFLATION,
     _check_sample_sizes,
-    _check_samples,
     _require_finite,
     bic_penalty,
     bic_sweep,
@@ -46,6 +45,7 @@ from .generic import (
 from .glm import (
     GaussianLinearSpec,
     ObservationSet,
+    _check_count,
     _check_scale,
     glm_log_evidence,
     glm_log_likelihood,
@@ -54,7 +54,6 @@ from .glm import (
 from .records import ESTIMATORS
 from .selection import (
     RULES,
-    _check_count,
     _check_degrees,
     _check_rules,
     _check_true_degree,
@@ -164,7 +163,7 @@ def _build_parser() -> _Parser:
 
     def add_common(p):
         """``--seed``, ``--out`` and ``--format``, which every command takes last."""
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_checked(int, _check_count, "seed", 0), default=0)
         p.add_argument("--out", dest="output_path", required=True, metavar="PATH",
                        help="output file (written atomically)")
         p.add_argument("--format", choices=["json", "csv"], default="json",
@@ -190,7 +189,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--estimator", choices=list(ESTIMATORS), default="glm-exact")
     p.add_argument("--grid", type=_checked(int, _check_grid_size),
                    help="grid points per dimension for quadrature")
-    p.add_argument("--samples", type=_checked(int, _check_samples), default=20000,
+    p.add_argument("--samples", type=_checked(int, _check_count, "samples", 2), default=20000,
                    help="importance sampling draws (default %(default)s)")
     p.add_argument("--inflation", type=_checked(float, _check_scale, "inflation"),
                    default=DEFAULT_INFLATION,

@@ -33,7 +33,8 @@ from .generic import (
     map_optimize,
     resolve_integration_box,
 )
-from .glm import LOG_2PI, GaussianLinearSpec, ObservationSet, _check_scale, glm_log_evidence
+from .glm import (LOG_2PI, GaussianLinearSpec, ObservationSet, _check_count, _check_scale,
+                  glm_log_evidence)
 from .records import EvidenceDecomposition
 
 __all__ = [
@@ -63,14 +64,6 @@ def _require_finite(value, name):
     if not np.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value}")
     return value
-
-
-def _check_samples(samples) -> int:
-    """An importance-sampling draw count: at least 2, so the weights have a spread."""
-    samples = int(samples)
-    if samples < 2:
-        raise ValueError("samples must be >= 2")
-    return samples
 
 
 def _check_sample_sizes(ns) -> tuple[int, ...]:
@@ -213,7 +206,7 @@ def evidence_importance(model: GenericModelSpec, prior: NormalizedPrior,
         When the effective sample size falls below 1% of ``samples`` or is
         not a number.
     """
-    samples = _check_samples(samples)
+    samples = _check_count(samples, "samples", 2)  # two at least, so the weights have a spread
     inflation = _check_scale(inflation, "inflation")
     theta_hat = _map_search(model, prior, start) if theta_hat is None \
         else np.asarray(theta_hat, dtype=float)

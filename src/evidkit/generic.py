@@ -618,7 +618,7 @@ def wrap_glm(spec: GaussianLinearSpec, obs: ObservationSet) -> GenericModelSpec:
     sigma2 = spec.sigma**2
     lam2 = spec.lam**2
     const = -0.5 * spec.n * (LOG_2PI + np.log(sigma2))
-    gram, _, factor, theta_hat = _posterior(spec, obs)
+    gram, _, factor, theta_hat = _posterior(spec, obs.y)
     resid = obs.y - G @ theta_hat
     rss, g_resid = float(resid @ resid), G.T @ resid
 

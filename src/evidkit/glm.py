@@ -44,6 +44,10 @@ LOG_2PI = float(np.log(2.0 * np.pi))
 
 # Smallest/largest eigenvalue of G'G below this ratio triggers a rank warning.
 RANK_WARNING_RATIO = 1e-10
+# Right-hand sides per solve.  OpenBLAS splits a wider solve across threads, and
+# with d = 4 and 500 sides that hand-off took 24 ms against 0.05 ms of work on a
+# 2-CPU machine whose other CPU was busy.
+_SOLVE_BLOCK = 64
 
 
 def _frozen_array(value, ndim, name):
@@ -63,6 +67,14 @@ def _check_scale(value, name) -> float:
     value = float(value)
     if not (np.isfinite(value) and value > 0):
         raise ValueError(f"{name} must be positive and finite")
+    return value
+
+
+def _check_count(value, name, low: int = 1) -> int:
+    """A count, size or seed as an int: at least ``low``."""
+    value = int(value)
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}")
     return value
 
 
@@ -199,9 +211,14 @@ def _gaussian_logpdf(theta, mean, L):
     return 0.5 * (log_det - theta.size * LOG_2PI - quad)
 
 
-def _check_dims(spec: GaussianLinearSpec, obs: ObservationSet):
-    if obs.n != spec.n:
-        raise ValueError(f"observation length {obs.n} does not match model rows {spec.n}")
+def _check_dims(spec: GaussianLinearSpec, y: np.ndarray):
+    if y.shape[-1] != spec.n:
+        raise ValueError(f"observation length {y.shape[-1]} does not match model rows {spec.n}")
+
+
+def _matvec(A, x):
+    """``A @ x`` per vector on ``x``'s last axis; ``matmul`` computes each as if it were alone."""
+    return (A @ x[..., None])[..., 0]
 
 
 def _precision(spec: GaussianLinearSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -212,20 +229,45 @@ def _precision(spec: GaussianLinearSpec) -> tuple[np.ndarray, np.ndarray]:
     return gram, p_star
 
 
-def _posterior(spec: GaussianLinearSpec, obs: ObservationSet) -> tuple:
+def _posterior(spec: GaussianLinearSpec, y: np.ndarray) -> tuple:
     """``(G'G, P*, cho_factor(P*), theta_hat)``: the one factorization of ``P*`` per model.
 
-    Factored by scipy's ``cho_factor``: numpy's ``cholesky`` can round
-    differently from d = 5 on, and seeded outputs hold MAPs solved with scipy's.
+    ``y`` may stack responses as the rows of an (m, n) matrix: ``theta_hat``
+    then has a row each, bit for bit the MAP of that row alone.  Factored by
+    scipy's ``cho_factor``: numpy's ``cholesky`` can round differently from
+    d = 5 on, and seeded outputs hold MAPs solved with scipy's.
     """
-    _check_dims(spec, obs)
+    _check_dims(spec, y)
     gram, p_star = _precision(spec)
-    rhs = spec.G.T @ obs.y / spec.sigma**2
+    rhs = _matvec(spec.G.T, y) / spec.sigma**2
     try:
         factor = cho_factor(p_star, lower=True)
     except LinAlgError as exc:
         raise NumericFailure(f"posterior precision factorization failed: {exc}") from exc
-    return gram, p_star, factor, cho_solve(factor, rhs)
+    blocks = [rhs] if rhs.ndim == 1 else np.split(rhs, range(_SOLVE_BLOCK, len(rhs), _SOLVE_BLOCK))
+    return gram, p_star, factor, np.concatenate([cho_solve(factor, b.T).T for b in blocks])
+
+
+def _log_fit(spec: GaussianLinearSpec, resid):
+    """Gaussian log-likelihood of the residuals ``resid``, or of each row of a stack."""
+    rss = _matvec(resid[..., None, :], resid)[..., 0]
+    return -0.5 * spec.n * (LOG_2PI + 2.0 * np.log(spec.sigma)) - rss / (2.0 * spec.sigma**2)
+
+
+def _evidence_terms(spec: GaussianLinearSpec, y: np.ndarray) -> tuple:
+    """``(G'G, theta_hat, log_fit, flexibility)`` of ``y``, or of each row of a stack."""
+    gram, _, factor, theta_hat = _posterior(spec, y)
+    log_det_post = 2.0 * float(np.sum(np.log(np.diag(factor[0]))))
+    log_det_prior = 2.0 * spec.d * np.log(spec.lam)
+    flexibility = 0.5 * (log_det_post - log_det_prior) \
+        + 0.5 * spec.lam**2 * _matvec(theta_hat[..., None, :], theta_hat)[..., 0]
+    return gram, theta_hat, _log_fit(spec, y - _matvec(spec.G, theta_hat)), flexibility
+
+
+def _log_evidences(spec: GaussianLinearSpec, Y: np.ndarray) -> np.ndarray:
+    """Log-evidence of each row of the (m, n) response stack ``Y``, from one factorization."""
+    _, _, log_fit, flexibility = _evidence_terms(spec, Y)
+    return log_fit - flexibility
 
 
 def posterior_precision(spec: GaussianLinearSpec) -> np.ndarray:
@@ -241,7 +283,7 @@ def posterior_precision(spec: GaussianLinearSpec) -> np.ndarray:
 
 def map_estimate(spec: GaussianLinearSpec, obs: ObservationSet) -> np.ndarray:
     """MAP estimate ``theta_hat = (P*)^-1 G'y / sigma**2``, via Cholesky solve."""
-    return _posterior(spec, obs)[3]
+    return _posterior(spec, obs.y)[3]
 
 
 def glm_log_likelihood(spec: GaussianLinearSpec, obs: ObservationSet, theta) -> float:
@@ -250,14 +292,11 @@ def glm_log_likelihood(spec: GaussianLinearSpec, obs: ObservationSet, theta) -> 
     All constants are included; evidence comparisons across models require
     fully normalized densities.
     """
-    _check_dims(spec, obs)
+    _check_dims(spec, obs.y)
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (spec.d,):
         raise ValueError(f"theta has shape {theta.shape}, expected ({spec.d},)")
-    resid = obs.y - spec.G @ theta
-    n = spec.n
-    return -0.5 * n * (LOG_2PI + 2.0 * np.log(spec.sigma)) \
-        - float(resid @ resid) / (2.0 * spec.sigma**2)
+    return _log_fit(spec, obs.y - spec.G @ theta)
 
 
 def flexibility_exact(spec: GaussianLinearSpec, obs: ObservationSet) -> float:
@@ -292,12 +331,7 @@ def glm_log_evidence(spec: GaussianLinearSpec, obs: ObservationSet) -> EvidenceD
         when the smallest eigenvalue of ``G'G`` falls below
         ``1e-10`` times the largest.
     """
-    gram, _, factor, theta_hat = _posterior(spec, obs)
-    log_fit = glm_log_likelihood(spec, obs, theta_hat)
-    log_det_post = 2.0 * float(np.sum(np.log(np.diag(factor[0]))))
-    log_det_prior = 2.0 * spec.d * np.log(spec.lam)
-    flexibility = 0.5 * (log_det_post - log_det_prior) \
-        + 0.5 * spec.lam**2 * float(theta_hat @ theta_hat)
+    gram, theta_hat, log_fit, flexibility = _evidence_terms(spec, obs.y)
     warnings: tuple[str, ...] = ()
     eigs = np.linalg.eigvalsh(gram)
     low, high = float(eigs[0]), float(eigs[-1])
@@ -321,7 +355,7 @@ def glm_log_evidence(spec: GaussianLinearSpec, obs: ObservationSet) -> EvidenceD
 
 def gaussian_posterior(spec: GaussianLinearSpec, obs: ObservationSet) -> GaussianPosterior:
     """Exact posterior ``N(theta_hat, (P*)^-1)`` paired with its prior."""
-    _, p_star, _, theta_hat = _posterior(spec, obs)
+    _, p_star, _, theta_hat = _posterior(spec, obs.y)
     return GaussianPosterior(
         theta_hat=theta_hat,
         post_precision=p_star,
@@ -341,7 +375,7 @@ def evidence_via_candidate(spec: GaussianLinearSpec, obs: ObservationSet, theta0
     if not np.all(np.isfinite(theta0)):
         raise ValueError("theta0 contains non-finite entries")
     log_lik = glm_log_likelihood(spec, obs, theta0)
-    _, _, factor, theta_hat = _posterior(spec, obs)
+    _, _, factor, theta_hat = _posterior(spec, obs.y)
     # ``lam * I`` factors the prior precision; ``P*`` comes factored by ``_posterior``.
     return log_lik + _gaussian_logpdf(theta0, np.zeros(spec.d), spec.lam * np.eye(spec.d)) \
         - _gaussian_logpdf(theta0, theta_hat, np.tril(factor[0]))

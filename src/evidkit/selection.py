@@ -14,6 +14,7 @@ reproducible bit for bit and replicates could run in any order.
 from __future__ import annotations
 
 import warnings as _warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Sequence
 
@@ -22,7 +23,8 @@ import numpy as np
 from .evidence import DEFAULT_GRID, evidence_laplace, evidence_quadrature
 from .exceptions import EvidkitError, SelectionFailure
 from .generic import GenericModelSpec, _check_grid_dim, normalize_prior
-from .glm import GaussianLinearSpec, ObservationSet, glm_log_evidence
+from .glm import (GaussianLinearSpec, ObservationSet, _check_count, _check_dims, _log_evidences,
+                  glm_log_evidence)
 from .records import EvidenceDecomposition
 
 __all__ = [
@@ -42,6 +44,8 @@ __all__ = [
 
 TIE_TOL = 1e-12
 RULES = ("max-evidence", "max-posterior")
+# ``risk_mc`` stacks at most this many response floats per batch.
+_CHUNK_FLOATS = 1 << 18
 
 
 def _check_weights(weights, k: int) -> np.ndarray:
@@ -95,14 +99,6 @@ def _check_y_grid(y_grid) -> np.ndarray:
     if np.any(np.diff(y_grid) <= 0):
         raise ValueError("y_grid must be strictly increasing")
     return y_grid
-
-
-def _check_count(value, name) -> int:
-    """A sample size or replicate count as an int: at least 1."""
-    value = int(value)
-    if value < 1:
-        raise ValueError(f"{name} must be >= 1")
-    return value
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,31 +189,24 @@ def _member_evidence(member, obs: ObservationSet, generic_estimator: str,
     raise ValueError(f"unknown generic estimator {generic_estimator!r}")
 
 
-def _evaluate(model_set: ModelSet, obs: ObservationSet, generic_estimator: str = "laplace",
-              grid_points_per_dim: int | None = None) -> tuple[EvidenceDecomposition, ...]:
-    decomps = []
-    for i, member in enumerate(model_set.members):
-        try:
-            decomps.append(_member_evidence(member, obs, generic_estimator,
-                                            grid_points_per_dim))
-        except EvidkitError as exc:
-            raise SelectionFailure(
-                f"evidence evaluation failed for member {i}: {exc}", index=i) from exc
-    return tuple(decomps)
+@contextmanager
+def _member_failure(i: int):
+    """Re-raise an evidence failure as a ``SelectionFailure`` naming member ``i``."""
+    try:
+        yield
+    except EvidkitError as exc:
+        raise SelectionFailure(
+            f"evidence evaluation failed for member {i}: {exc}", index=i) from exc
 
 
-def _choose(model_set: ModelSet, decomps, rule: str) -> SelectionOutcome:
-    log_evidences = np.array([dec.log_evidence for dec in decomps])
-    if rule == "max-posterior":
-        log_scores = np.log(model_set.weights) + log_evidences
-    else:
-        log_scores = log_evidences
-    top = float(log_scores.max())
-    tied = np.flatnonzero(log_scores >= top - TIE_TOL)
-    chosen = int(tied[0])
-    return SelectionOutcome(
-        chosen=chosen, log_scores=log_scores, rule=rule,
-        tie_broken=bool(tied.size > 1), decompositions=decomps)
+def _tied(model_set: ModelSet, log_evidences: np.ndarray, rule: str) -> tuple:
+    """Log-scores under ``rule`` and the mask of those within ``TIE_TOL`` of the best.
+
+    Members lie along the last axis; the rule chooses the first tied one.
+    """
+    log_scores = (np.log(model_set.weights) + log_evidences if rule == "max-posterior"
+                  else log_evidences)
+    return log_scores, log_scores >= log_scores.max(axis=-1, keepdims=True) - TIE_TOL
 
 
 def select(model_set: ModelSet, obs: ObservationSet, rule: str = "max-evidence", *,
@@ -235,8 +224,14 @@ def select(model_set: ModelSet, obs: ObservationSet, rule: str = "max-evidence",
     ``tie_broken``.
     """
     _check_rules([rule])
-    return _choose(model_set, _evaluate(model_set, obs, generic_estimator,
-                                        grid_points_per_dim), rule)
+    decomps = []
+    for i, member in enumerate(model_set.members):
+        with _member_failure(i):
+            decomps.append(_member_evidence(member, obs, generic_estimator, grid_points_per_dim))
+    log_scores, tied = _tied(model_set, np.array([dec.log_evidence for dec in decomps]), rule)
+    return SelectionOutcome(
+        chosen=int(np.argmax(tied)), log_scores=log_scores, rule=rule,
+        tie_broken=bool(tied.sum() > 1), decompositions=tuple(decomps))
 
 
 def prior_predictive_generator(model_set: ModelSet) -> Callable:
@@ -275,38 +270,56 @@ def risk_mc(model_set: ModelSet, generator: Callable | None, reps: int,
         the report is identical regardless of evaluation order.
     rules : sequence of str
         Selection rules to score on the same simulated datasets.
+
+    Batches of up to ``_CHUNK_FLOATS // n`` replicate responses are stacked
+    as matrix rows; each Gaussian linear member is evaluated once per batch,
+    from one factorization, and is reported at the batch's first replicate
+    if that fails.  Black-box members are evaluated per replicate.  Each
+    batched log-evidence equals :func:`glm_log_evidence` on its replicate
+    bit for bit, so the report is that of :func:`select` on every replicate.
     """
     reps = _check_count(reps, "reps")
     rules = _check_rules(rules)
     if generator is None:
         generator = prior_predictive_generator(model_set)
 
-    k = len(model_set)
-    errors = np.zeros((k, len(rules)))
-    true_counts = np.zeros(k)
+    k, members = len(model_set), model_set.members
+    gaussian = [i for i, member in enumerate(members) if isinstance(member, GaussianLinearSpec)]
+    width = max(1, _CHUNK_FLOATS // members[gaussian[0]].n) if gaussian else reps
+    truth, log_e = np.empty(reps, dtype=int), np.empty((reps, k))
     children = np.random.SeedSequence(seed).spawn(reps)
-    for rep in range(reps):
-        rng = np.random.default_rng(children[rep])
+    for start in range(0, reps, width):
+        ys, rep = [], start
         try:
-            true_index, obs = generator(rng)
-            true_index = int(true_index)
-            if not 0 <= true_index < k:
-                raise ValueError(f"generator returned out-of-range true index {true_index}")
-            true_counts[true_index] += 1
-            decomps = _evaluate(model_set, obs)
-            for r, rule in enumerate(rules):
-                if _choose(model_set, decomps, rule).chosen != true_index:
-                    errors[true_index, r] += 1
+            for rep in range(start, min(start + width, reps)):
+                true_index, obs = generator(np.random.default_rng(children[rep]))
+                true_index = int(true_index)
+                if not 0 <= true_index < k:
+                    raise ValueError(f"generator returned out-of-range true index {true_index}")
+                truth[rep] = true_index
+                for i, member in enumerate(members):
+                    if isinstance(member, GaussianLinearSpec):
+                        _check_dims(member, obs.y)
+                        continue
+                    with _member_failure(i):
+                        log_e[rep, i] = _member_evidence(member, obs, "laplace", None).log_evidence
+                ys.append(obs.y)
+            rep, Y = start, np.array(ys) if gaussian else None
+            for i in gaussian:
+                with _member_failure(i):
+                    log_e[start:start + len(ys), i] = _log_evidences(members[i], Y)
         except EvidkitError as exc:
             raise SelectionFailure(
                 f"replicate {rep} failed: {exc}", replicate=rep,
                 index=getattr(exc, "index", None)) from exc
 
-    risks = errors.sum(axis=0) / reps
+    true_counts = np.bincount(truth, minlength=k).astype(float)
+    wrong = [np.argmax(_tied(model_set, log_e, rule)[1], axis=1) != truth for rule in rules]
+    errors = np.array([np.bincount(truth, w, minlength=k) for w in wrong]).T
     with np.errstate(invalid="ignore", divide="ignore"):
         per_true = errors / true_counts[:, None]
-    return RiskReport(rule_names=rules, risks=risks, reps=reps, seed=int(seed),
-                      per_true_model=per_true, true_counts=true_counts)
+    return RiskReport(rule_names=rules, risks=errors.sum(axis=0) / reps, reps=reps,
+                      seed=int(seed), per_true_model=per_true, true_counts=true_counts)
 
 
 # ---------------------------------------------------------------------------
@@ -414,48 +427,38 @@ def sweet_spot_experiment(true_degree: int, degrees: Sequence[int], n: int,
     reps = _check_count(reps, "reps")
 
     true_pos = degrees.index(true_degree)
-    k = len(degrees)
-    counts = np.zeros(k, dtype=int)
-    chosen_deg = np.empty(reps, dtype=int)
-    best_deg = np.empty(reps, dtype=int)
-    rmse = np.empty((reps, k))
-    regrets = np.empty(reps)
-    best_rmses = np.empty(reps)
+    chosen = np.empty(reps, dtype=int)
+    rmse = np.empty((reps, len(degrees)))
 
     children = np.random.SeedSequence(seed).spawn(reps)
     for rep in range(reps):
         rng = np.random.default_rng(children[rep])
         x = rng.standard_normal(n)
         family = polynomial_family(x, degrees, sigma, lam)
-        scale_base = family.info["x_std"]
         true_member = family.members[true_pos]
         theta_true = rng.standard_normal(true_member.d) / lam
         y = true_member.G @ theta_true + sigma * rng.standard_normal(n)
-        obs = ObservationSet(y=y, x=x)
-
-        outcome = select(family, obs, "max-evidence")
-        chosen_deg[rep] = degrees[outcome.chosen]
-        counts[outcome.chosen] += 1
+        outcome = select(family, ObservationSet(y=y, x=x), "max-evidence")
+        chosen[rep] = outcome.chosen
 
         x_test = rng.standard_normal(10 * n)
-        test_design = scaled_polynomial_design(x_test, max(degrees), scale_base)
-        mean_test = test_design[:, :true_degree + 1] @ theta_true
-        y_test = mean_test + sigma * rng.standard_normal(10 * n)
+        test_design = scaled_polynomial_design(x_test, max(degrees), family.info["x_std"])
+        y_test = (test_design[:, :true_degree + 1] @ theta_true
+                  + sigma * rng.standard_normal(10 * n))
         for i, (p, dec) in enumerate(zip(degrees, outcome.decompositions)):
             pred = test_design[:, :p + 1] @ dec.theta_hat
             rmse[rep, i] = float(np.sqrt(np.mean((pred - y_test) ** 2)))
-        best = int(np.argmin(rmse[rep]))
-        best_deg[rep] = degrees[best]
-        best_rmses[rep] = rmse[rep, best]
-        regrets[rep] = rmse[rep, outcome.chosen] - rmse[rep, best]
 
+    rows, best = np.arange(reps), rmse.argmin(axis=1)
+    counts = np.bincount(chosen, minlength=len(degrees))
     return SweetSpotReport(
         degrees=tuple(degrees), true_degree=true_degree, n=n, sigma=float(sigma),
         lam=float(lam), reps=reps, seed=int(seed), counts=counts,
         modal_degree=int(degrees[int(np.argmax(counts))]),
-        selection_frequency=counts / reps, chosen_degrees=chosen_deg,
-        best_degrees=best_deg, rmse=rmse,
-        mean_regret=float(regrets.mean()), mean_best_rmse=float(best_rmses.mean()))
+        selection_frequency=counts / reps, chosen_degrees=np.array(degrees)[chosen],
+        best_degrees=np.array(degrees)[best], rmse=rmse,
+        mean_regret=float((rmse[rows, chosen] - rmse[rows, best]).mean()),
+        mean_best_rmse=float(rmse[rows, best].mean()))
 
 
 # ---------------------------------------------------------------------------
@@ -485,45 +488,38 @@ class CrossoverReport:
         return self.log_evidence_simple - self.log_evidence_complex
 
 
-def _scalar_marginal_variance(spec: GaussianLinearSpec) -> float:
-    g = spec.G[0]
-    return spec.sigma**2 + float(g @ g) / spec.lam**2
-
-
 def mackay_crossover(model_simple: GaussianLinearSpec,
                      model_complex: GaussianLinearSpec, y_grid) -> CrossoverReport:
     """Evidence comparison of two single-observation models over a y grid.
 
-    Both models must have exactly one observation row.  The log-evidence of
-    each model is evaluated at every grid value of the response; sign
-    changes of the difference are refined by bisection until the difference
-    at the reported point is below 1e-8.  When the flexible model's marginal
-    predictive variance strictly exceeds the stiff model's, both preference
-    regions must appear on the grid (widen the grid otherwise).
+    Both models must have exactly one observation row.  Each model's
+    log-evidence at every grid value comes from one batch and one
+    factorization, equal bit for bit to :func:`glm_log_evidence` at each
+    point.  Sign changes of the difference are refined by bisection until
+    the difference at the reported point is below 1e-8.  When the flexible
+    model's marginal predictive variance strictly exceeds the stiff model's,
+    both preference regions must appear on the grid (widen the grid
+    otherwise).
     """
     for name, spec in (("model_simple", model_simple), ("model_complex", model_complex)):
         if spec.n != 1:
             raise ValueError(f"{name} must have a single observation row, got n={spec.n}")
     y_grid = _check_y_grid(y_grid)
 
-    def log_evidences(y):
-        obs = ObservationSet(y=[y])
-        return (glm_log_evidence(model_simple, obs).log_evidence,
-                glm_log_evidence(model_complex, obs).log_evidence)
-
-    log_e_simple, log_e_complex = np.array([log_evidences(y) for y in y_grid]).T
+    log_e_simple, log_e_complex = (_log_evidences(spec, y_grid[:, None])
+                                   for spec in (model_simple, model_complex))
     diff = log_e_simple - log_e_complex
-    signs = np.sign(diff).astype(np.int8)
 
     crossovers = []
     for i in range(y_grid.size - 1):
         if diff[i] == 0.0 or diff[i] * diff[i + 1] >= 0.0:
             continue
-        lo, hi = y_grid[i], y_grid[i + 1]
-        f_lo = diff[i]
+        lo, hi, f_lo = y_grid[i], y_grid[i + 1], diff[i]
         while hi - lo > 1e-12 * max(1.0, abs(lo) + abs(hi)):
             mid = (lo + hi) / 2.0
-            f_mid = np.subtract(*log_evidences(mid))
+            obs = ObservationSet(y=[mid])
+            f_mid = (glm_log_evidence(model_simple, obs).log_evidence
+                     - glm_log_evidence(model_complex, obs).log_evidence)
             if f_mid == 0.0:
                 lo = hi = mid
                 break
@@ -533,16 +529,14 @@ def mackay_crossover(model_simple: GaussianLinearSpec,
                 hi = mid
         crossovers.append((lo + hi) / 2.0)
 
-    var_simple = _scalar_marginal_variance(model_simple)
-    var_complex = _scalar_marginal_variance(model_complex)
-    if var_complex > var_simple:
-        if not (np.any(diff > 0) and np.any(diff < 0)):
-            raise ValueError(
-                "the grid does not exhibit both preference regions although the "
-                "flexible model has the wider predictive density; widen y_grid")
+    var_simple, var_complex = (spec.sigma**2 + float(spec.G[0] @ spec.G[0]) / spec.lam**2
+                               for spec in (model_simple, model_complex))
+    if var_complex > var_simple and not (np.any(diff > 0) and np.any(diff < 0)):
+        raise ValueError("the grid does not exhibit both preference regions although the "
+                         "flexible model has the wider predictive density; widen y_grid")
 
     return CrossoverReport(
         y_grid=y_grid, log_evidence_simple=log_e_simple,
         log_evidence_complex=log_e_complex, crossovers=tuple(crossovers),
-        sign_pattern=signs, marginal_variance_simple=var_simple,
+        sign_pattern=np.sign(diff).astype(np.int8), marginal_variance_simple=var_simple,
         marginal_variance_complex=var_complex)

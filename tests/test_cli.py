@@ -111,6 +111,12 @@ class TestParseArgs:
         assert capsys.readouterr().err == (
             "evidkit: usage error: weights sum to 1.1, expected 1 within 1e-12\n")
 
+    def test_negative_seed_message_names_the_argument(self, capsys):
+        assert main(["decompose", "--log-evidence", "-2", "--log-fit", "-1",
+                     "--seed", "-1", "--out", "d.json"]) == 2
+        assert capsys.readouterr().err == (
+            "evidkit: usage error: argument --seed: seed must be >= 0\n")
+
     def test_bic_sweep_theta_default(self):
         config = parse_args(["bic-sweep", "--d", "2", "--ns", "100,1000",
                              "--out", "b.json"])
@@ -323,6 +329,50 @@ class TestRun:
         assert isinstance(parse_args(argv), RunConfig)
 
 
+# Seeded runs whose result payloads are pinned by sha256: a change that moves
+# any reported bit fails here.  The payload is the ``result`` object of a JSON
+# output, re-rendered, or a CSV output without its argv and config comments,
+# since those name the output path.
+GOLDEN_PAYLOADS = {
+    "risk-json": (
+        "risk --degrees 0..5 --n 100 --sigma 0.3 --lambda 1 --reps 300 --seed 7",
+        "613ecd24c433b8586bae2ca10185104dd95cc8366bf79aa8ad443fd2e0aa9da2"),
+    "risk-weighted-csv": (
+        "risk --degrees 1,5 --weights 0.3,0.7 --n 60 --sigma 0.3 --lambda 1 --reps 200 "
+        "--seed 2 --format csv",
+        "c8efbf077099ea9aedf94951d32d05b2d3829f7617bc178419b114a0b99b4c8f"),
+    "risk-degrees-0-9-json": (
+        "risk --degrees 0..9 --n 100 --sigma 0.3 --lambda 1 --reps 200 --seed 11",
+        "6a6ed51407f9c15595b49f21b1879405b42386c28adbb91e4d017e762794d2a5"),
+    "mackay-demo-csv": (
+        "mackay-demo --lambda-simple 10 --lambda-complex 0.1 --format csv",
+        "a6d030397bf6b1a44275603e156402616514e73b6d02fedd59401d6ee8b9c188"),
+    "mackay-demo-sigma-2.7-csv": (
+        "mackay-demo --sigma 2.7 --lambda-simple 3 --lambda-complex 0.05 --y-min -60 "
+        "--y-max 60 --grid 2001 --format csv",
+        "30ca355344648e746640fde20e595d3b4ccaf065ba69afb0b9d1b58399ef8d67"),
+    "poly-demo-json": (
+        "poly-demo --true-degree 3 --degrees 0..9 --n 100 --sigma 0.3 --lambda 1 --reps 60 "
+        "--seed 4",
+        "daec668d8ca0f810157dfbdee0121bcd589daf0108b16031c8a7ec28806051ff"),
+}
+
+
+class TestGoldenPayloads:
+    @pytest.mark.parametrize("argv, digest", list(GOLDEN_PAYLOADS.values()),
+                             ids=list(GOLDEN_PAYLOADS))
+    def test_result_payload_digest(self, argv, digest, tmp_path):
+        out = tmp_path / "out"
+        argv = argv.split() + ["--out", str(out)]
+        assert main(argv) == 0
+        text = out.read_text(encoding="utf-8")
+        if parse_args(argv).format == "csv":
+            payload = "\n".join(line for line in text.splitlines() if not line.startswith("#"))
+        else:
+            payload = render_json(json.loads(text)["result"])
+        assert hashlib.sha256(payload.encode("utf-8")).hexdigest() == digest
+
+
 _MODEL = ["--sigma", "1", "--lambda", "1"]
 _DATA = ["--data", "unused.csv"]
 
@@ -386,6 +436,18 @@ REJECTED = {
     "mackay-demo-y-span-overflows": ["mackay-demo", "--lambda-simple", "10",
                                      "--lambda-complex", "0.1", "--y-min=-1e308",
                                      "--y-max", "1e308"],
+    "fit-seed-negative": ["fit", *_DATA, *_MODEL, "--seed", "-1"],
+    "evidence-importance-seed-negative": ["evidence", *_DATA, *_MODEL, "--estimator",
+                                          "importance-sampling", "--seed", "-1"],
+    "decompose-seed-negative": ["decompose", "--log-evidence", "-2", "--log-fit", "-1",
+                                "--seed", "-5"],
+    "select-seed-negative": ["select", *_DATA, *_MODEL, "--degrees", "0,1", "--seed", "-1"],
+    "risk-seed-negative": ["risk", *_MODEL, "--degrees", "0,1", "--n", "10", "--seed", "-1"],
+    "poly-demo-seed-negative": ["poly-demo", *_MODEL, "--degrees", "0..3", "--true-degree", "1",
+                                "--n", "10", "--seed", "-1"],
+    "mackay-demo-seed-negative": ["mackay-demo", "--lambda-simple", "10", "--lambda-complex",
+                                  "0.1", "--seed", "-1"],
+    "bic-sweep-seed-negative": ["bic-sweep", "--d", "2", "--ns", "10,100", "--seed", "-1"],
 }
 
 

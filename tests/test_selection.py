@@ -2,11 +2,12 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor
 
 import evidkit as ek
 import evidkit.glm
 import evidkit.selection
-from evidkit.exceptions import SelectionFailure
+from evidkit.exceptions import EvidkitError, SelectionFailure
 
 from helpers import random_glm_instance
 
@@ -110,6 +111,41 @@ class TestSelect:
             assert int(np.argmax(fits_minus_flex)) == outcome.chosen
 
 
+def reference_risk(model_set, generator, reps, rules, seed):
+    """``risk_mc``'s report rebuilt from ``select`` on each replicate's data."""
+    if generator is None:
+        generator = ek.prior_predictive_generator(model_set)
+    errors = np.zeros((len(model_set), len(rules)))
+    true_counts = np.zeros(len(model_set))
+    for child in np.random.SeedSequence(seed).spawn(reps):
+        true_index, obs = generator(np.random.default_rng(child))
+        true_counts[true_index] += 1
+        for r, rule in enumerate(rules):
+            errors[true_index, r] += ek.select(model_set, obs, rule).chosen != true_index
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return errors.sum(axis=0) / reps, errors / true_counts[:, None], true_counts
+
+
+@pytest.fixture
+def factored_orders(monkeypatch):
+    """The order of every ``P*`` that ``cho_factor`` factors during the test."""
+    orders = []
+
+    def counting(matrix, *args, **kwargs):
+        orders.append(matrix.shape[0])
+        return cho_factor(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(evidkit.glm, "cho_factor", counting)
+    return orders
+
+
+def assert_report_matches(report, reference):
+    risks, per_true, true_counts = reference
+    assert np.array_equal(report.risks, risks)
+    assert np.array_equal(report.per_true_model, per_true, equal_nan=True)
+    assert np.array_equal(report.true_counts, true_counts)
+
+
 class TestRiskMc:
     def test_singleton_risk_zero(self):
         spec = ek.GaussianLinearSpec(G=np.ones((10, 1)), sigma=1.0, lam=1.0)
@@ -146,18 +182,24 @@ class TestRiskMc:
                               equal_nan=True)
         assert np.array_equal(first.true_counts, second.true_counts)
 
-    def test_each_member_evaluated_once_per_replicate(self, monkeypatch):
-        calls = []
-
-        def counting(spec, obs):
-            calls.append(spec)
-            return evidkit.glm.glm_log_evidence(spec, obs)
-
-        monkeypatch.setattr(evidkit.selection, "glm_log_evidence", counting)
+    def test_each_member_factored_once_for_all_replicates_and_rules(self, factored_orders):
         x = np.random.default_rng(6).standard_normal(20)
         family = ek.polynomial_family(x, [0, 1, 2], sigma=0.5, lam=1.0)
         ek.risk_mc(family, None, 7, ["max-evidence", "max-posterior"], seed=3)
-        assert len(calls) == 7 * 3
+        assert factored_orders == [1, 2, 3]
+
+    def test_large_n_factors_each_member_once_per_batch(self, factored_orders):
+        n, reps = 20_000, 30
+        x = np.random.default_rng(7).standard_normal(n)
+        family = ek.polynomial_family(x, [0, 2], sigma=1.0, lam=1.0)
+        rules = ["max-evidence", "max-posterior"]
+        reference = reference_risk(family, None, reps, rules, 4)
+        factored_orders.clear()
+        report = ek.risk_mc(family, None, reps, rules, 4)
+        batches = -(-reps // (evidkit.selection._CHUNK_FLOATS // n))
+        assert batches > 1
+        assert factored_orders == [1, 3] * batches
+        assert_report_matches(report, reference)
 
     def test_risks_within_unit_interval(self):
         rng = np.random.default_rng(5)
@@ -174,6 +216,90 @@ class TestRiskMc:
         model_set = ek.ModelSet(members=(generic,))
         with pytest.raises(ValueError, match="simulate"):
             ek.prior_predictive_generator(model_set)
+
+
+class TestRiskMcMatchesPerReplicateSelection:
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
+    @pytest.mark.parametrize("degrees, weights", [
+        (range(6), None),
+        (range(6), [0.3, 0.25, 0.2, 0.1, 0.1, 0.05]),
+        (range(10), None),
+        (range(10), [0.02, 0.03, 0.05, 0.1, 0.3, 0.2, 0.1, 0.1, 0.05, 0.05]),
+    ], ids=["risk-uniform", "risk-weighted", "poly-demo-uniform", "poly-demo-weighted"])
+    def test_polynomial_family(self, seed, degrees, weights):
+        # The ``risk`` command's family: x ~ N(0, 1) from the seed, n = 100, sigma = 0.3.
+        x = np.random.default_rng(seed).standard_normal(100)
+        family = ek.polynomial_family(x, degrees, sigma=0.3, lam=1.0)
+        if weights is not None:
+            family = ek.ModelSet(members=family.members, weights=weights)
+        rules = ["max-evidence", "max-posterior"]
+        report = ek.risk_mc(family, None, 40, rules, seed)
+        assert_report_matches(report, reference_risk(family, None, 40, rules, seed))
+
+    def test_custom_generator_mixing_gaussian_and_black_box_members(self):
+        G = np.random.default_rng(1).standard_normal((30, 2))
+        gaussian = ek.GaussianLinearSpec(G=G, sigma=1.0, lam=1.0)
+        black_box = ek.GenericModelSpec(
+            dim=1, vectorized=True,
+            log_lik=lambda t: -0.5 * 30 * np.log(2 * np.pi * 1.5**2) - 15.0 * t[:, 0] ** 2,
+            regularizer=lambda t: 0.5 * t[:, 0] ** 2, effective_box=[[-5.0, 5.0]])
+        model_set = ek.ModelSet(members=(gaussian, black_box), weights=[0.4, 0.6])
+
+        def generate(rng):
+            true_index = int(rng.integers(2))
+            scale = 1.0 if true_index == 0 else 1.6
+            return true_index, ek.ObservationSet(y=scale * rng.standard_normal(30))
+
+        rules = ["max-evidence", "max-posterior"]
+        report = ek.risk_mc(model_set, generate, 30, rules, 5)
+        reference = reference_risk(model_set, generate, 30, rules, 5)
+        assert_report_matches(report, reference)
+        assert 0 < reference[0][0] < 1
+
+
+class TestRiskMcFailures:
+    def test_member_failure_names_replicate_and_index(self):
+        good = ek.GaussianLinearSpec(G=[[1.0]], sigma=1.0, lam=1.0)
+        bad = ek.GaussianLinearSpec(G=[[1e200]], sigma=1.0, lam=1.0)
+        model_set = ek.ModelSet(members=(good, bad, good))
+        with pytest.raises(SelectionFailure, match="replicate 0") as excinfo:
+            ek.risk_mc(model_set, lambda rng: (0, ek.ObservationSet(y=[1.0])), 5,
+                       ["max-evidence"], 0)
+        assert excinfo.value.replicate == 0
+        assert excinfo.value.index == 1
+
+    @pytest.mark.parametrize("true_index", [-1, 2])
+    def test_out_of_range_true_index(self, true_index):
+        spec = ek.GaussianLinearSpec(G=[[1.0]], sigma=1.0, lam=1.0)
+        model_set = ek.ModelSet(members=(spec, spec))
+        with pytest.raises(ValueError, match=f"out-of-range true index {true_index}"):
+            ek.risk_mc(model_set, lambda rng: (true_index, ek.ObservationSet(y=[1.0])), 5,
+                       ["max-evidence"], 0)
+
+    def test_observation_length_mismatch(self):
+        spec = ek.GaussianLinearSpec(G=np.ones((3, 1)), sigma=1.0, lam=1.0)
+        model_set = ek.ModelSet(members=(spec,))
+        with pytest.raises(ValueError,
+                           match="observation length 2 does not match model rows 3"):
+            ek.risk_mc(model_set, lambda rng: (0, ek.ObservationSet(y=[1.0, 2.0])), 5,
+                       ["max-evidence"], 0)
+
+    def test_generator_failure_names_its_replicate(self):
+        spec = ek.GaussianLinearSpec(G=np.ones((3, 1)), sigma=1.0, lam=1.0)
+        model_set = ek.ModelSet(members=(spec, spec))
+        calls = []
+
+        def generate(rng):
+            calls.append(rng)
+            if len(calls) == 4:
+                raise EvidkitError("simulation diverged")
+            return 0, ek.ObservationSet(y=rng.standard_normal(3))
+
+        with pytest.raises(SelectionFailure, match="replicate 3 failed: simulation diverged") \
+                as excinfo:
+            ek.risk_mc(model_set, generate, 6, ["max-evidence"], 0)
+        assert excinfo.value.replicate == 3
+        assert excinfo.value.index is None
 
 
 class TestPolynomialFamily:
@@ -265,6 +391,40 @@ class TestCrossover:
             residual = abs(ek.glm_log_evidence(simple, obs).log_evidence
                            - ek.glm_log_evidence(flexible, obs).log_evidence)
             assert residual < 1e-8
+
+    @pytest.mark.parametrize("sigma", [0.3, 1.0, 2.7])
+    @pytest.mark.parametrize("row", [[1.0], [0.7, -1.3, 2.2]], ids=["d1", "d3"])
+    def test_grid_values_equal_per_point_evidence(self, sigma, row):
+        simple = ek.GaussianLinearSpec(G=[row], sigma=sigma, lam=10.0)
+        flexible = ek.GaussianLinearSpec(G=[row], sigma=sigma, lam=0.1)
+        y_grid = np.linspace(-25.0 * sigma, 25.0 * sigma, 1001)
+        report = ek.mackay_crossover(simple, flexible, y_grid)
+        for spec, values in ((simple, report.log_evidence_simple),
+                             (flexible, report.log_evidence_complex)):
+            per_point = [ek.glm_log_evidence(spec, ek.ObservationSet(y=[y])).log_evidence
+                         for y in y_grid]
+            assert np.array_equal(values, per_point)
+
+    def test_only_the_bisection_evaluates_single_points(self, monkeypatch):
+        points = []
+
+        def recording(spec, obs):
+            points.append(float(obs.y[0]))
+            return evidkit.glm.glm_log_evidence(spec, obs)
+
+        monkeypatch.setattr(evidkit.selection, "glm_log_evidence", recording)
+        simple, flexible = self._pair()
+        y_grid = np.linspace(-25.0, 25.0, 1001)
+        report = ek.mackay_crossover(simple, flexible, y_grid)
+        brackets = [(y_grid[i], y_grid[i + 1]) for i in np.flatnonzero(
+            report.diff[:-1] * report.diff[1:] < 0)]
+        assert len(brackets) == 2
+        assert points and len(points) % 2 == 0
+        assert all(any(lo < y < hi for lo, hi in brackets) for y in points)
+        points.clear()
+        spec = ek.GaussianLinearSpec(G=[[1.0]], sigma=1.0, lam=2.0)
+        ek.mackay_crossover(spec, spec, y_grid)
+        assert points == []
 
     def test_identical_specs_no_crossover(self):
         spec = ek.GaussianLinearSpec(G=[[1.0]], sigma=1.0, lam=2.0)
