@@ -24,29 +24,29 @@ __all__ = ["read_observations", "format_number", "render_json", "write_json", "w
 def read_observations(path: str) -> ObservationSet:
     """Parse a UTF-8 CSV with header ``y`` or ``x,y`` into an ObservationSet.
 
-    Decimal separator is ``.``; any row with a missing or non-numeric entry
-    is rejected, naming the offending file line (the header is line 1).
+    Decimal separator is ``.``; blank lines are skipped.  Any row with a
+    missing or non-numeric entry is rejected, naming its file line as the
+    csv reader counts it: the first line is line 1 and blank lines count.
     """
     try:
         with open(path, "r", encoding="utf-8", newline="") as handle:
-            rows = list(csv.reader(handle))
+            reader = csv.reader(handle)
+            return _parse_rows(path, ((reader.line_num, row) for row in reader if row))
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    rows = [row for row in rows if row]
-    if not rows:
+
+
+def _parse_rows(path: str, rows) -> ObservationSet:
+    """Observations from the nonblank ``(file line, cells)`` rows, header first."""
+    header = [cell.strip() for cell in next(rows, (None, []))[1]]
+    if not header:
         raise DataError(f"{path}: empty file")
-    header = [cell.strip() for cell in rows[0]]
-    if header == ["y"]:
-        has_x = False
-    elif header == ["x", "y"]:
-        has_x = True
-    else:
+    if header not in (["y"], ["x", "y"]):
         raise DataError(f"{path}: header must be 'y' or 'x,y', got {','.join(header)!r}")
-    if len(rows) == 1:
-        raise DataError(f"{path}: no data rows")
+    has_x = header == ["x", "y"]
 
     xs, ys = [], []
-    for line_no, row in enumerate(rows[1:], start=2):
+    for line_no, row in rows:
         cells = [cell.strip() for cell in row]
         if len(cells) != len(header):
             raise DataError(f"{path}: row {line_no}: expected {len(header)} columns, "
@@ -62,11 +62,11 @@ def read_observations(path: str) -> ObservationSet:
                 raise DataError(f"{path}: row {line_no}: non-finite value {cell!r} "
                                 f"in column {name}")
             parsed.append(value)
+        ys.append(parsed[-1])
         if has_x:
             xs.append(parsed[0])
-            ys.append(parsed[1])
-        else:
-            ys.append(parsed[0])
+    if not ys:
+        raise DataError(f"{path}: no data rows")
     return ObservationSet(y=np.array(ys), x=np.array(xs) if has_x else None)
 
 

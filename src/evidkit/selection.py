@@ -184,19 +184,19 @@ def _member_evidence(member, obs: ObservationSet, generic_estimator: str,
     prior = normalize_prior(member, grid)
     if generic_estimator == "quadrature":
         return evidence_quadrature(member, prior, grid)
-    if generic_estimator == "laplace":
-        return evidence_laplace(member, prior)
-    raise ValueError(f"unknown generic estimator {generic_estimator!r}")
+    return evidence_laplace(member, prior)
 
 
 @contextmanager
-def _member_failure(i: int):
-    """Re-raise an evidence failure as a ``SelectionFailure`` naming member ``i``."""
+def _failure(index: int | None = None, replicate: int | None = None):
+    """Re-raise an evidence failure as a ``SelectionFailure`` naming its member and replicate."""
     try:
         yield
     except EvidkitError as exc:
-        raise SelectionFailure(
-            f"evidence evaluation failed for member {i}: {exc}", index=i) from exc
+        prefix = "" if replicate is None else f"replicate {replicate} failed: "
+        member = "" if index is None else f"evidence evaluation failed for member {index}: "
+        index = getattr(exc, "index", None) if index is None else index
+        raise SelectionFailure(f"{prefix}{member}{exc}", index=index, replicate=replicate) from exc
 
 
 def _tied(model_set: ModelSet, log_evidences: np.ndarray, rule: str) -> tuple:
@@ -221,12 +221,14 @@ def select(model_set: ModelSet, obs: ObservationSet, rule: str = "max-evidence",
     closed form; black-box members use the configured generic estimator.
 
     Ties within 1e-12 of the maximum go to the lowest index and set
-    ``tie_broken``.
+    ``tie_broken``.  A failure raises ``SelectionFailure`` naming the member.
     """
     _check_rules([rule])
+    if generic_estimator not in ("quadrature", "laplace"):
+        raise ValueError(f"unknown generic estimator {generic_estimator!r}")
     decomps = []
     for i, member in enumerate(model_set.members):
-        with _member_failure(i):
+        with _failure(i):
             decomps.append(_member_evidence(member, obs, generic_estimator, grid_points_per_dim))
     log_scores, tied = _tied(model_set, np.array([dec.log_evidence for dec in decomps]), rule)
     return SelectionOutcome(
@@ -271,12 +273,13 @@ def risk_mc(model_set: ModelSet, generator: Callable | None, reps: int,
     rules : sequence of str
         Selection rules to score on the same simulated datasets.
 
-    Batches of up to ``_CHUNK_FLOATS // n`` replicate responses are stacked
-    as matrix rows; each Gaussian linear member is evaluated once per batch,
-    from one factorization, and is reported at the batch's first replicate
-    if that fails.  Black-box members are evaluated per replicate.  Each
-    batched log-evidence equals :func:`glm_log_evidence` on its replicate
-    bit for bit, so the report is that of :func:`select` on every replicate.
+    Black-box members are evaluated once per run, before any draw, because
+    a ``GenericModelSpec`` holds its data and its callables are pure by
+    contract.  Each Gaussian linear member is evaluated once per batch of up
+    to ``_CHUNK_FLOATS // n`` stacked responses, from one factorization and
+    bit for bit as :func:`glm_log_evidence` on each replicate, so the report
+    is that of :func:`select` on every replicate.  Every evidence failure
+    names its replicate; a member's names the first replicate it covers.
     """
     reps = _check_count(reps, "reps")
     rules = _check_rules(rules)
@@ -285,33 +288,29 @@ def risk_mc(model_set: ModelSet, generator: Callable | None, reps: int,
 
     k, members = len(model_set), model_set.members
     gaussian = [i for i, member in enumerate(members) if isinstance(member, GaussianLinearSpec)]
-    width = max(1, _CHUNK_FLOATS // members[gaussian[0]].n) if gaussian else reps
     truth, log_e = np.empty(reps, dtype=int), np.empty((reps, k))
+    for i, member in enumerate(members):
+        if i not in gaussian:
+            with _failure(i, replicate=0):
+                log_e[:, i] = _member_evidence(member, None, "laplace", None).log_evidence
+    width = max(1, _CHUNK_FLOATS // members[gaussian[0]].n) if gaussian else reps
     children = np.random.SeedSequence(seed).spawn(reps)
     for start in range(0, reps, width):
-        ys, rep = [], start
-        try:
-            for rep in range(start, min(start + width, reps)):
+        ys = []
+        for rep in range(start, min(start + width, reps)):
+            with _failure(replicate=rep):
                 true_index, obs = generator(np.random.default_rng(children[rep]))
-                true_index = int(true_index)
-                if not 0 <= true_index < k:
-                    raise ValueError(f"generator returned out-of-range true index {true_index}")
-                truth[rep] = true_index
-                for i, member in enumerate(members):
-                    if isinstance(member, GaussianLinearSpec):
-                        _check_dims(member, obs.y)
-                        continue
-                    with _member_failure(i):
-                        log_e[rep, i] = _member_evidence(member, obs, "laplace", None).log_evidence
-                ys.append(obs.y)
-            rep, Y = start, np.array(ys) if gaussian else None
+            true_index = int(true_index)
+            if not 0 <= true_index < k:
+                raise ValueError(f"generator returned out-of-range true index {true_index}")
             for i in gaussian:
-                with _member_failure(i):
-                    log_e[start:start + len(ys), i] = _log_evidences(members[i], Y)
-        except EvidkitError as exc:
-            raise SelectionFailure(
-                f"replicate {rep} failed: {exc}", replicate=rep,
-                index=getattr(exc, "index", None)) from exc
+                _check_dims(members[i], obs.y)
+            truth[rep] = true_index
+            ys.append(obs.y)
+        Y = np.array(ys) if gaussian else None
+        for i in gaussian:
+            with _failure(i, replicate=start):
+                log_e[start:start + len(ys), i] = _log_evidences(members[i], Y)
 
     true_counts = np.bincount(truth, minlength=k).astype(float)
     wrong = [np.argmax(_tied(model_set, log_e, rule)[1], axis=1) != truth for rule in rules]
@@ -419,7 +418,7 @@ def sweet_spot_experiment(true_degree: int, degrees: Sequence[int], n: int,
     candidate's MAP fit on a fresh test set of size ``10 n`` drawn from the
     same covariate distribution (with observation noise).  Reports how often
     each degree was chosen and the predictive regret of the selected degree
-    against the per-replicate best.
+    against the per-replicate best.  Every evidence failure names its replicate.
     """
     degrees = _check_degrees(degrees)
     true_degree = _check_true_degree(true_degree, degrees)
@@ -438,7 +437,8 @@ def sweet_spot_experiment(true_degree: int, degrees: Sequence[int], n: int,
         true_member = family.members[true_pos]
         theta_true = rng.standard_normal(true_member.d) / lam
         y = true_member.G @ theta_true + sigma * rng.standard_normal(n)
-        outcome = select(family, ObservationSet(y=y, x=x), "max-evidence")
+        with _failure(replicate=rep):
+            outcome = select(family, ObservationSet(y=y, x=x), "max-evidence")
         chosen[rep] = outcome.chosen
 
         x_test = rng.standard_normal(10 * n)

@@ -146,6 +146,16 @@ class TestReadObservations:
         with pytest.raises(DataError, match="row 3"):
             read_observations(str(path))
 
+    @pytest.mark.parametrize("text, line", [
+        ("x,y\n1,2\n\n3,abc\n", 4),
+        ("\n\nx,y\n1,2\n3,abc\n", 5),
+    ], ids=["blank-line-between-rows", "two-leading-blank-lines"])
+    def test_blank_lines_count_toward_the_row_number(self, tmp_path, text, line):
+        path = tmp_path / "bad.csv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(DataError, match=f"row {line}: non-numeric value 'abc'"):
+            read_observations(str(path))
+
     def test_comma_decimal_breaks_column_count(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("y\n1,5\n", encoding="utf-8")
@@ -357,6 +367,20 @@ GOLDEN_PAYLOADS = {
         "daec668d8ca0f810157dfbdee0121bcd589daf0108b16031c8a7ec28806051ff"),
 }
 
+# Commands that read a data file, run beside the seeded ``xy_csv`` fixture.
+GOLDEN_DATA_PAYLOADS = {
+    "select-weighted-max-posterior-json": (
+        "select --data xy.csv --degrees 0..4 --weights 0.1,0.2,0.3,0.2,0.2 "
+        "--rule max-posterior --sigma 0.3 --lambda 1",
+        "0e84479f2b3e43155d61e2f811a650810c8b63b6b76ba531fccf7e43bbf2c013"),
+    "fit-csv": (
+        "fit --data xy.csv --degree 2 --sigma 0.3 --lambda 1 --format csv",
+        "5d7af8c18ee5b0b9d915249b92f873dd5b1e40986814221f37a192fbe042f59c"),
+    "evidence-laplace-json": (
+        "evidence --data xy.csv --estimator laplace --degree 1 --sigma 0.3 --lambda 1",
+        "58955a63df2bf1d7db3030ad01cef3663e47e0c8e1286d38a67b16cb6617ee7b"),
+}
+
 
 class TestGoldenPayloads:
     @pytest.mark.parametrize("argv, digest", list(GOLDEN_PAYLOADS.values()),
@@ -371,6 +395,12 @@ class TestGoldenPayloads:
         else:
             payload = render_json(json.loads(text)["result"])
         assert hashlib.sha256(payload.encode("utf-8")).hexdigest() == digest
+
+    @pytest.mark.parametrize("argv, digest", list(GOLDEN_DATA_PAYLOADS.values()),
+                             ids=list(GOLDEN_DATA_PAYLOADS))
+    def test_data_file_payload_digest(self, argv, digest, xy_csv, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        self.test_result_payload_digest(argv, digest, tmp_path)
 
 
 _MODEL = ["--sigma", "1", "--lambda", "1"]

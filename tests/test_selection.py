@@ -1,5 +1,7 @@
 """Selection rules, risk experiments, polynomial families, and the crossover."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.linalg import cho_factor
@@ -99,6 +101,22 @@ class TestSelect:
         with pytest.raises(SelectionFailure) as excinfo:
             ek.select(model_set, ek.ObservationSet(y=[1.0]))
         assert excinfo.value.index == 1
+
+    @pytest.mark.parametrize("with_black_box", [False, True], ids=["gaussian", "mixed"])
+    def test_unknown_generic_estimator_rejected_before_any_evaluation(self, monkeypatch,
+                                                                      with_black_box):
+        evaluated = []
+        monkeypatch.setattr(evidkit.selection, "glm_log_evidence",
+                            lambda spec, obs: evaluated.append(spec))
+        spec = ek.GaussianLinearSpec(G=[[1.0]], sigma=1.0, lam=1.0)
+        black_box = ek.GenericModelSpec(
+            dim=1, log_lik=lambda t: 0.0, regularizer=lambda t: 0.5 * float(t[0]) ** 2,
+            support=[[-5.0, 5.0]])
+        members = (spec, black_box) if with_black_box else (spec, spec)
+        with pytest.raises(ValueError, match="unknown generic estimator 'bogus'"):
+            ek.select(ek.ModelSet(members=members), ek.ObservationSet(y=[1.0]),
+                      generic_estimator="bogus")
+        assert evaluated == []
 
     def test_pen_prime_selection_identity(self):
         # Selecting by (log_fit - flexibility) is selecting by log-evidence.
@@ -257,6 +275,45 @@ class TestRiskMcMatchesPerReplicateSelection:
         assert 0 < reference[0][0] < 1
 
 
+class TestRiskMcBlackBoxMembers:
+    def test_black_box_member_evaluated_once_per_run(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return ek.evidence_laplace(*args, **kwargs)
+
+        monkeypatch.setattr(evidkit.selection, "evidence_laplace", counting)
+        gaussian = ek.GaussianLinearSpec(G=np.ones((3, 1)), sigma=1.0, lam=1.0)
+        black_box = ek.GenericModelSpec(
+            dim=1, vectorized=True, log_lik=lambda t: -2.0 * t[:, 0] ** 2,
+            regularizer=lambda t: 0.5 * t[:, 0] ** 2, effective_box=[[-5.0, 5.0]])
+        model_set = ek.ModelSet(members=(gaussian, black_box))
+
+        def generate(rng):
+            return 0, ek.ObservationSet(y=rng.standard_normal(3))
+
+        first = ek.risk_mc(model_set, generate, 200, ["max-evidence"], 1)
+        assert len(calls) == 1
+        second = ek.risk_mc(model_set, generate, 200, ["max-evidence"], 1)
+        assert len(calls) == 2
+        assert np.array_equal(first.risks, second.risks)
+
+    def test_normalizer_failure_names_replicate_0_and_member(self):
+        gaussian = ek.GaussianLinearSpec(G=np.ones((3, 1)), sigma=1.0, lam=1.0)
+        # Zero regularizer on unbounded support: exp(-R) is not integrable.
+        flat = ek.GenericModelSpec(
+            dim=1, vectorized=True, log_lik=lambda t: np.zeros(len(t)),
+            regularizer=lambda t: np.zeros(len(t)), effective_box=[[-1.0, 1.0]])
+        model_set = ek.ModelSet(members=(gaussian, flat))
+        with pytest.raises(SelectionFailure, match="replicate 0 failed: evidence evaluation "
+                                                   "failed for member 1") as excinfo:
+            ek.risk_mc(model_set, lambda rng: (0, ek.ObservationSet(y=[1.0, 2.0, 3.0])), 5,
+                       ["max-evidence"], 0)
+        assert excinfo.value.replicate == 0
+        assert excinfo.value.index == 1
+
+
 class TestRiskMcFailures:
     def test_member_failure_names_replicate_and_index(self):
         good = ek.GaussianLinearSpec(G=[[1.0]], sigma=1.0, lam=1.0)
@@ -357,6 +414,17 @@ class TestSweetSpot:
         monkeypatch.setattr(evidkit.selection, "map_estimate", forbidden, raising=False)
         report = ek.sweet_spot_experiment(1, [0, 1, 2], 20, 0.5, 1.0, reps=3, seed=0)
         assert report.counts.sum() == 3
+
+    def test_member_failure_names_replicate_and_index(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # degree 400 is prior-dominated
+            with pytest.raises(SelectionFailure, match="replicate 0 failed: evidence "
+                                                       "evaluation failed for member 1") \
+                    as excinfo:
+                ek.sweet_spot_experiment(0, [0, 400], n=50, sigma=1.0, lam=1.0, reps=3,
+                                         seed=0)
+        assert excinfo.value.replicate == 0
+        assert excinfo.value.index == 1
 
     def test_report_shapes(self):
         report = ek.sweet_spot_experiment(1, [0, 1, 2], 40, 1.0, 1.0, reps=12, seed=5)
