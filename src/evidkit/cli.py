@@ -23,6 +23,7 @@ import numpy as np
 from . import __version__
 from .dataio import read_observations, render_json, write_csv, write_json
 from .evidence import (
+    DEFAULT_GRID,
     DEFAULT_INFLATION,
     _check_sample_sizes,
     _require_finite,
@@ -66,7 +67,6 @@ from .selection import (
     sweet_spot_experiment,
 )
 
-QUADRATURE_GRID_DEFAULT = {1: 2001, 2: 401, 3: 101}
 # Namespace keys that route the run rather than parameterize it.
 _ROUTING_KEYS = ("command", "data_path", "output_path", "format")
 
@@ -351,7 +351,7 @@ def _run_evidence(config):
         search = map_optimize_multistart(model, params["seed"],
                                          box=model.effective_box)
         if estimator == "quadrature":
-            grid = params["grid"] or QUADRATURE_GRID_DEFAULT[spec.d]
+            grid = params["grid"] or DEFAULT_GRID[spec.d]
             dec = evidence_quadrature(model, prior, grid, start=search.theta)
         elif estimator == "laplace":
             dec = evidence_laplace(model, prior, start=search.theta)

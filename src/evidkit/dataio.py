@@ -27,6 +27,7 @@ def read_observations(path: str) -> ObservationSet:
     Decimal separator is ``.``; blank lines are skipped.  Any row with a
     missing or non-numeric entry is rejected, naming its file line as the
     csv reader counts it: the first line is line 1 and blank lines count.
+    A file that is not UTF-8 is rejected naming its first undecodable line.
     """
     try:
         with open(path, "r", encoding="utf-8", newline="") as handle:
@@ -34,6 +35,20 @@ def read_observations(path: str) -> ObservationSet:
             return _parse_rows(path, ((reader.line_num, row) for row in reader if row))
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError:
+        # The reader decodes ahead of the row it parses, so find the line again.
+        raise DataError(_undecodable_line(path)) from None
+
+
+def _undecodable_line(path: str) -> str:
+    """The message naming the first line of ``path`` that is not UTF-8."""
+    with open(path, "rb") as handle:
+        for line_no, raw in enumerate(handle, start=1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                return f"{path}: row {line_no}: not UTF-8 text: {exc}"
+    return f"{path}: not UTF-8 text"
 
 
 def _parse_rows(path: str, rows) -> ObservationSet:

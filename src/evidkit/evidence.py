@@ -25,11 +25,12 @@ from .generic import (
     GenericModelSpec,
     NormalizedPrior,
     HESS_STEP,
+    _check_grid_dim,
+    _declared_box,
     _objective,
     _stencil_derivatives,
     _richardson_log_integral,
     _value_at,
-    log_trapezoid_integral,
     map_optimize,
     resolve_integration_box,
 )
@@ -52,8 +53,12 @@ __all__ = [
     "polynomial_sweep_family",
 ]
 
-# Default quadrature grid sizes per dimension, for selection and the Laplace check.
-DEFAULT_GRID = {1: 2001, 2: 201, 3: 41}
+# The one table of default evidence grids: the half grid has a node every 0.8 posterior sd.
+DEFAULT_GRID = {1: 41, 2: 41, 3: 41}
+# Half-width of the evidence integration box, in posterior sd about the MAP.
+BOX_SDS = 8.0
+# No err_estimate is below this many roundings of the value it bounds.
+ROUNDING_ULPS = 64.0
 
 MIN_ESS_FRACTION = 0.01
 DEFAULT_INFLATION = 1.5
@@ -83,19 +88,31 @@ def _log_joint_fn(model: GenericModelSpec, prior: NormalizedPrior):
     return lambda points: psi(points) - log_z
 
 
-def _prior_box(model: GenericModelSpec, prior: NormalizedPrior) -> np.ndarray:
-    """The prior's integration box, or a freshly resolved one when it is closed form."""
-    return prior.box if prior.box is not None else \
-        resolve_integration_box(model, _log_joint_fn(model, prior))
-
-
-def _map_search(model: GenericModelSpec, prior: NormalizedPrior, start, box=None):
-    """The MAP searched from ``start``, or from the centre of ``box`` (default: the prior box)."""
+def _map_search(model: GenericModelSpec, start):
+    """The MAP searched from ``start``, or from the centre of the declared box."""
     if start is None:
-        box = _prior_box(model, prior) if box is None else box
-        bounds = model.bounds()
-        start = np.clip(box.mean(axis=1), bounds[:, 0], bounds[:, 1])
+        start = _declared_box(model).mean(axis=1)
     return map_optimize(model, np.asarray(start, dtype=float))
+
+
+def _posterior_integral(model: GenericModelSpec, prior: NormalizedPrior, theta_hat,
+                        chol_lower, grid_points_per_dim, max_err, what):
+    """``(box, log E, err)`` by the rule :func:`evidence_quadrature` states."""
+    log_joint = _log_joint_fn(model, prior)
+    # A grid-normalized prior's normalizer covers its box only.
+    limits = model.bounds() if prior.box is None else prior.box
+    box = _declared_box(model) if prior.box is None else prior.box
+    if chol_lower is not None:
+        # The posterior covariance is L^-T L^-1, so each sd is a column norm of L^-1.
+        sd = np.linalg.norm(np.linalg.inv(chol_lower), axis=0)
+        centre = np.clip(theta_hat, limits[:, 0], limits[:, 1])
+        box = np.clip(centre[:, None] + BOX_SDS * np.outer(sd, [-1.0, 1.0]),
+                      limits[:, :1], limits[:, 1:])
+    box, log_e, err = _richardson_log_integral(
+        model, log_joint, grid_points_per_dim, max_err, what,
+        box=resolve_integration_box(model, log_joint, box, limits))
+    floor = ROUNDING_ULPS * np.finfo(float).eps * max(1.0, abs(log_e))
+    return box, log_e, max(err, floor) + prior.err_estimate
 
 
 def evidence_quadrature(model: GenericModelSpec, prior: NormalizedPrior,
@@ -103,16 +120,24 @@ def evidence_quadrature(model: GenericModelSpec, prior: NormalizedPrior,
                         max_err: float | None = None) -> EvidenceDecomposition:
     """Log-evidence by dense trapezoid quadrature in log space, dim <= 3.
 
-    Integrates ``exp(log_lik - R) / Z_R`` over the prior's integration box
-    (or a freshly resolved box when the prior is closed form).  The error
-    estimate is a half-resolution Richardson comparison, as in
-    :func:`evidkit.generic.normalize_prior`.  The MAP search follows the
-    integral.
+    The MAP search (from ``start``, or the declared box's centre) comes
+    first.  ``exp(log_lik - R) / Z_R`` is then integrated over the MAP +-
+    ``BOX_SDS`` (8) posterior sd of the Laplace curvature, clipped to a
+    grid-normalized prior's box, else to the support, and widened while
+    mass sits at a face short of those limits.  A curvature that is not
+    positive definite leaves the prior's box, or the declared box resolved.
+    A second mode outside the widened box is not integrated.  The error
+    estimate is the Richardson one of :func:`evidkit.generic.normalize_prior`,
+    floored at 64 roundings of log E, plus ``prior.err_estimate``.
     """
-    box, log_e, err = _richardson_log_integral(
-        model, _log_joint_fn(model, prior), grid_points_per_dim, max_err, "quadrature",
-        box=prior.box)
-    theta_hat = _map_search(model, prior, start, box)
+    _check_grid_dim(model.dim)
+    theta_hat = _map_search(model, start)
+    try:
+        chol_lower = _laplace_factor(model, theta_hat)[1]
+    except CurvatureFailure:
+        chol_lower = None
+    box, log_e, err = _posterior_integral(model, prior, theta_hat, chol_lower,
+                                          grid_points_per_dim, max_err, "quadrature")
     log_fit = _value_at(model._log_lik_batch, theta_hat)
     return EvidenceDecomposition(
         log_evidence=log_e, log_fit=log_fit, flexibility=log_fit - log_e,
@@ -155,14 +180,13 @@ def evidence_laplace(model: GenericModelSpec, prior: NormalizedPrior, *, start=N
     at the MAP.  Exact when the posterior is Gaussian, which is what the
     closed-form tests exploit.
 
-    When ``dim <= 3`` the error estimate is the absolute difference from
-    trapezoid quadrature over the same integration box (grid size
-    ``err_check_grid`` or a dimension-based default); above that no estimate
-    is available and NaN is reported.
+    When ``dim <= 3`` the error estimate is ``|log E - reference|`` plus the
+    reference's error, both as :func:`evidence_quadrature` finds them from
+    the same MAP and factor, on ``err_check_grid`` points per axis (at
+    least 5; default ``DEFAULT_GRID``); ``info`` records the reference's
+    box and grid.  Above that no estimate is available and NaN is reported.
     """
-    # The box serves the reference quadrature and a search from its centre only.
-    box = _prior_box(model, prior) if model.dim <= 3 else None
-    theta_hat = _map_search(model, prior, start, box)
+    theta_hat = _map_search(model, start)
     chol_lower = _laplace_factor(model, theta_hat)[1]
     log_det = 2.0 * float(np.sum(np.log(np.diag(chol_lower))))
 
@@ -170,16 +194,18 @@ def evidence_laplace(model: GenericModelSpec, prior: NormalizedPrior, *, start=N
     log_prior_at_map = -_value_at(model._regularizer_batch, theta_hat) - prior.log_norm_const
     log_e = log_fit + log_prior_at_map + 0.5 * model.dim * LOG_2PI - 0.5 * log_det
 
+    err = float("nan")  # no reference quadrature above dim 3
+    info = {"log_det_curvature": log_det}
     if model.dim <= 3:
-        grid = err_check_grid or DEFAULT_GRID[model.dim]
-        err = abs(log_e - log_trapezoid_integral(model, _log_joint_fn(model, prior), box, grid))
-    else:
-        err = float("nan")
+        grid = DEFAULT_GRID[model.dim] if err_check_grid is None else err_check_grid
+        box, reference, reference_err = _posterior_integral(
+            model, prior, theta_hat, chol_lower, grid, None, "Laplace reference")
+        err = abs(log_e - reference) + reference_err
+        info.update(grid_points_per_dim=int(grid), box=box.tolist())
 
     return EvidenceDecomposition(
         log_evidence=log_e, log_fit=log_fit, flexibility=log_fit - log_e,
-        estimator="laplace", err_estimate=err, theta_hat=theta_hat,
-        info={"log_det_curvature": log_det})
+        estimator="laplace", err_estimate=err, theta_hat=theta_hat, info=info)
 
 
 def evidence_importance(model: GenericModelSpec, prior: NormalizedPrior,
@@ -208,7 +234,7 @@ def evidence_importance(model: GenericModelSpec, prior: NormalizedPrior,
     """
     samples = _check_count(samples, "samples", 2)  # two at least, so the weights have a spread
     inflation = _check_scale(inflation, "inflation")
-    theta_hat = _map_search(model, prior, start) if theta_hat is None \
+    theta_hat = _map_search(model, start) if theta_hat is None \
         else np.asarray(theta_hat, dtype=float)
     chol_lower = _laplace_factor(model, theta_hat, curvature)[1]
     log_det = 2.0 * float(np.sum(np.log(np.diag(chol_lower))))

@@ -18,7 +18,6 @@ from typing import Callable
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
-from scipy.special import logsumexp
 
 from .exceptions import AccuracyFailure, ConvergenceFailure
 from .glm import LOG_2PI, GaussianLinearSpec, ObservationSet, _posterior
@@ -87,9 +86,10 @@ class GenericModelSpec:
         Hard box constraints; entries may be ``+-inf``.  ``None`` means all
         of R^dim.
     effective_box : array_like (dim, 2), optional
-        Finite box used for integration along unbounded coordinates.  The
-        box is widened automatically (doubling, at most 6 times) until the
-        integrand at the boundary is below 1e-12 of its peak.
+        Finite box along unbounded coordinates: its centre starts the MAP
+        searches, and :func:`normalize_prior` integrates over it, widened
+        (doubling, at most 6 times) until the integrand at the boundary is
+        below 1e-12 of its peak.
     vectorized : bool
         When True the two callables accept an ``(m, dim)`` array and return
         an ``(m,)`` array, which is dramatically faster on dense grids.
@@ -140,7 +140,7 @@ class NormalizedPrior:
 
     ``method`` is ``grid-quadrature`` when computed here or ``closed-form``
     when supplied analytically.  ``box`` records the resolved integration
-    box so evidence quadrature can reuse the identical region.
+    box: the evidence integrals stay inside it, where the normalizer holds.
     """
 
     log_norm_const: float
@@ -428,24 +428,17 @@ def map_optimize_multistart(model: GenericModelSpec, seed: int, *, box=None) -> 
 # Integration boxes and trapezoid quadrature in log space
 # ---------------------------------------------------------------------------
 
-def _declared_box(model: GenericModelSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Initial finite integration box and a per-side widenable mask."""
+def _declared_box(model: GenericModelSpec) -> np.ndarray:
+    """Initial finite integration box: the support, with the effective box where it is unbounded."""
     bounds = model.bounds()
-    box = np.empty((model.dim, 2))
-    widenable = np.zeros((model.dim, 2), dtype=bool)
-    for k in range(model.dim):
-        for side in (0, 1):
-            if np.isfinite(bounds[k, side]):
-                box[k, side] = bounds[k, side]
-            else:
-                if model.effective_box is None:
-                    raise ValueError(
-                        f"coordinate {k} has unbounded support; declare effective_box")
-                box[k, side] = model.effective_box[k, side]
-                widenable[k, side] = True
+    box = bounds.copy()
+    for k, side in zip(*np.nonzero(~np.isfinite(bounds))):
+        if model.effective_box is None:
+            raise ValueError(f"coordinate {k} has unbounded support; declare effective_box")
+        box[k, side] = model.effective_box[k, side]
     if np.any(box[:, 0] >= box[:, 1]):
         raise ValueError("integration box has lower >= upper")
-    return box, widenable
+    return box
 
 
 def _grid_nodes(box, points_per_dim):
@@ -463,7 +456,12 @@ def _log_trapezoid_sum(axes, values) -> float:
         w[0] += np.log(0.5)
         w[-1] += np.log(0.5)
         total = (total[:, None] + w[None, :]).reshape(-1)
-    return float(logsumexp(values + total))
+    values = values + total
+    # Shifted by the peak, no exp is subnormal: subnormals are slow as well as imprecise.
+    top = float(np.max(values))
+    if not np.isfinite(top):  # every node -inf, or one +inf or NaN
+        return top
+    return top + float(np.log(np.sum(np.exp(values - top))))
 
 
 def _evaluate_grid(model: GenericModelSpec, log_integrand, box, points_per_dim):
@@ -486,16 +484,20 @@ def log_trapezoid_integral(model: GenericModelSpec, log_integrand, box, points_p
     return _log_trapezoid_sum(*_evaluate_grid(model, log_integrand, box, points_per_dim))
 
 
-def resolve_integration_box(model: GenericModelSpec, log_integrand) -> np.ndarray:
+def resolve_integration_box(model: GenericModelSpec, log_integrand, box=None,
+                            limits=None) -> np.ndarray:
     """Finite box covering the integrand mass.
 
-    Starts from the declared support/effective box and doubles the width of
-    unbounded coordinates until the integrand at every widenable boundary
-    node is below 1e-12 of the grid peak, at most 6 doublings.  Truncation
-    that cannot be cured this way (an integrand that does not decay) raises
-    instead of silently returning a too-small box.
+    Starts from ``box`` within ``limits`` (default: the declared box within
+    the support) and doubles the width of every face short of its limit,
+    clipped to it, until the integrand at every such face is below 1e-12
+    of the grid peak, at most 6 doublings.  Truncation that cannot be cured
+    this way (an integrand that does not decay) raises instead of silently
+    returning a too-small box.
     """
-    box, widenable = _declared_box(model)
+    box = _declared_box(model) if box is None else np.asarray(box, dtype=float)
+    limits = model.bounds() if limits is None else np.asarray(limits, dtype=float)
+    widenable = box != limits
     if not np.any(widenable):
         return box
     for attempt in range(MAX_BOX_DOUBLINGS + 1):
@@ -504,23 +506,17 @@ def resolve_integration_box(model: GenericModelSpec, log_integrand) -> np.ndarra
             [PROBE_POINTS_PER_DIM] * model.dim)
         peak = float(values.max())
         boundary_max = -np.inf
-        for k in range(model.dim):
-            face_lo = np.take(values, 0, axis=k)
-            face_hi = np.take(values, -1, axis=k)
-            if widenable[k, 0]:
-                boundary_max = max(boundary_max, float(face_lo.max()))
-            if widenable[k, 1]:
-                boundary_max = max(boundary_max, float(face_hi.max()))
+        for k, side in zip(*np.nonzero(widenable)):
+            face = np.take(values, -side, axis=k)
+            boundary_max = max(boundary_max, float(face.max()))
         if boundary_max - peak < np.log(BOUNDARY_MASS_RATIO):
             return box
         if attempt == MAX_BOX_DOUBLINGS:
             break
-        for k in range(model.dim):
-            width = box[k, 1] - box[k, 0]
-            if widenable[k, 0]:
-                box[k, 0] -= width / 2.0
-            if widenable[k, 1]:
-                box[k, 1] += width / 2.0
+        half_width = (box[:, 1] - box[:, 0]) / 2.0
+        box = np.where(widenable, box + np.outer(half_width, [-1.0, 1.0]), box)
+        box = np.clip(box, limits[:, :1], limits[:, 1:])
+        widenable = box != limits
     raise AccuracyFailure(
         f"integrand mass remains at the integration boundary after "
         f"{MAX_BOX_DOUBLINGS} box doublings; exp(-R) may not be integrable",
@@ -603,10 +599,9 @@ def normalize_prior(model: GenericModelSpec, grid_points_per_dim: int,
 def wrap_glm(spec: GaussianLinearSpec, obs: ObservationSet) -> GenericModelSpec:
     """Expose a Gaussian linear model through the black-box interface.
 
-    The returned spec is vectorized and carries an effective integration box
-    covering ten standard deviations of both the prior and the posterior in
-    every coordinate, so the generic estimators can be validated against the
-    closed forms.
+    The returned spec is vectorized, so the generic estimators can be
+    validated against the closed forms.  Its effective box, which only
+    seeds MAP searches, is ten prior sd (``10 / lam``) about zero.
 
     The log-likelihood reads sufficient statistics only, at O(d^2) per
     point: with ``delta = theta - theta_hat`` and ``r = y - G theta_hat``,
@@ -618,7 +613,7 @@ def wrap_glm(spec: GaussianLinearSpec, obs: ObservationSet) -> GenericModelSpec:
     sigma2 = spec.sigma**2
     lam2 = spec.lam**2
     const = -0.5 * spec.n * (LOG_2PI + np.log(sigma2))
-    gram, _, factor, theta_hat = _posterior(spec, obs.y)
+    gram, _, _, theta_hat = _posterior(spec, obs.y)
     resid = obs.y - G @ theta_hat
     rss, g_resid = float(resid @ resid), G.T @ resid
 
@@ -630,13 +625,10 @@ def wrap_glm(spec: GaussianLinearSpec, obs: ObservationSet) -> GenericModelSpec:
     def regularizer(points):
         return 0.5 * lam2 * np.einsum("ij,ij->i", points, points)
 
-    post_sd = np.sqrt(np.diag(cho_solve(factor, np.eye(spec.d))))
-    prior_sd = 1.0 / spec.lam
-    lo = np.minimum(-10.0 * prior_sd, theta_hat - 10.0 * post_sd)
-    hi = np.maximum(10.0 * prior_sd, theta_hat + 10.0 * post_sd)
+    prior_box = np.tile([-10.0 / spec.lam, 10.0 / spec.lam], (spec.d, 1))
     return GenericModelSpec(
         dim=spec.d, log_lik=log_lik, regularizer=regularizer,
-        support=None, effective_box=np.column_stack([lo, hi]), vectorized=True)
+        support=None, effective_box=prior_box, vectorized=True)
 
 
 def glm_normalized_prior(spec: GaussianLinearSpec) -> NormalizedPrior:

@@ -156,6 +156,15 @@ class TestReadObservations:
         with pytest.raises(DataError, match=f"row {line}: non-numeric value 'abc'"):
             read_observations(str(path))
 
+    def test_not_utf8_names_file_and_line(self, tmp_path, capsys):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes("x,y\n1,2\n3,4 caf\u00e9\n5,6\n".encode("latin-1"))
+        with pytest.raises(DataError, match="row 3: not UTF-8 text: .*byte 0xe9"):
+            read_observations(str(path))
+        argv = ["fit", "--data", str(path), *_MODEL, "--out", str(tmp_path / "o.json")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith(f"evidkit: error: {path}: row 3: not UTF-8")
+
     def test_comma_decimal_breaks_column_count(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("y\n1,5\n", encoding="utf-8")
@@ -378,7 +387,7 @@ GOLDEN_DATA_PAYLOADS = {
         "5d7af8c18ee5b0b9d915249b92f873dd5b1e40986814221f37a192fbe042f59c"),
     "evidence-laplace-json": (
         "evidence --data xy.csv --estimator laplace --degree 1 --sigma 0.3 --lambda 1",
-        "58955a63df2bf1d7db3030ad01cef3663e47e0c8e1286d38a67b16cb6617ee7b"),
+        "f9113f84c53669909ea14bf639a4d0d8457cf8d66b55e0376587108ea8203b52"),
 }
 
 

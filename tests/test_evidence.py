@@ -43,6 +43,54 @@ class TestQuadrature:
         assert dec.log_evidence == pytest.approx(level, abs=1e-12)
         assert dec.flexibility == pytest.approx(0.0, abs=1e-12)
 
+    def test_singular_curvature_keeps_the_declared_box(self):
+        # The MAP is a ridge along theta_1, so there is no posterior sd to
+        # size a box with; the integral stays on the support.
+        model = ek.GenericModelSpec(
+            dim=2, log_lik=lambda theta: -float(theta[0]) ** 2,
+            regularizer=lambda theta: 0.0, support=[[-5.0, 5.0], [-4.0, 4.0]])
+        prior = ek.NormalizedPrior(log_norm_const=np.log(80.0), method="closed-form",
+                                   err_estimate=0.0)
+        dec = ek.evidence_quadrature(model, prior, 41, start=np.array([0.3, 1.0]))
+        assert dec.info["box"] == [[-5.0, 5.0], [-4.0, 4.0]]
+
+        def log_joint(points):
+            return -points[:, 0] ** 2 - np.log(80.0)
+
+        value = evidkit.generic.log_trapezoid_integral(model, log_joint, model.support, 41)
+        assert dec.log_evidence == value
+        assert dec.log_evidence == pytest.approx(0.5 * np.log(np.pi / 100.0), abs=1e-6)
+
+    @pytest.mark.parametrize("seed", [101, 102, 103])
+    def test_default_grid_on_a_logistic_posterior(self, seed):
+        # A skewed, non-Gaussian posterior: intercept and slope, n = 30.
+        rng = np.random.default_rng(seed)
+        X = np.column_stack([np.ones(30), rng.standard_normal(30)])
+        probs = 1.0 / (1.0 + np.exp(-X @ rng.standard_normal(2)))
+        y = (rng.uniform(size=30) < probs).astype(float)
+
+        def log_lik(points):
+            eta = points @ X.T
+            return (y * eta - np.logaddexp(0.0, eta)).sum(axis=1)
+
+        def regularizer(points):
+            return 0.5 * np.einsum("ij,ij->i", points, points)
+
+        model = ek.GenericModelSpec(dim=2, log_lik=log_lik, regularizer=regularizer,
+                                    support=[[-10.0, 10.0]] * 2, vectorized=True)
+        prior = ek.NormalizedPrior(log_norm_const=np.log(2 * np.pi), method="closed-form",
+                                   err_estimate=0.0)
+        dec = ek.evidence_quadrature(model, prior, evidkit.evidence.DEFAULT_GRID[2])
+
+        def log_joint(points):
+            return log_lik(points) - regularizer(points) - prior.log_norm_const
+
+        # A step of 0.05 over the whole support resolves the posterior.
+        reference = evidkit.generic.log_trapezoid_integral(model, log_joint, model.support, 401)
+        error = abs(dec.log_evidence - reference)
+        assert error <= dec.err_estimate
+        assert error < 1e-6
+
     def test_dimension_limit(self):
         model = ek.GenericModelSpec(
             dim=4, log_lik=lambda theta: 0.0,
@@ -95,7 +143,7 @@ class TestLaplace:
 
     def test_one_map_search_and_reference_on_the_same_box(self, monkeypatch):
         rng = np.random.default_rng(29)
-        _, _, model, prior = wrapped_instance(rng, n=20, d=2, lam_range=(0.5, 2.0))
+        spec, obs, model, prior = wrapped_instance(rng, n=20, d=2, lam_range=(0.5, 2.0))
         searches = []
 
         def counting(model, start, **kwargs):
@@ -105,13 +153,31 @@ class TestLaplace:
         monkeypatch.setattr(evidkit.evidence, "map_optimize", counting)
         dec = ek.evidence_laplace(model, prior, err_check_grid=101)
         assert len(searches) == 1
+        assert dec.info["grid_points_per_dim"] == 101
+
+        # The reference box is the quadrature's: the MAP +- 8 posterior sd.
+        box = np.array(dec.info["box"])
+        assert dec.info["box"] == ek.evidence_quadrature(model, prior, 101).info["box"]
+        post = ek.gaussian_posterior(spec, obs)
+        sd = np.sqrt(np.diag(np.linalg.inv(post.post_precision)))
+        np.testing.assert_allclose(box, post.theta_hat[:, None] + np.outer(8.0 * sd, [-1, 1]),
+                                   rtol=0.0, atol=1e-6)
 
         def log_joint(points):
             return model.log_lik(points) - model.regularizer(points) - prior.log_norm_const
 
-        box = evidkit.generic.resolve_integration_box(model, log_joint)
         reference = evidkit.generic.log_trapezoid_integral(model, log_joint, box, 101)
-        assert dec.err_estimate == abs(dec.log_evidence - reference)
+        coarse = evidkit.generic.log_trapezoid_integral(model, log_joint, box, 51)
+        floor = evidkit.evidence.ROUNDING_ULPS * np.finfo(float).eps * max(1.0, abs(reference))
+        assert dec.err_estimate == abs(dec.log_evidence - reference) \
+            + max(abs(reference - coarse) / 3.0, floor)
+
+    @pytest.mark.parametrize("grid", [3, 4])
+    def test_reference_grid_below_five_rejected(self, grid):
+        rng = np.random.default_rng(30)
+        _, _, model, prior = wrapped_instance(rng, n=20, d=2, lam_range=(0.5, 2.0))
+        with pytest.raises(ValueError, match="grid_points_per_dim must be >= 5"):
+            ek.evidence_laplace(model, prior, err_check_grid=grid)
 
     def test_unknown_error_above_dim3(self):
         rng = np.random.default_rng(31)
@@ -359,3 +425,41 @@ class TestImportanceInflation:
         prior = ek.normalize_prior(model, 201)
         with pytest.raises(ValueError, match="inflation"):
             ek.evidence_importance(model, prior, 100, seed=0, inflation=inflation)
+
+
+class TestErrorBarSweep:
+    """Every quadrature and Laplace ``err_estimate`` bounds the actual error, tightly.
+
+    45 wrapped GLMs with known evidence: d in {1, 2, 3}, n in {25, 200, 1000},
+    5 datasets each, sigma = 0.5 and lambda = 1, at the default grids.
+    """
+
+    SIGMA, LAM = 0.5, 1.0
+
+    def test_errors_within_their_estimates(self):
+        rng = np.random.default_rng(101)
+        errors = {"quadrature": [], "laplace": []}
+        for d in (1, 2, 3):
+            for n in (25, 200, 1000):
+                for _ in range(5):
+                    x = rng.standard_normal(n)
+                    G = ek.scaled_polynomial_design(x, d - 1, float(np.std(x)))
+                    y = G @ (rng.standard_normal(d) / self.LAM) \
+                        + self.SIGMA * rng.standard_normal(n)
+                    spec = ek.GaussianLinearSpec(G=G, sigma=self.SIGMA, lam=self.LAM)
+                    obs = ek.ObservationSet(y=y)
+                    exact = ek.glm_log_evidence(spec, obs).log_evidence
+                    model, prior = ek.wrap_glm(spec, obs), ek.glm_normalized_prior(spec)
+                    grid = evidkit.evidence.DEFAULT_GRID[d]
+                    for dec in (ek.evidence_quadrature(model, prior, grid),
+                                ek.evidence_laplace(model, prior)):
+                        errors[dec.estimator].append(
+                            (abs(dec.log_evidence - exact), dec.err_estimate, d, n))
+        for estimator, rows in errors.items():
+            misses = [row for row in rows if not row[0] <= row[1]]
+            assert misses == [], (estimator, misses)
+            worst = max(rows)
+            assert worst[0] < 1e-6, (estimator, worst)
+            # The estimates are tight too, so a tolerance of 1e-6 would pass.
+            loosest = max(rows, key=lambda row: row[1])
+            assert loosest[1] < 1e-6, (estimator, loosest)

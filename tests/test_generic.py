@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import evidkit as ek
+from evidkit.evidence import ROUNDING_ULPS
 from evidkit.exceptions import AccuracyFailure, ConvergenceFailure
 from evidkit.generic import GRAD_STEP, HESS_STEP, _stencil_derivatives, log_trapezoid_integral
 
@@ -387,7 +388,11 @@ class TestRichardsonGrid:
 
         dec = ek.evidence_quadrature(model, prior, g)
         fine, err = self._two_grids(model, log_joint, np.array(dec.info["box"]), g)
-        assert (dec.log_evidence, dec.err_estimate) == (fine, err)
+        # The quadrature estimate is floored at the value's rounding, and
+        # carries the normalizer's error.
+        floor = ROUNDING_ULPS * np.finfo(float).eps * max(1.0, abs(fine))
+        assert (dec.log_evidence, dec.err_estimate) == \
+            (fine, max(err, floor) + prior.err_estimate)
 
     @pytest.mark.parametrize("g, batches", [(21, {441: 1, 121: 0}), (20, {400: 1, 100: 1})])
     def test_odd_grid_is_evaluated_once(self, g, batches):

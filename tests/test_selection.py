@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 from scipy.linalg import cho_factor
+from scipy.stats import norm
 
 import evidkit as ek
 import evidkit.glm
@@ -24,6 +25,21 @@ def shared_response_set(rng, k=5, n=25):
             sigma=float(rng.uniform(0.5, 1.5)),
             lam=float(rng.uniform(0.5, 2.0))))
     return ek.ModelSet(members=tuple(members)), ek.ObservationSet(y=y)
+
+
+def l1_member(m=2.0, s=0.5):
+    """A black-box member with likelihood N(theta; m, s^2) and the kinked penalty |theta|.
+
+    Returns the member and its exact log-evidence, the log of
+    (1/2) int N(theta; m, s^2) exp(-|theta|) dtheta split at the kink.
+    """
+    member = ek.GenericModelSpec(
+        dim=1, vectorized=True,
+        log_lik=lambda t: -0.5 * np.log(2 * np.pi * s**2) - (t[:, 0] - m) ** 2 / (2 * s**2),
+        regularizer=lambda t: np.abs(t[:, 0]), effective_box=[[-30.0, 30.0]])
+    positive = s**2 / 2 - m + norm.logcdf((m - s**2) / s)
+    negative = s**2 / 2 + m + norm.logcdf(-(m + s**2) / s)
+    return member, np.log(0.5) + np.logaddexp(positive, negative)
 
 
 class TestModelSet:
@@ -127,6 +143,19 @@ class TestSelect:
             fits_minus_flex = [dec.log_fit - dec.flexibility
                                for dec in outcome.decompositions]
             assert int(np.argmax(fits_minus_flex)) == outcome.chosen
+
+    @pytest.mark.parametrize("estimator", ["quadrature", "laplace"])
+    def test_kinked_prior_member_normalized_at_prior_scale(self, estimator):
+        # On a 41-node prior grid log Z of exp(-|theta|) is 0.17 nats off;
+        # the prior-scale grid keeps the member's log-evidence within 1e-4.
+        member, exact = l1_member()
+        gaussian = ek.GaussianLinearSpec(G=[[1.0]], sigma=1.0, lam=1.0)
+        outcome = ek.select(ek.ModelSet(members=(gaussian, member)),
+                            ek.ObservationSet(y=[0.5]), generic_estimator=estimator)
+        dec = outcome.decompositions[1]
+        assert abs(dec.log_evidence - exact) < 1e-4
+        # The normalizer's error is carried in the member's estimate.
+        assert dec.err_estimate >= ek.normalize_prior(member, 2001).err_estimate
 
 
 def reference_risk(model_set, generator, reps, rules, seed):
@@ -299,6 +328,30 @@ class TestRiskMcBlackBoxMembers:
         assert len(calls) == 2
         assert np.array_equal(first.risks, second.risks)
 
+    def test_kinked_prior_member(self, monkeypatch):
+        decs = []
+
+        def recording(*args, **kwargs):
+            decs.append(ek.evidence_laplace(*args, **kwargs))
+            return decs[-1]
+
+        monkeypatch.setattr(evidkit.selection, "evidence_laplace", recording)
+        member, exact = l1_member()
+        gaussian = ek.GaussianLinearSpec(G=[[1.0]], sigma=1.0, lam=1.0)
+        model_set = ek.ModelSet(members=(gaussian, member))
+
+        def generate(rng):
+            true_index = int(rng.integers(2))
+            scale = 1.0 if true_index == 0 else 2.5
+            return true_index, ek.ObservationSet(y=[scale * rng.standard_normal()])
+
+        report = ek.risk_mc(model_set, generate, 40, ["max-evidence"], 2)
+        assert abs(decs[0].log_evidence - exact) < 1e-4
+        monkeypatch.undo()
+        reference = reference_risk(model_set, generate, 40, ["max-evidence"], 2)
+        assert_report_matches(report, reference)
+        assert 0 < reference[0][0] < 1
+
     def test_normalizer_failure_names_replicate_0_and_member(self):
         gaussian = ek.GaussianLinearSpec(G=np.ones((3, 1)), sigma=1.0, lam=1.0)
         # Zero regularizer on unbounded support: exp(-R) is not integrable.
@@ -329,15 +382,16 @@ class TestRiskMcFailures:
     def test_out_of_range_true_index(self, true_index):
         spec = ek.GaussianLinearSpec(G=[[1.0]], sigma=1.0, lam=1.0)
         model_set = ek.ModelSet(members=(spec, spec))
-        with pytest.raises(ValueError, match=f"out-of-range true index {true_index}"):
+        with pytest.raises(ValueError, match=f"^replicate 0 failed: generator returned "
+                                             f"out-of-range true index {true_index}$"):
             ek.risk_mc(model_set, lambda rng: (true_index, ek.ObservationSet(y=[1.0])), 5,
                        ["max-evidence"], 0)
 
     def test_observation_length_mismatch(self):
         spec = ek.GaussianLinearSpec(G=np.ones((3, 1)), sigma=1.0, lam=1.0)
         model_set = ek.ModelSet(members=(spec,))
-        with pytest.raises(ValueError,
-                           match="observation length 2 does not match model rows 3"):
+        with pytest.raises(ValueError, match="^replicate 0 failed: "
+                                             "observation length 2 does not match model rows 3$"):
             ek.risk_mc(model_set, lambda rng: (0, ek.ObservationSet(y=[1.0, 2.0])), 5,
                        ["max-evidence"], 0)
 
