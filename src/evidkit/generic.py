@@ -17,10 +17,9 @@ from functools import partial
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
-from .exceptions import AccuracyFailure, ConvergenceFailure
-from .glm import LOG_2PI, GaussianLinearSpec, ObservationSet, _posterior
+from .exceptions import AccuracyFailure, ConvergenceFailure, NumericFailure
+from .glm import LOG_2PI, GaussianLinearSpec, ObservationSet, _cholesky_solve, _posterior
 
 __all__ = [
     "GenericModelSpec",
@@ -337,9 +336,9 @@ def map_optimize(model: GenericModelSpec, start, *, max_iter=MAX_ITER) -> np.nda
     for _ in range(max_iter):
         grad, hess = _stencil_derivatives(psi_batch, theta, GRAD_STEP, HESS_STEP)
 
-        try:  # Cholesky fails on an indefinite or non-finite Hessian
-            step = cho_solve(cho_factor(-hess, lower=True), grad)
-        except (LinAlgError, ValueError):
+        try:  # no step from an indefinite or non-finite Hessian, or a non-finite gradient
+            step = _cholesky_solve(-hess, grad, "Hessian")[1] if np.all(np.isfinite(hess)) else None
+        except (NumericFailure, ValueError):
             step = None
         newton = step is not None and bool(np.all(np.isfinite(step)))
         decrement = float(grad @ step) if newton else np.inf

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from scipy.linalg import LinAlgError, get_lapack_funcs
 
 from .exceptions import NumericFailure
 from .records import EvidenceDecomposition
@@ -166,7 +166,10 @@ class GaussianPosterior:
             scale = np.abs(mat).max()
             if not np.allclose(mat, mat.T, atol=1e-10 * max(scale, 1.0)):
                 raise ValueError(f"{name} is not symmetric")
-            object.__setattr__(self, factor, _spd_cholesky(mat, name))
+            try:
+                object.__setattr__(self, factor, np.linalg.cholesky(mat))
+            except LinAlgError as exc:
+                raise NumericFailure(f"{name} is not positive definite: {exc}") from exc
         gap = post - prior
         min_eig = float(np.linalg.eigvalsh((gap + gap.T) / 2.0).min())
         if min_eig < -1e-8 * max(np.abs(post).max(), 1.0):
@@ -186,21 +189,6 @@ class GaussianPosterior:
     def log_posterior_density(self, theta) -> float:
         return _gaussian_logpdf(np.asarray(theta, dtype=float), self.theta_hat,
                                 self._post_factor)
-
-
-def _spd_cholesky(matrix, name):
-    """Lower Cholesky factor of a symmetric positive definite matrix."""
-    try:
-        return np.linalg.cholesky(matrix)
-    except LinAlgError as exc:
-        raise NumericFailure(f"{name} is not positive definite: {exc}") from exc
-
-
-def _check_finite_matrix(matrix, name):
-    if not np.all(np.isfinite(matrix)):
-        bad = np.argwhere(~np.isfinite(np.atleast_2d(matrix)))[0]
-        idx = ",".join(str(k) for k in bad)
-        raise NumericFailure(f"entry [{idx}] of {name} is not finite")
 
 
 def _gaussian_logpdf(theta, mean, L):
@@ -225,27 +213,39 @@ def _precision(spec: GaussianLinearSpec) -> tuple[np.ndarray, np.ndarray]:
     with np.errstate(over="ignore", invalid="ignore"):
         gram = spec.G.T @ spec.G
         p_star = gram / spec.sigma**2 + spec.prior_precision
-    _check_finite_matrix(p_star, "posterior precision")
+    if not np.all(np.isfinite(p_star)):
+        bad = np.argwhere(~np.isfinite(p_star))[0]
+        idx = ",".join(str(k) for k in bad)
+        raise NumericFailure(f"entry [{idx}] of posterior precision is not finite")
     return gram, p_star
 
 
+# LAPACK's Cholesky routines as scipy's wrappers call them, minus checks that cost twice the
+# work at d = 6.  numpy's ``cholesky`` rounds differently from d = 5 on; seeded MAPs use these.
+_POTRF, _POTRS = get_lapack_funcs(("potrf", "potrs"), dtype=np.float64)
+
+
+def _cholesky_solve(matrix, rhs, name):
+    """``(L, matrix^-1 rhs)`` for a finite SPD ``matrix``; ``rhs`` is a vector or rows of them."""
+    factor, info = _POTRF(matrix, lower=True, clean=False)
+    if info > 0:
+        raise NumericFailure(f"{name} factorization failed: leading minor {info} is not positive")
+    if not np.all(np.isfinite(rhs)):
+        raise ValueError("array must not contain infs or NaNs")
+    blocks = [rhs] if rhs.ndim == 1 else np.split(rhs, range(_SOLVE_BLOCK, len(rhs), _SOLVE_BLOCK))
+    return factor, np.concatenate([_POTRS(factor, b.T, lower=True)[0].T for b in blocks])
+
+
 def _posterior(spec: GaussianLinearSpec, y: np.ndarray) -> tuple:
-    """``(G'G, P*, cho_factor(P*), theta_hat)``: the one factorization of ``P*`` per model.
+    """``(G'G, P*, L, theta_hat)``: ``P*`` factored once per model, by ``_cholesky_solve``.
 
     ``y`` may stack responses as the rows of an (m, n) matrix: ``theta_hat``
-    then has a row each, bit for bit the MAP of that row alone.  Factored by
-    scipy's ``cho_factor``: numpy's ``cholesky`` can round differently from
-    d = 5 on, and seeded outputs hold MAPs solved with scipy's.
+    then has a row each, bit for bit the MAP of that row alone.
     """
     _check_dims(spec, y)
     gram, p_star = _precision(spec)
     rhs = _matvec(spec.G.T, y) / spec.sigma**2
-    try:
-        factor = cho_factor(p_star, lower=True)
-    except LinAlgError as exc:
-        raise NumericFailure(f"posterior precision factorization failed: {exc}") from exc
-    blocks = [rhs] if rhs.ndim == 1 else np.split(rhs, range(_SOLVE_BLOCK, len(rhs), _SOLVE_BLOCK))
-    return gram, p_star, factor, np.concatenate([cho_solve(factor, b.T).T for b in blocks])
+    return gram, p_star, *_cholesky_solve(p_star, rhs, "posterior precision")
 
 
 def _log_fit(spec: GaussianLinearSpec, resid):
@@ -257,7 +257,7 @@ def _log_fit(spec: GaussianLinearSpec, resid):
 def _evidence_terms(spec: GaussianLinearSpec, y: np.ndarray) -> tuple:
     """``(G'G, theta_hat, log_fit, flexibility)`` of ``y``, or of each row of a stack."""
     gram, _, factor, theta_hat = _posterior(spec, y)
-    log_det_post = 2.0 * float(np.sum(np.log(np.diag(factor[0]))))
+    log_det_post = 2.0 * float(np.sum(np.log(np.diag(factor))))
     log_det_prior = 2.0 * spec.d * np.log(spec.lam)
     flexibility = 0.5 * (log_det_post - log_det_prior) \
         + 0.5 * spec.lam**2 * _matvec(theta_hat[..., None, :], theta_hat)[..., 0]
@@ -378,4 +378,4 @@ def evidence_via_candidate(spec: GaussianLinearSpec, obs: ObservationSet, theta0
     _, _, factor, theta_hat = _posterior(spec, obs.y)
     # ``lam * I`` factors the prior precision; ``P*`` comes factored by ``_posterior``.
     return log_lik + _gaussian_logpdf(theta0, np.zeros(spec.d), spec.lam * np.eye(spec.d)) \
-        - _gaussian_logpdf(theta0, theta_hat, np.tril(factor[0]))
+        - _gaussian_logpdf(theta0, theta_hat, np.tril(factor))

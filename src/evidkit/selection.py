@@ -195,14 +195,18 @@ def _member_evidence(member, obs: ObservationSet, generic_estimator: str,
 
 @contextmanager
 def _failure(index: int | None = None, replicate: int | None = None):
-    """Re-raise an evidence failure as a ``SelectionFailure`` naming its member and replicate."""
+    """Re-raise an evidence failure, or a replicate's own ``ValueError``, naming where it arose."""
+    prefix = "" if replicate is None else f"replicate {replicate} failed: "
     try:
         yield
     except EvidkitError as exc:
-        prefix = "" if replicate is None else f"replicate {replicate} failed: "
         member = "" if index is None else f"evidence evaluation failed for member {index}: "
         index = getattr(exc, "index", None) if index is None else index
         raise SelectionFailure(f"{prefix}{member}{exc}", index=index, replicate=replicate) from exc
+    except ValueError as exc:  # such as a generator breaking its contract
+        if replicate is None or index is not None:
+            raise
+        raise ValueError(f"{prefix}{exc}") from None
 
 
 def _tied(model_set: ModelSet, log_evidences: np.ndarray, rule: str) -> tuple:
@@ -309,14 +313,11 @@ def risk_mc(model_set: ModelSet, generator: Callable | None, reps: int,
         for rep in range(start, min(start + width, reps)):
             with _failure(replicate=rep):
                 true_index, obs = generator(np.random.default_rng(children[rep]))
-            true_index = int(true_index)
-            try:
+                true_index = int(true_index)
                 if not 0 <= true_index < k:
                     raise ValueError(f"generator returned out-of-range true index {true_index}")
                 for i in gaussian:
                     _check_dims(members[i], obs.y)
-            except ValueError as exc:
-                raise ValueError(f"replicate {rep} failed: {exc}") from None
             truth[rep] = true_index
             ys.append(obs.y)
         Y = np.array(ys) if gaussian else None
@@ -343,10 +344,9 @@ def _column_scales(degree: int, scale_base: float) -> tuple[float, ...]:
 
 
 def scaled_polynomial_design(x, degree: int, scale_base: float) -> np.ndarray:
-    """Design matrix ``[1, x, x^2, ...]`` with column k divided by ``scale_base**k``."""
-    x = np.asarray(x, dtype=float)
-    design = np.column_stack(
-        [x**k / scale for k, scale in enumerate(_column_scales(degree, scale_base))])
+    """Running products ``[1, x, x*x, ...]`` by ``np.vander``, column k over ``scale_base**k``."""
+    design = np.vander(np.asarray(x, dtype=float), degree + 1, increasing=True)
+    design /= _column_scales(degree, scale_base)
     if not np.all(np.isfinite(design)):
         raise ValueError(f"design for degree {degree} has non-finite entries")
     return design

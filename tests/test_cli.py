@@ -373,7 +373,7 @@ GOLDEN_PAYLOADS = {
     "poly-demo-json": (
         "poly-demo --true-degree 3 --degrees 0..9 --n 100 --sigma 0.3 --lambda 1 --reps 60 "
         "--seed 4",
-        "daec668d8ca0f810157dfbdee0121bcd589daf0108b16031c8a7ec28806051ff"),
+        "47a84bd20104c58ee9a23cc56dd8fae7f3a20e3dbca32d2d864395950ebe91dc"),
 }
 
 # Commands that read a data file, run beside the seeded ``xy_csv`` fixture.
@@ -381,7 +381,7 @@ GOLDEN_DATA_PAYLOADS = {
     "select-weighted-max-posterior-json": (
         "select --data xy.csv --degrees 0..4 --weights 0.1,0.2,0.3,0.2,0.2 "
         "--rule max-posterior --sigma 0.3 --lambda 1",
-        "0e84479f2b3e43155d61e2f811a650810c8b63b6b76ba531fccf7e43bbf2c013"),
+        "63c2466b9a4c9b7cb509e790f2c983ec950e022aadab8265b9b95b5b23749ef0"),
     "fit-csv": (
         "fit --data xy.csv --degree 2 --sigma 0.3 --lambda 1 --format csv",
         "5d7af8c18ee5b0b9d915249b92f873dd5b1e40986814221f37a192fbe042f59c"),

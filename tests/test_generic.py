@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import evidkit as ek
+import evidkit.generic
 from evidkit.evidence import ROUNDING_ULPS
 from evidkit.exceptions import AccuracyFailure, ConvergenceFailure
 from evidkit.generic import GRAD_STEP, HESS_STEP, _stencil_derivatives, log_trapezoid_integral
@@ -164,6 +165,21 @@ class TestMapOptimize:
                 model = ek.wrap_glm(spec, obs)
                 theta = ek.map_optimize(model, model.effective_box.mean(axis=1))
                 assert np.max(np.abs(theta - ek.map_estimate(spec, obs))) < 1e-6
+
+    @pytest.mark.parametrize("hess", [[[-np.inf]], [[np.nan]], [[1.0]]],
+                             ids=["infinite", "nan", "indefinite"])
+    def test_unusable_hessian_takes_no_newton_step(self, monkeypatch, hess):
+        # LAPACK's potrf factors [[inf]] and the solve gives a zero step, which
+        # would pass as stationary; such a Hessian must give no step at all,
+        # so one iteration from a point with a large gradient cannot converge.
+        derivatives = evidkit.generic._stencil_derivatives
+
+        def bad_hessian(*args):
+            return derivatives(*args)[0], np.array(hess)
+
+        monkeypatch.setattr(evidkit.generic, "_stencil_derivatives", bad_hessian)
+        with pytest.raises(ConvergenceFailure):
+            ek.map_optimize(gaussian_prior_model(), np.array([0.5]), max_iter=1)
 
     def test_start_outside_support_rejected(self):
         model = gaussian_prior_model()

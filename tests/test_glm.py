@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, cho_solve
 from scipy.stats import norm
 
 import evidkit as ek
@@ -298,7 +299,7 @@ class TestCandidateFactorization:
         rng = np.random.default_rng(15)
         spec, obs = random_glm_instance(rng, n=20, d=4)
         theta0 = rng.standard_normal(spec.d)
-        calls = {"cho_factor": 0, "cholesky": 0, "eigvalsh": 0}
+        calls = {"_cholesky_solve": 0, "cholesky": 0, "eigvalsh": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -306,9 +307,40 @@ class TestCandidateFactorization:
                 return fn(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(evidkit.glm, "cho_factor",
-                            counted("cho_factor", evidkit.glm.cho_factor))
+        monkeypatch.setattr(evidkit.glm, "_cholesky_solve",
+                            counted("_cholesky_solve", evidkit.glm._cholesky_solve))
         monkeypatch.setattr(np.linalg, "cholesky", counted("cholesky", np.linalg.cholesky))
         monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
         ek.evidence_via_candidate(spec, obs, theta0)
-        assert calls == {"cho_factor": 1, "cholesky": 0, "eigvalsh": 0}
+        assert calls == {"_cholesky_solve": 1, "cholesky": 0, "eigvalsh": 0}
+
+
+class TestCholeskySolve:
+    """The direct LAPACK route against scipy's ``cho_factor`` and ``cho_solve``, bit for bit."""
+
+    @pytest.mark.parametrize("d", range(1, 13))
+    def test_matches_scipy_wrappers(self, d):
+        rng = np.random.default_rng(100 + d)
+        for _ in range(20):
+            A = rng.standard_normal((d + 3, d)) * rng.uniform(0.1, 10.0)
+            matrix = A.T @ A + rng.uniform(1e-3, 2.0) * np.eye(d)
+            factor = cho_factor(matrix, lower=True)
+            rhs = rng.standard_normal(d)
+            L, solution = evidkit.glm._cholesky_solve(matrix, rhs, "m")
+            assert np.array_equal(L, factor[0])
+            assert np.array_equal(solution, cho_solve(factor, rhs))
+            # One response per row, more rows than one solve block holds.
+            stack = rng.standard_normal((2 * evidkit.glm._SOLVE_BLOCK + 7, d))
+            _, solutions = evidkit.glm._cholesky_solve(matrix, stack, "m")
+            assert solutions.shape == stack.shape
+            assert np.array_equal(solutions, cho_solve(factor, stack.T).T)
+
+    def test_not_positive_definite_raises_numeric_failure(self):
+        matrix = np.array([[1.0, 2.0], [2.0, 1.0]])
+        with pytest.raises(NumericFailure, match="^m factorization failed: leading minor 2 "):
+            evidkit.glm._cholesky_solve(matrix, np.ones(2), "m")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_right_hand_side_rejected(self, bad):
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            evidkit.glm._cholesky_solve(np.eye(2), np.array([1.0, bad]), "m")

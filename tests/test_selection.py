@@ -4,7 +4,6 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.linalg import cho_factor
 from scipy.stats import norm
 
 import evidkit as ek
@@ -175,14 +174,15 @@ def reference_risk(model_set, generator, reps, rules, seed):
 
 @pytest.fixture
 def factored_orders(monkeypatch):
-    """The order of every ``P*`` that ``cho_factor`` factors during the test."""
+    """The order of every ``P*`` that ``_cholesky_solve`` factors during the test."""
     orders = []
+    factor = evidkit.glm._cholesky_solve
 
     def counting(matrix, *args, **kwargs):
         orders.append(matrix.shape[0])
-        return cho_factor(matrix, *args, **kwargs)
+        return factor(matrix, *args, **kwargs)
 
-    monkeypatch.setattr(evidkit.glm, "cho_factor", counting)
+    monkeypatch.setattr(evidkit.glm, "_cholesky_solve", counting)
     return orders
 
 
@@ -435,6 +435,23 @@ class TestPolynomialFamily:
         family = ek.polynomial_family(x, range(10), 1.0, 1.0)
         for member in family.members:
             np.linalg.cholesky(ek.posterior_precision(member))
+
+    def test_design_columns_are_running_products(self):
+        rng = np.random.default_rng(12)
+        for n in (1, 7, 100, 1000):
+            x = rng.standard_normal(n) * rng.uniform(0.1, 3.0)
+            scale = float(np.std(x)) if n > 1 else 1.0
+            design = ek.scaled_polynomial_design(x, 9, scale)
+            expected = np.column_stack([x**k / scale**k for k in range(10)])
+            # x**0, x**1 and x**2 = x * x are exact products either way.
+            assert np.array_equal(design[:, :3], expected[:, :3])
+            np.testing.assert_allclose(design, expected, rtol=8 * np.finfo(float).eps, atol=0.0)
+
+    @pytest.mark.parametrize("x", [[1.0, np.nan], [1.0, np.inf], [1e200, 1.0]])
+    def test_non_finite_design_entry_rejected(self, x):
+        with np.errstate(over="ignore"), \
+                pytest.raises(ValueError, match="design for degree 2 has non-finite entries"):
+            ek.scaled_polynomial_design(np.array(x), 2, 1.0)
 
     def test_duplicate_degrees_rejected(self):
         with pytest.raises(ValueError, match="distinct"):
