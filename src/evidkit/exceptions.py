@@ -18,7 +18,14 @@ class EvidkitError(Exception):
 
 
 class NumericFailure(EvidkitError):
-    """Non-finite arithmetic, or a positive-definite factorization failed."""
+    """Non-finite arithmetic, or a positive-definite factorization failed.
+
+    ``row`` is set when the failure belongs to one row of a stacked evaluation.
+    """
+
+    def __init__(self, message, row=None):
+        super().__init__(message)
+        self.row = row
 
 
 class ConvergenceFailure(EvidkitError):

@@ -6,8 +6,8 @@ normalizer over the box is computed by composite trapezoid quadrature in
 log space, so everything downstream can use a proper prior density.
 
 The MAP search is a safeguarded Newton iteration on finite-difference
-derivatives, with a coordinate-wise golden-section fallback when the local
-curvature is unusable.  Gradients are never requested from the caller.
+derivatives; an indefinite Hessian is shifted until it factors, so one step
+rule serves every curvature.  Gradients are never requested from the caller.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ CURVATURE_TOL = 1e-4
 MULTISTART_STARTS = 8
 # A Newton decrement this many ulps of the objective is below its rounding.
 STALL_ULPS = 16.0
+SHIFT_FLOOR = 1e-3
 
 BOUNDARY_MASS_RATIO = 1e-12
 MAX_BOX_DOUBLINGS = 6
@@ -240,54 +241,6 @@ def finite_difference_hessian(f, theta, step=HESS_STEP) -> np.ndarray:
 # MAP optimization
 # ---------------------------------------------------------------------------
 
-def _golden_section_max(f, lo, hi, tol):
-    """Golden-section maximizer of a scalar function on [lo, hi]."""
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    return (a + b) / 2.0
-
-
-def _coordinate_golden_sweep(psi, theta, bounds):
-    """One pass of coordinate-wise golden-section ascent within the bounds."""
-    theta = theta.copy()
-    for k in range(theta.size):
-        radius = 1.0 + abs(theta[k])
-        lo = max(bounds[k, 0], theta[k] - radius)
-        hi = min(bounds[k, 1], theta[k] + radius)
-
-        def along(t, k=k):
-            trial = theta.copy()
-            trial[k] = t
-            return psi(trial)
-
-        # Expand toward an unconstrained side while the edge keeps improving.
-        center_val = along(theta[k])
-        for _ in range(8):
-            grew = False
-            if lo > bounds[k, 0] and along(lo) > center_val:
-                lo = max(bounds[k, 0], lo - (hi - lo))
-                grew = True
-            if hi < bounds[k, 1] and along(hi) > center_val:
-                hi = min(bounds[k, 1], hi + (hi - lo))
-                grew = True
-            if not grew:
-                break
-        theta[k] = _golden_section_max(along, lo, hi, tol=1e-9 * (1.0 + abs(theta[k])))
-    return theta
-
-
 def _strictly_interior(theta, bounds):
     pad = 1e-12 * (1.0 + np.abs(theta))
     lo_ok = np.isinf(bounds[:, 0]) | (theta > bounds[:, 0] + pad)
@@ -295,13 +248,35 @@ def _strictly_interior(theta, bounds):
     return bool(np.all(lo_ok & hi_ok))
 
 
+def _ascent_step(grad, hess):
+    """Newton step for ``-hess + tau I``; None from a non-finite input or step.
+
+    ``tau`` is 0 when ``-hess`` has a positive diagonal, else ``SHIFT_FLOOR`` above
+    its most negative entry, and doubles until the Cholesky factor exists
+    (Nocedal and Wright, *Numerical Optimization*, 2006, Algorithm 3.3).
+    """
+    # potrf factors [[inf]] and the solve gives a zero step, which would pass as stationary.
+    if not (np.all(np.isfinite(hess)) and np.all(np.isfinite(grad))):
+        return None
+    top = float(np.diag(hess).max())
+    tau = 0.0 if top < 0 else SHIFT_FLOOR + top
+    while np.isfinite(tau):
+        try:
+            step = _cholesky_solve(tau * np.eye(grad.size) - hess, grad, "Hessian")[1]
+            return step if np.all(np.isfinite(step)) else None
+        except NumericFailure:
+            tau = max(2.0 * tau, SHIFT_FLOOR)
+    return None
+
+
 def map_optimize(model: GenericModelSpec, start, *, max_iter=MAX_ITER) -> np.ndarray:
     """Local maximizer of ``log_lik(theta) - regularizer(theta)``.
 
-    Safeguarded Newton with backtracking on finite-difference derivatives;
-    when the Hessian is not usable (indefinite or non-finite) the iteration
-    falls back to a coordinate-wise golden-section sweep.  Box constraints
-    are handled by projection.
+    Newton with backtracking on finite-difference derivatives.  ``-H`` is
+    shifted by ``tau I`` until it factors (:func:`_ascent_step`), so one
+    step rule serves every finite Hessian; a concave one keeps ``tau = 0``.
+    A non-finite Hessian or gradient gives no step.  Box constraints are
+    handled by projection.
 
     Each iteration evaluates the gradient and Hessian stencils as one batch.
     Convergence requires an interior point whose Hessian is negative
@@ -310,12 +285,15 @@ def map_optimize(model: GenericModelSpec, start, *, max_iter=MAX_ITER) -> np.nda
     Newton decrement ``grad @ step`` is at most ``16 eps max(1, |value|)``.
     The second test stops the search once the gain a Newton step predicts
     is below the rounding of the objective, where the line search could
-    only accept steps of a few ulps.
+    only accept steps of a few ulps.  A stationary interior point that
+    fails the curvature test steps along the top eigenvector of ``H``, by
+    ``1 + max|theta|``: there the Newton step is 0.
 
     Raises
     ------
     ConvergenceFailure
-        If no interior stationary point is found within ``max_iter``
+        At the first iteration whose line search finds no ascent step
+        (every later one would repeat it), or after ``max_iter``
         iterations; the error carries the best iterate.
     """
     bounds = model.bounds()
@@ -333,45 +311,37 @@ def map_optimize(model: GenericModelSpec, start, *, max_iter=MAX_ITER) -> np.nda
     best_theta, best_value = theta.copy(), value
     stall = STALL_ULPS * np.finfo(float).eps
 
-    for _ in range(max_iter):
+    stop = f"the {max_iter}-iteration limit was reached"
+    for iteration in range(1, max_iter + 1):
         grad, hess = _stencil_derivatives(psi_batch, theta, GRAD_STEP, HESS_STEP)
-
-        try:  # no step from an indefinite or non-finite Hessian, or a non-finite gradient
-            step = _cholesky_solve(-hess, grad, "Hessian")[1] if np.all(np.isfinite(hess)) else None
-        except (NumericFailure, ValueError):
-            step = None
-        newton = step is not None and bool(np.all(np.isfinite(step)))
-        decrement = float(grad @ step) if newton else np.inf
+        step = _ascent_step(grad, hess)
+        decrement = np.inf if step is None else float(grad @ step)
         stationary = np.max(np.abs(grad)) < GRAD_TOL or decrement <= stall * max(1.0, abs(value))
-        if stationary and _strictly_interior(theta, bounds) \
-                and float(np.linalg.eigvalsh(hess).max()) <= CURVATURE_TOL:
-            return theta
+        if stationary and _strictly_interior(theta, bounds):
+            if float(np.linalg.eigvalsh(hess).max()) <= CURVATURE_TOL:
+                return theta
+            if step is not None:  # a saddle or minimum: its gain is second order
+                curvature, axes = np.linalg.eigh(hess)
+                step = axes[:, -1] * np.copysign(1.0 + np.max(np.abs(theta)), grad @ axes[:, -1])
+                decrement = 0.5 * curvature[-1] * float(step @ step)
 
         moved = False
-        if newton:
-            t = 1.0
-            while t > 1e-12:
-                trial = np.clip(theta + t * step, bounds[:, 0], bounds[:, 1])
-                trial_value = psi(trial)
-                if np.isfinite(trial_value) and trial_value >= value + 1e-4 * t * decrement:
-                    theta, value, moved = trial, trial_value, True
-                    break
-                t /= 2.0
-
-        if not moved:
-            trial = _coordinate_golden_sweep(psi, theta, bounds)
+        t = 1.0
+        while step is not None and t > 1e-12:
+            trial = np.clip(theta + t * step, bounds[:, 0], bounds[:, 1])
             trial_value = psi(trial)
-            if np.isfinite(trial_value) and trial_value > value:
-                theta, value = trial, trial_value
-            # A sweep that does not improve still counts as an iteration;
-            # the convergence test above decides whether we are done.
-
+            if np.isfinite(trial_value) and trial_value >= value + 1e-4 * t * decrement:
+                theta, value, moved = trial, trial_value, True
+                break
+            t /= 2.0
+        if not moved:  # every later iteration would start here and fail alike
+            stop = f"no ascent step was left at iteration {iteration}"
+            break
         if value > best_value:
             best_theta, best_value = theta.copy(), value
 
     raise ConvergenceFailure(
-        f"no interior stationary point found within {max_iter} iterations "
-        f"(best objective {best_value:.6g})",
+        f"no interior stationary point found: {stop} (best objective {best_value:.6g})",
         best_theta=best_theta, best_value=best_value)
 
 

@@ -244,7 +244,13 @@ def _posterior(spec: GaussianLinearSpec, y: np.ndarray) -> tuple:
     """
     _check_dims(spec, y)
     gram, p_star = _precision(spec)
-    rhs = _matvec(spec.G.T, y) / spec.sigma**2
+    with np.errstate(over="ignore", invalid="ignore"):
+        rhs = _matvec(spec.G.T, y) / spec.sigma**2
+    if not np.all(np.isfinite(rhs)):
+        bad = np.argwhere(~np.isfinite(rhs))[0]
+        row = int(bad[0]) if rhs.ndim == 2 else None
+        where = "" if row is None else f" in response row {row}"
+        raise NumericFailure(f"entry [{bad[-1]}] of G'y / sigma**2 is not finite{where}", row=row)
     return gram, p_star, *_cholesky_solve(p_star, rhs, "posterior precision")
 
 

@@ -196,17 +196,19 @@ def _member_evidence(member, obs: ObservationSet, generic_estimator: str,
 @contextmanager
 def _failure(index: int | None = None, replicate: int | None = None):
     """Re-raise an evidence failure, or a replicate's own ``ValueError``, naming where it arose."""
-    prefix = "" if replicate is None else f"replicate {replicate} failed: "
     try:
         yield
     except EvidkitError as exc:
+        if replicate is not None:  # row r of a stacked evaluation is replicate + r
+            replicate += getattr(exc, "row", None) or 0
+        prefix = "" if replicate is None else f"replicate {replicate} failed: "
         member = "" if index is None else f"evidence evaluation failed for member {index}: "
         index = getattr(exc, "index", None) if index is None else index
         raise SelectionFailure(f"{prefix}{member}{exc}", index=index, replicate=replicate) from exc
     except ValueError as exc:  # such as a generator breaking its contract
         if replicate is None or index is not None:
             raise
-        raise ValueError(f"{prefix}{exc}") from None
+        raise ValueError(f"replicate {replicate} failed: {exc}") from None
 
 
 def _tied(model_set: ModelSet, log_evidences: np.ndarray, rule: str) -> tuple:
@@ -292,7 +294,8 @@ def risk_mc(model_set: ModelSet, generator: Callable | None, reps: int,
     to ``_CHUNK_FLOATS // n`` stacked responses, from one factorization and
     bit for bit as :func:`glm_log_evidence` on each replicate, so the report
     is that of :func:`select` on every replicate.  Every evidence failure
-    names its replicate; a member's names the first replicate it covers.
+    names its replicate: a Gaussian member's the replicate whose response
+    fails, or the first of its batch when the member itself fails.
     """
     reps = _check_count(reps, "reps")
     rules = _check_rules(rules)

@@ -23,6 +23,60 @@ def polynomial_glm(seed, d, n=200, sigma=0.5):
     return ek.GaussianLinearSpec(G=G, sigma=sigma, lam=1.0), ek.ObservationSet(y=y)
 
 
+def _zero(points):
+    return np.zeros(len(points))
+
+
+def _mixture(rng, dim):
+    means = rng.uniform(-3.0, 3.0, size=(3, dim))
+    scales = rng.uniform(0.4, 1.2, size=3)
+    log_w = np.log(rng.dirichlet(np.ones(3)))
+
+    def log_lik(points):
+        sq = ((points[:, None, :] - means) / scales[:, None]) ** 2
+        return np.logaddexp.reduce(log_w - 0.5 * sq.sum(axis=-1), axis=1)
+
+    return ek.GenericModelSpec(dim=dim, log_lik=log_lik, regularizer=_zero,
+                               support=[[-6.0, 6.0]] * dim, vectorized=True)
+
+
+def _banana(rng):
+    bend = rng.uniform(0.5, 2.0)
+
+    def log_lik(points):
+        x, y = points[:, 0], points[:, 1]
+        return -0.5 * x**2 - 2.0 * (y - bend * (x**2 - 1.0)) ** 2
+
+    return ek.GenericModelSpec(dim=2, log_lik=log_lik, regularizer=_zero,
+                               support=[[-4.0, 4.0]] * 2, vectorized=True)
+
+
+def _student_t_regression(rng, dim, n=12, nu=1.5):
+    X = rng.standard_normal((n, dim))
+    y = X @ rng.standard_normal(dim) + rng.standard_normal(n)
+    y[:3] += rng.choice([-1.0, 1.0], 3) * rng.uniform(6.0, 12.0, 3)  # outliers
+
+    def log_lik(points):
+        return -0.5 * (nu + 1.0) * np.log1p((y - points @ X.T) ** 2 / nu).sum(axis=1)
+
+    def regularizer(points):
+        return 0.005 * np.einsum("ij,ij->i", points, points)
+
+    return ek.GenericModelSpec(dim=dim, log_lik=log_lik, regularizer=regularizer,
+                               support=[[-8.0, 8.0]] * dim, vectorized=True)
+
+
+def non_concave_starts():
+    """96 seeded ``(model, start)`` pairs on objectives with indefinite Hessians."""
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        for model in (_mixture(rng, 1), _mixture(rng, 2), _banana(rng),
+                      _student_t_regression(rng, 1 + seed % 3)):
+            box = model.bounds()
+            for u in rng.uniform(size=(4, model.dim)):
+                yield model, box[:, 0] + u * (box[:, 1] - box[:, 0])
+
+
 def gaussian_prior_model(lam=1.0, bound=12.0, log_lik=None):
     return ek.GenericModelSpec(
         dim=1,
@@ -170,16 +224,68 @@ class TestMapOptimize:
                              ids=["infinite", "nan", "indefinite"])
     def test_unusable_hessian_takes_no_newton_step(self, monkeypatch, hess):
         # LAPACK's potrf factors [[inf]] and the solve gives a zero step, which
-        # would pass as stationary; such a Hessian must give no step at all,
-        # so one iteration from a point with a large gradient cannot converge.
+        # would pass as stationary; a non-finite Hessian must give no step at
+        # all.  An indefinite one takes the shifted step, which ascends but
+        # cannot converge in one iteration with this Hessian.
         derivatives = evidkit.generic._stencil_derivatives
 
         def bad_hessian(*args):
             return derivatives(*args)[0], np.array(hess)
 
         monkeypatch.setattr(evidkit.generic, "_stencil_derivatives", bad_hessian)
-        with pytest.raises(ConvergenceFailure):
+        with pytest.raises(ConvergenceFailure) as excinfo:
             ek.map_optimize(gaussian_prior_model(), np.array([0.5]), max_iter=1)
+        if hess == [[1.0]]:
+            assert excinfo.value.best_value > -0.125
+
+    def test_zero_gradient_minimum_start_reaches_a_maximum(self):
+        # y = 2 ~ N(theta^2, 1) from theta = 0: the central-difference gradient
+        # there is exactly 0, so only the curvature shows the way out.
+        model = ek.GenericModelSpec(
+            dim=1, log_lik=lambda pts: -0.5 * (2.0 - pts[:, 0] ** 2) ** 2,
+            regularizer=_zero, support=[[-5.0, 5.0]], vectorized=True)
+        theta = ek.map_optimize(model, np.array([0.0]))
+        assert abs(theta[0]) == pytest.approx(np.sqrt(2.0), abs=1e-6)
+
+    def test_zero_gradient_saddle_start_reaches_a_maximum(self):
+        # -(x^2 - 1)^2 - y^2 has a symmetric saddle at the origin and maxima at (+-1, 0).
+        model = ek.GenericModelSpec(
+            dim=2, log_lik=lambda pts: -(pts[:, 0] ** 2 - 1.0) ** 2 - pts[:, 1] ** 2,
+            regularizer=_zero, support=[[-3.0, 3.0]] * 2, vectorized=True)
+        theta = ek.map_optimize(model, np.zeros(2))
+        np.testing.assert_allclose(np.abs(theta), [1.0, 0.0], atol=1e-6)
+
+    def test_non_concave_starts_converge_to_maxima(self):
+        # Seeded starts on mixtures, bananas and Student-t regressions with
+        # outliers, where many starts see an indefinite Hessian.
+        for model, start in non_concave_starts():
+            psi = evidkit.generic._objective(model)
+            theta = ek.map_optimize(model, start)
+            hess = _stencil_derivatives(psi, theta, GRAD_STEP, HESS_STEP)[1]
+            assert evidkit.generic._strictly_interior(theta, model.bounds())
+            assert np.linalg.eigvalsh(hess).max() <= evidkit.generic.CURVATURE_TOL
+            assert psi(theta[None, :])[0] >= psi(start[None, :])[0]
+
+    def test_kinked_map_fails_at_once(self, monkeypatch):
+        # N(theta; 1, 2^2) with the penalty |theta| peaks on the kink at 0,
+        # where no stencil sees a stationary point and no step ascends.
+        model = ek.GenericModelSpec(
+            dim=1, log_lik=lambda pts: -0.125 * (pts[:, 0] - 1.0) ** 2,
+            regularizer=lambda pts: np.abs(pts[:, 0]), support=[[-30.0, 30.0]],
+            vectorized=True)
+        derivatives = evidkit.generic._stencil_derivatives
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return derivatives(*args)
+
+        monkeypatch.setattr(evidkit.generic, "_stencil_derivatives", counted)
+        with pytest.raises(ConvergenceFailure, match="no ascent step was left at iteration") \
+                as excinfo:
+            ek.map_optimize(model, np.array([0.0]))
+        assert len(calls) <= 3
+        assert excinfo.value.best_theta[0] == pytest.approx(0.0, abs=1e-9)
 
     def test_start_outside_support_rejected(self):
         model = gaussian_prior_model()

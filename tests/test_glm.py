@@ -83,6 +83,21 @@ class TestPosteriorPrecision:
         with pytest.raises(NumericFailure, match="not finite"):
             closed_form(spec, ek.ObservationSet(y=[1.0]))
 
+    def test_right_hand_side_overflow_names_entry(self):
+        # P* = 1e300 + 1 is finite, G'y = 1e350 is not; with RuntimeWarning an
+        # error, this also catches G'y formed outside the overflow guard.
+        spec = ek.GaussianLinearSpec(G=[[1e150]], sigma=1.0, lam=1.0)
+        with pytest.raises(NumericFailure, match=r"^entry \[0\] of G'y / sigma\*\*2 is not "
+                                                 r"finite$") as excinfo:
+            ek.glm_log_evidence(spec, ek.ObservationSet(y=[1e200]))
+        assert excinfo.value.row is None
+
+    def test_right_hand_side_overflow_names_response_row(self):
+        spec = ek.GaussianLinearSpec(G=[[1e150]], sigma=1.0, lam=1.0)
+        with pytest.raises(NumericFailure, match=r"not finite in response row 2$") as excinfo:
+            evidkit.glm._log_evidences(spec, np.array([[1.0], [2.0], [1e200], [1e200]]))
+        assert excinfo.value.row == 2
+
 
 class TestMapEstimate:
     def test_zero_responses_give_zero_fit(self):

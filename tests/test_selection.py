@@ -81,6 +81,18 @@ class TestSelect:
             messages.append(str(excinfo.value))
         assert messages == ["grid quadrature supports dim <= 3, got dim=4"] * 2
 
+    def test_response_overflow_names_the_member(self):
+        # Member 0 fits y = 2^600 exactly, so its residual sum of squares stays
+        # finite; member 1's G'G = 2^900 is finite and its G'y = 2^1050 is not.
+        fits = ek.GaussianLinearSpec(G=[[2.0**300]], sigma=1.0, lam=1.0)
+        spec = ek.GaussianLinearSpec(G=[[2.0**450]], sigma=1.0, lam=1.0)
+        model_set = ek.ModelSet(members=(fits, spec))
+        with pytest.raises(SelectionFailure, match=r"^evidence evaluation failed for member 1: "
+                                                   r"entry \[0\] of G'y / sigma\*\*2") as excinfo:
+            ek.select(model_set, ek.ObservationSet(y=[2.0**600]))
+        assert excinfo.value.index == 1
+        assert excinfo.value.replicate is None
+
     def test_identical_members_tie_break(self):
         spec = ek.GaussianLinearSpec(G=[[1.0], [0.5]], sigma=1.0, lam=1.0)
         model_set = ek.ModelSet(members=(spec, spec))
@@ -376,6 +388,20 @@ class TestRiskMcFailures:
             ek.risk_mc(model_set, lambda rng: (0, ek.ObservationSet(y=[1.0])), 5,
                        ["max-evidence"], 0)
         assert excinfo.value.replicate == 0
+        assert excinfo.value.index == 1
+
+    def test_response_overflow_names_its_own_replicate(self):
+        # One batch stacks replicates 0..4; only the third response overflows
+        # member 1's G'y, and member 0 fits every response exactly.
+        fits = ek.GaussianLinearSpec(G=[[2.0**300]], sigma=1.0, lam=1.0)
+        spec = ek.GaussianLinearSpec(G=[[2.0**450]], sigma=1.0, lam=1.0)
+        model_set = ek.ModelSet(members=(fits, spec))
+        draws = iter([1.0, 2.0, 2.0**600, 3.0, 4.0])
+        with pytest.raises(SelectionFailure, match="^replicate 2 failed: evidence evaluation "
+                                                   "failed for member 1: entry \\[0\\]") as excinfo:
+            ek.risk_mc(model_set, lambda rng: (0, ek.ObservationSet(y=[next(draws)])), 5,
+                       ["max-evidence"], 0)
+        assert excinfo.value.replicate == 2
         assert excinfo.value.index == 1
 
     @pytest.mark.parametrize("true_index", [-1, 2])
