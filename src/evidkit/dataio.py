@@ -9,6 +9,7 @@ partial output behind.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import os
@@ -24,20 +25,40 @@ __all__ = ["read_observations", "format_number", "render_json", "write_json", "w
 def read_observations(path: str) -> ObservationSet:
     """Parse a UTF-8 CSV with header ``y`` or ``x,y`` into an ObservationSet.
 
-    Decimal separator is ``.``; blank lines are skipped.  Any row with a
-    missing or non-numeric entry is rejected, naming its file line as the
-    csv reader counts it: the first line is line 1 and blank lines count.
-    A file that is not UTF-8 is rejected naming its first undecodable line.
+    Decimal separator is ``.``; cells may be quoted or padded with spaces.
+    Blank lines are skipped but count in line numbers: the first line is
+    line 1.  A row with a missing, extra, non-numeric or non-finite entry is
+    rejected naming its line and column; a file that is not UTF-8, naming its
+    first undecodable line.  The body is parsed in one numpy pass; a file
+    that pass refuses is parsed again row by row, which words every error.
     """
     try:
-        with open(path, "r", encoding="utf-8", newline="") as handle:
-            reader = csv.reader(handle)
-            return _parse_rows(path, ((reader.line_num, row) for row in reader if row))
+        with open(path, "rb") as handle:
+            raw = handle.read()
+        raw.decode("utf-8")  # the whole file, before any row is parsed
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError:
-        # The reader decodes ahead of the row it parses, so find the line again.
         raise DataError(_undecodable_line(path)) from None
+    rows = _csv_rows(raw)
+    header_line, header = next(rows, (0, []))
+    if [cell.strip() for cell in header] in (["y"], ["x", "y"]) and next(rows, None) is not None:
+        # Universal newlines end lines where the csv reader does; numpy alone ends them at \n.
+        lines = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", newline=None)
+        try:
+            table = np.loadtxt(lines, delimiter=",", comments=None, quotechar='"',
+                               skiprows=header_line, ndmin=2)
+        except ValueError:
+            table = np.empty((0, 0))
+        if len(table) and table.shape[1] == len(header) and np.isfinite(table).all():
+            return ObservationSet(y=table[:, -1], x=table[:, 0] if len(header) == 2 else None)
+    return _parse_rows(path, _csv_rows(raw))
+
+
+def _csv_rows(raw: bytes):
+    """The nonblank ``(file line, cells)`` rows of ``raw``, as the csv reader counts lines."""
+    reader = csv.reader(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", newline=""))
+    return ((reader.line_num, row) for row in reader if row)
 
 
 def _undecodable_line(path: str) -> str:

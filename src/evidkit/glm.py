@@ -18,6 +18,7 @@ explicitly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -212,11 +213,9 @@ def _matvec(A, x):
 def _precision(spec: GaussianLinearSpec) -> tuple[np.ndarray, np.ndarray]:
     with np.errstate(over="ignore", invalid="ignore"):
         gram = spec.G.T @ spec.G
-        p_star = gram / spec.sigma**2 + spec.prior_precision
-    if not np.all(np.isfinite(p_star)):
-        bad = np.argwhere(~np.isfinite(p_star))[0]
-        idx = ",".join(str(k) for k in bad)
-        raise NumericFailure(f"entry [{idx}] of posterior precision is not finite")
+        p_star = gram / spec.sigma**2
+    p_star.reshape(-1)[::spec.d + 1] += spec.lam**2  # the diagonal, through a view
+    _require_finite(p_star, "posterior precision", axes=2)
     return gram, p_star
 
 
@@ -230,7 +229,7 @@ def _cholesky_solve(matrix, rhs, name):
     factor, info = _POTRF(matrix, lower=True, clean=False)
     if info > 0:
         raise NumericFailure(f"{name} factorization failed: leading minor {info} is not positive")
-    if not np.all(np.isfinite(rhs)):
+    if not np.isfinite(rhs).all():
         raise ValueError("array must not contain infs or NaNs")
     blocks = [rhs] if rhs.ndim == 1 else np.split(rhs, range(_SOLVE_BLOCK, len(rhs), _SOLVE_BLOCK))
     return factor, np.concatenate([_POTRS(factor, b.T, lower=True)[0].T for b in blocks])
@@ -246,12 +245,20 @@ def _posterior(spec: GaussianLinearSpec, y: np.ndarray) -> tuple:
     gram, p_star = _precision(spec)
     with np.errstate(over="ignore", invalid="ignore"):
         rhs = _matvec(spec.G.T, y) / spec.sigma**2
-    if not np.all(np.isfinite(rhs)):
-        bad = np.argwhere(~np.isfinite(rhs))[0]
-        row = int(bad[0]) if rhs.ndim == 2 else None
-        where = "" if row is None else f" in response row {row}"
-        raise NumericFailure(f"entry [{bad[-1]}] of G'y / sigma**2 is not finite{where}", row=row)
+    _require_finite(rhs, "G'y / sigma**2", axes=1)
     return gram, p_star, *_cholesky_solve(p_star, rhs, "posterior precision")
+
+
+def _require_finite(values, name: str, axes: int = 0):
+    """Raise ``NumericFailure`` naming a non-finite entry, by its last ``axes`` indices, and row."""
+    # math.isfinite takes a single response's value 30 times faster than numpy's reduction.
+    if math.isfinite(values) if values.ndim == 0 else np.isfinite(values).all():
+        return
+    bad = np.argwhere(~np.isfinite(values))[0]
+    row = int(bad[0]) if values.ndim > axes else None  # a stack has a leading row axis
+    entry = f"entry [{','.join(str(k) for k in bad[len(bad) - axes:])}] of " if axes else ""
+    where = "" if row is None else f" in response row {row}"
+    raise NumericFailure(f"{entry}{name} is not finite{where}", row=row)
 
 
 def _log_fit(spec: GaussianLinearSpec, resid):
@@ -265,9 +272,13 @@ def _evidence_terms(spec: GaussianLinearSpec, y: np.ndarray) -> tuple:
     gram, _, factor, theta_hat = _posterior(spec, y)
     log_det_post = 2.0 * float(np.sum(np.log(np.diag(factor))))
     log_det_prior = 2.0 * spec.d * np.log(spec.lam)
-    flexibility = 0.5 * (log_det_post - log_det_prior) \
-        + 0.5 * spec.lam**2 * _matvec(theta_hat[..., None, :], theta_hat)[..., 0]
-    return gram, theta_hat, _log_fit(spec, y - _matvec(spec.G, theta_hat)), flexibility
+    # An overflow of theta_hat'theta_hat or of the residual sum of squares makes it non-finite.
+    with np.errstate(over="ignore", invalid="ignore"):
+        flexibility = 0.5 * (log_det_post - log_det_prior) \
+            + 0.5 * spec.lam**2 * _matvec(theta_hat[..., None, :], theta_hat)[..., 0]
+        log_fit = _log_fit(spec, y - _matvec(spec.G, theta_hat))
+        _require_finite(log_fit - flexibility, "log-evidence")
+    return gram, theta_hat, log_fit, flexibility
 
 
 def _log_evidences(spec: GaussianLinearSpec, Y: np.ndarray) -> np.ndarray:
@@ -302,7 +313,10 @@ def glm_log_likelihood(spec: GaussianLinearSpec, obs: ObservationSet, theta) -> 
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (spec.d,):
         raise ValueError(f"theta has shape {theta.shape}, expected ({spec.d},)")
-    return _log_fit(spec, obs.y - spec.G @ theta)
+    with np.errstate(over="ignore", invalid="ignore"):
+        log_lik = _log_fit(spec, obs.y - spec.G @ theta)
+        _require_finite(log_lik, "log-likelihood")
+    return log_lik
 
 
 def flexibility_exact(spec: GaussianLinearSpec, obs: ObservationSet) -> float:

@@ -1,17 +1,20 @@
 """Command-line parsing, execution, output formats, and determinism."""
 
+import csv
 import hashlib
 import json
 import os
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import evidkit.cli
+import evidkit.dataio
 from evidkit.cli import RunConfig, main, parse_args, run
-from evidkit.dataio import format_number, read_observations, render_json
+from evidkit.dataio import _parse_rows, format_number, read_observations, render_json
 from evidkit.exceptions import DataError, UsageError
 
 
@@ -165,11 +168,120 @@ class TestReadObservations:
         assert main(argv) == 1
         assert capsys.readouterr().err.startswith(f"evidkit: error: {path}: row 3: not UTF-8")
 
+    def test_not_utf8_anywhere_precedes_row_errors(self, tmp_path):
+        # The whole file is decoded before any row is parsed, so the message no
+        # longer depends on how far ahead the decoder has read.
+        path = tmp_path / "late.csv"
+        path.write_bytes(b"y\nabc\n" + b"1.0\n" * 5000 + b"caf\xe9\n")
+        with pytest.raises(DataError, match="row 5003: not UTF-8 text"):
+            read_observations(str(path))
+
     def test_comma_decimal_breaks_column_count(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("y\n1,5\n", encoding="utf-8")
         with pytest.raises(DataError, match="row 2"):
             read_observations(str(path))
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity", "1e999"])
+    def test_non_finite_value_names_line_and_column(self, tmp_path, cell):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"x,y\n1,2\n3,{cell}\n", encoding="utf-8")
+        with pytest.raises(DataError, match=re.escape(f"row 3: non-finite value '{cell}' "
+                                                      f"in column y")):
+            read_observations(str(path))
+
+    @pytest.mark.parametrize("text", ["y\n", "x,y\n\n\n", "x,y\r\n"])
+    def test_header_only_file_warns_nothing(self, tmp_path, text):
+        path = tmp_path / "empty.csv"
+        path.write_bytes(text.encode("utf-8"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="no data rows$"):
+                read_observations(str(path))
+
+    def test_bulk_parse_matches_row_wise_parse(self, tmp_path):
+        # Equal doubles bit for bit, or the same error text, on every file.
+        differ = []
+        for k, text in enumerate(_READER_CORPUS + _generated_corpus(400, seed=5)):
+            path = tmp_path / f"c{k}.csv"
+            path.write_bytes(text.encode("utf-8"))
+            if _outcome(read_observations, str(path)) != _outcome(_row_wise, str(path)):
+                differ.append(text)
+        assert differ == []
+
+    @pytest.mark.parametrize("text", [
+        "x,y\n1,2\n3,4\n", "x,y\r\n1,2\r\n3,4", "x,y\r1,2\r3,4\r",
+        '"x","y"\n"1", 2 \n\n\t3,"4\n"\n', "\n\ny\n1\n\n2\n",
+    ], ids=["lf", "crlf", "cr", "quoted-and-padded", "blank-lines"])
+    def test_clean_file_never_reaches_the_row_wise_parse(self, tmp_path, monkeypatch, text):
+        path = tmp_path / "clean.csv"
+        path.write_bytes(text.encode("utf-8"))
+        expected = _outcome(_row_wise, str(path))
+        monkeypatch.setattr(evidkit.dataio, "_parse_rows", _unreachable)
+        assert _outcome(read_observations, str(path)) == expected
+
+    def test_round_trip_is_bit_exact(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(7)
+        values = np.ldexp(rng.uniform(-1.0, 1.0, 100_000), rng.integers(-1074, 1024, 100_000))
+        lines = ["x,y"] + [f"{v!r},{v:.17g}" for v in values.tolist()]
+        path = tmp_path / "round.csv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        monkeypatch.setattr(evidkit.dataio, "_parse_rows", _unreachable)
+        obs = read_observations(str(path))
+        assert obs.x.tobytes() == values.tobytes()
+        assert obs.y.tobytes() == values.tobytes()
+
+
+# Blank lines, line ends, quoting, padding, values only float() takes, non-finite
+# values, column counts, comments, a BOM, bad headers and empty files.
+_READER_CORPUS = [
+    "\n\ny\n1\n\n2\n", "x,y\r\n1,2\r\n\r\n3,4\r\n", "x,y\r1,2\r\r3,4", "y\n1\r2\r\n3\n",
+    '"x","y"\n"1","2"\n', '"y"\n"1\n"\n"2\r"\n', '"x\n",y\n1,2\n', 'y\n"1"2\n', 'y\n "1"\n',
+    'y\n"1\n2"\n', "x, y \n 1 , 2 \n\t3,4\xa0\n", "y\n  \n1\n", 'y\n""\n', "y\n1_0\n",
+    "y\n\u0661\u0662\n", "y\nnan\n", "y\ninf\n", "y\n-Infinity\n", "y\n1e999\n", "y\n-1e-400\n",
+    "x,y\n1,\n", "x,y\n1,2,3\n", "x,y\n1\n", "y\n1,5\n", "# note\ny\n1\n", "y\n#1\n",
+    "y\n1 # c\n", "\ufeffy\n1\n", "y\n\ufeff1\n", "value\n1\n", "y,x\n1,2\n", ",\n1\n",
+    "y\n", "x,y\n\n", "", "\n\r\n", "y\n1\x002\n", "y\n0x10\n",
+]
+_CELLS = ["1", "-0", ".5", "5.", "+1e5", "1_0", "nan", "inf", "-Infinity", "1e999", "", " ",
+          "#1", "abc", "\u0661", '"2"', " 3 ", "\t4\xa0", '"5\n"', '"6"7', '"8', "0x10"]
+
+
+def _generated_corpus(count, seed):
+    """Seeded files mixing clean rows with the corpus's hazards."""
+    rng = np.random.default_rng(seed)
+    texts = []
+    for _ in range(count):
+        header = str(rng.choice(["y", "x,y", "x,y", " x , y ", '"x","y"', "y,x"]))
+        width = header.count(",") + 1
+        lines = [""] * int(rng.integers(0, 2)) + [header]
+        for _ in range(int(rng.integers(0, 6))):
+            cells = [str(rng.choice(_CELLS)) if rng.random() < 0.15
+                     else repr(float(rng.standard_normal() * 10.0 ** rng.integers(-300, 300)))
+                     for _ in range(width + int(rng.choice([-1, 0, 1], p=[0.05, 0.9, 0.05])))]
+            lines += [",".join(cells)] + [""] * int(rng.random() < 0.1)
+        ends = rng.choice(["\n", "\r\n", "\r"], size=len(lines), p=[0.6, 0.3, 0.1])
+        texts.append("".join(line + end for line, end in zip(lines, ends)))
+    return texts
+
+
+def _row_wise(path):
+    with open(path, encoding="utf-8", newline="") as handle:
+        reader = csv.reader(handle)
+        return _parse_rows(path, ((reader.line_num, row) for row in reader if row))
+
+
+def _outcome(read, path):
+    """The parsed doubles as bytes, or the error text."""
+    try:
+        obs = read(path)
+    except DataError as exc:
+        return str(exc)
+    return obs.y.tobytes(), None if obs.x is None else obs.x.tobytes()
+
+
+def _unreachable(*args):
+    raise AssertionError("the row-wise parse ran on a clean file")
 
 
 class TestSerialization:

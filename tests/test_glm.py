@@ -98,6 +98,19 @@ class TestPosteriorPrecision:
             evidkit.glm._log_evidences(spec, np.array([[1.0], [2.0], [1e200], [1e200]]))
         assert excinfo.value.row == 2
 
+    @pytest.mark.parametrize("g", [1.0, 1e-100], ids=["theta-norm", "residual"])
+    def test_fit_overflow_names_response_row(self, g):
+        # P* and G'y are finite.  With G = 1, theta_hat'theta_hat = 2.5e399
+        # overflows; with G = 1e-100, only the residual sum of squares does.
+        spec = ek.GaussianLinearSpec(G=[[g]], sigma=1.0, lam=1.0)
+        with pytest.raises(NumericFailure, match=r"^log-evidence is not finite$") as excinfo:
+            ek.glm_log_evidence(spec, ek.ObservationSet(y=[1e200]))
+        assert excinfo.value.row is None
+        with pytest.raises(NumericFailure, match=r"^log-evidence is not finite in response "
+                                                 r"row 1$") as excinfo:
+            evidkit.glm._log_evidences(spec, np.array([[1.0], [1e200], [2.0]]))
+        assert excinfo.value.row == 1
+
 
 class TestMapEstimate:
     def test_zero_responses_give_zero_fit(self):

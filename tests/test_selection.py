@@ -404,6 +404,19 @@ class TestRiskMcFailures:
         assert excinfo.value.replicate == 2
         assert excinfo.value.index == 1
 
+    def test_fit_overflow_names_its_own_replicate(self):
+        # Every G'y is finite; the third response's theta_hat'theta_hat is not.
+        spec = ek.GaussianLinearSpec(G=[[1.0]], sigma=1.0, lam=1.0)
+        draws = iter([1.0, 2.0, 1e200, 3.0, 4.0])
+        with pytest.raises(SelectionFailure, match="^replicate 2 failed: evidence evaluation "
+                                                   "failed for member 0: log-evidence is not "
+                                                   "finite") as excinfo:
+            ek.risk_mc(ek.ModelSet(members=(spec, spec)),
+                       lambda rng: (0, ek.ObservationSet(y=[next(draws)])), 5,
+                       ["max-evidence"], 0)
+        assert excinfo.value.replicate == 2
+        assert excinfo.value.index == 0
+
     @pytest.mark.parametrize("true_index", [-1, 2])
     def test_out_of_range_true_index(self, true_index):
         spec = ek.GaussianLinearSpec(G=[[1.0]], sigma=1.0, lam=1.0)
