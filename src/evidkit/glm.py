@@ -211,10 +211,11 @@ def _matvec(A, x):
 
 
 def _precision(spec: GaussianLinearSpec) -> tuple[np.ndarray, np.ndarray]:
+    G = np.ascontiguousarray(spec.G)  # C order: BLAS sums a strided view in another order
     with np.errstate(over="ignore", invalid="ignore"):
-        gram = spec.G.T @ spec.G
+        gram = G.swapaxes(-1, -2) @ G
         p_star = gram / spec.sigma**2
-    p_star.reshape(-1)[::spec.d + 1] += spec.lam**2  # the diagonal, through a view
+    np.einsum("...ii->...i", p_star)[...] += spec.lam**2  # each diagonal, through a view
     _require_finite(p_star, "posterior precision", axes=2)
     return gram, p_star
 
@@ -225,12 +226,23 @@ _POTRF, _POTRS = get_lapack_funcs(("potrf", "potrs"), dtype=np.float64)
 
 
 def _cholesky_solve(matrix, rhs, name):
-    """``(L, matrix^-1 rhs)`` for a finite SPD ``matrix``; ``rhs`` is a vector or rows of them."""
-    factor, info = _POTRF(matrix, lower=True, clean=False)
-    if info > 0:
-        raise NumericFailure(f"{name} factorization failed: leading minor {info} is not positive")
+    """``(L, matrix^-1 rhs)`` for a finite SPD ``matrix``; ``rhs`` is a vector or rows of them.
+
+    A stack of matrices (m, d, d) takes a vector each as a row; a failure names its row.
+    """
     if not np.isfinite(rhs).all():
         raise ValueError("array must not contain infs or NaNs")
+    if matrix.ndim == 2:
+        return _factor_solve(matrix, rhs, name)
+    pairs = [_factor_solve(a, b, name, row) for row, (a, b) in enumerate(zip(matrix, rhs))]
+    return np.array([factor for factor, _ in pairs]), np.array([sol for _, sol in pairs])
+
+
+def _factor_solve(matrix, rhs, name, row=None):
+    factor, info = _POTRF(matrix, lower=True, clean=False)
+    if info > 0:
+        raise NumericFailure(f"{name} factorization failed: leading minor {info} is not positive",
+                             row=row)
     blocks = [rhs] if rhs.ndim == 1 else np.split(rhs, range(_SOLVE_BLOCK, len(rhs), _SOLVE_BLOCK))
     return factor, np.concatenate([_POTRS(factor, b.T, lower=True)[0].T for b in blocks])
 
@@ -239,12 +251,13 @@ def _posterior(spec: GaussianLinearSpec, y: np.ndarray) -> tuple:
     """``(G'G, P*, L, theta_hat)``: ``P*`` factored once per model, by ``_cholesky_solve``.
 
     ``y`` may stack responses as the rows of an (m, n) matrix: ``theta_hat``
-    then has a row each, bit for bit the MAP of that row alone.
+    then has a row each, bit for bit the MAP of that row alone.  ``G`` may stack one
+    design per row, (m, n, d), in any ``spec`` with ``G``, ``n``, ``sigma`` and ``lam``.
     """
     _check_dims(spec, y)
     gram, p_star = _precision(spec)
     with np.errstate(over="ignore", invalid="ignore"):
-        rhs = _matvec(spec.G.T, y) / spec.sigma**2
+        rhs = _matvec(np.ascontiguousarray(spec.G).swapaxes(-1, -2), y) / spec.sigma**2
     _require_finite(rhs, "G'y / sigma**2", axes=1)
     return gram, p_star, *_cholesky_solve(p_star, rhs, "posterior precision")
 
@@ -270,8 +283,8 @@ def _log_fit(spec: GaussianLinearSpec, resid):
 def _evidence_terms(spec: GaussianLinearSpec, y: np.ndarray) -> tuple:
     """``(G'G, theta_hat, log_fit, flexibility)`` of ``y``, or of each row of a stack."""
     gram, _, factor, theta_hat = _posterior(spec, y)
-    log_det_post = 2.0 * float(np.sum(np.log(np.diag(factor))))
-    log_det_prior = 2.0 * spec.d * np.log(spec.lam)
+    log_det_post = 2.0 * np.sum(np.log(np.diagonal(factor, axis1=-2, axis2=-1)), axis=-1)
+    log_det_prior = 2.0 * spec.G.shape[-1] * np.log(spec.lam)
     # An overflow of theta_hat'theta_hat or of the residual sum of squares makes it non-finite.
     with np.errstate(over="ignore", invalid="ignore"):
         flexibility = 0.5 * (log_det_post - log_det_prior) \

@@ -16,6 +16,7 @@ from __future__ import annotations
 import warnings as _warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
@@ -23,8 +24,8 @@ import numpy as np
 from .evidence import DEFAULT_GRID, evidence_laplace, evidence_quadrature
 from .exceptions import EvidkitError, SelectionFailure
 from .generic import GenericModelSpec, _check_grid_dim, normalize_prior
-from .glm import (GaussianLinearSpec, ObservationSet, _check_count, _check_dims, _log_evidences,
-                  glm_log_evidence)
+from .glm import (GaussianLinearSpec, ObservationSet, _check_count, _check_dims, _check_scale,
+                  _evidence_terms, _log_evidences, _matvec, glm_log_evidence)
 from .records import EvidenceDecomposition
 
 __all__ = [
@@ -44,7 +45,7 @@ __all__ = [
 
 TIE_TOL = 1e-12
 RULES = ("max-evidence", "max-posterior")
-# ``risk_mc`` stacks at most this many response floats per batch.
+# Most response floats per ``risk_mc`` batch, and test-design floats per sweet-spot chunk.
 _CHUNK_FLOATS = 1 << 18
 
 
@@ -346,13 +347,26 @@ def _column_scales(degree: int, scale_base: float) -> tuple[float, ...]:
     return tuple((scale_base**k if scale_base > 0 else 1.0) for k in range(degree + 1))
 
 
-def scaled_polynomial_design(x, degree: int, scale_base: float) -> np.ndarray:
-    """Running products ``[1, x, x*x, ...]`` by ``np.vander``, column k over ``scale_base**k``."""
-    design = np.vander(np.asarray(x, dtype=float), degree + 1, increasing=True)
-    design /= _column_scales(degree, scale_base)
+def scaled_polynomial_design(x, degree: int, scale_base) -> np.ndarray:
+    """Running products ``[1, x, x*x, ...]`` as in ``np.vander``, column k over ``scale_base**k``.
+
+    The rows of an (m, n) ``x``, with (m, 1) scale bases, give an (m, n, degree + 1) stack.
+    """
+    x = np.asarray(x, dtype=float)
+    design = np.ones(x.shape + (degree + 1,))
+    for k in range(1, degree + 1):  # whole columns; multiply.accumulate loops row by row
+        np.multiply(design[..., k - 1], x, out=design[..., k])
+    scales = [_column_scales(degree, float(s)) for s in np.ravel(scale_base)]
+    design /= np.reshape(scales, np.shape(scale_base) + (degree + 1,))
     if not np.all(np.isfinite(design)):
         raise ValueError(f"design for degree {degree} has non-finite entries")
     return design
+
+
+def _warn_if_prior_dominated(degrees: list[int], n: int):
+    if max(degrees) + 1 > n:
+        _warnings.warn(f"largest degree {max(degrees)} needs {max(degrees) + 1} columns but only "
+                       f"{n} observations are available; the fit is prior-dominated", stacklevel=3)
 
 
 def polynomial_family(x, degrees: Sequence[int], sigma: float, lam: float) -> ModelSet:
@@ -370,11 +384,7 @@ def polynomial_family(x, degrees: Sequence[int], sigma: float, lam: float) -> Mo
     if x.ndim != 1 or x.size < 1:
         raise ValueError("x must be a nonempty vector")
     degrees = _check_degrees(degrees)
-    if max(degrees) + 1 > x.size:
-        _warnings.warn(
-            f"largest degree {max(degrees)} needs {max(degrees) + 1} columns but only "
-            f"{x.size} observations are available; the fit is prior-dominated",
-            stacklevel=2)
+    _warn_if_prior_dominated(degrees, x.size)
 
     # Every member's design is the leading columns of the largest one.
     scale_base = float(np.std(x))
@@ -433,36 +443,43 @@ def sweet_spot_experiment(true_degree: int, degrees: Sequence[int], n: int,
     candidate's MAP fit on a fresh test set of size ``10 n`` drawn from the
     same covariate distribution (with observation noise).  Reports how often
     each degree was chosen and the predictive regret of the selected degree
-    against the per-replicate best.  Every evidence failure names its replicate.
+    against the per-replicate best.  Each degree is evaluated once per chunk
+    of replicates, on their stacked designs, bit for bit as :func:`select` on
+    each replicate's :func:`polynomial_family`.  Every evidence failure names
+    its replicate.
     """
     degrees = _check_degrees(degrees)
     true_degree = _check_true_degree(true_degree, degrees)
     n = _check_count(n, "n")
     reps = _check_count(reps, "reps")
+    sigma, lam = _check_scale(sigma, "sigma"), _check_scale(lam, "lam")
+    _warn_if_prior_dominated(degrees, n)
 
-    true_pos = degrees.index(true_degree)
     chosen = np.empty(reps, dtype=int)
     rmse = np.empty((reps, len(degrees)))
-
+    spec = SimpleNamespace(n=n, sigma=sigma, lam=lam)  # and G, one degree's design stack
+    width = max(1, _CHUNK_FLOATS // (10 * n * (max(degrees) + 1)))
     children = np.random.SeedSequence(seed).spawn(reps)
-    for rep in range(reps):
-        rng = np.random.default_rng(children[rep])
-        x = rng.standard_normal(n)
-        family = polynomial_family(x, degrees, sigma, lam)
-        true_member = family.members[true_pos]
-        theta_true = rng.standard_normal(true_member.d) / lam
-        y = true_member.G @ theta_true + sigma * rng.standard_normal(n)
-        with _failure(replicate=rep):
-            outcome = select(family, ObservationSet(y=y, x=x), "max-evidence")
-        chosen[rep] = outcome.chosen
-
-        x_test = rng.standard_normal(10 * n)
-        test_design = scaled_polynomial_design(x_test, max(degrees), family.info["x_std"])
-        y_test = (test_design[:, :true_degree + 1] @ theta_true
-                  + sigma * rng.standard_normal(10 * n))
-        for i, (p, dec) in enumerate(zip(degrees, outcome.decompositions)):
-            pred = test_design[:, :p + 1] @ dec.theta_hat
-            rmse[rep, i] = float(np.sqrt(np.mean((pred - y_test) ** 2)))
+    for start in range(0, reps, width):
+        draws = [(rng.standard_normal(n), rng.standard_normal(true_degree + 1) / lam,
+                  sigma * rng.standard_normal(n), rng.standard_normal(10 * n),
+                  sigma * rng.standard_normal(10 * n))
+                 for rng in map(np.random.default_rng, children[start:start + width])]
+        x, theta_true, noise, x_test, noise_test = (np.array(a) for a in zip(*draws))
+        log_e = np.empty((len(draws), len(degrees)))
+        scale_base = np.std(x, axis=1, keepdims=True)
+        design = scaled_polynomial_design(x, max(degrees), scale_base)
+        test_design = scaled_polynomial_design(x_test, max(degrees), scale_base)
+        y = _matvec(design[..., :true_degree + 1], theta_true) + noise
+        y_test = _matvec(test_design[..., :true_degree + 1], theta_true) + noise_test
+        for i, p in enumerate(degrees):
+            spec.G = design[..., :p + 1]
+            with _failure(i, replicate=start):
+                _, theta_hat, log_fit, flexibility = _evidence_terms(spec, y)
+            log_e[:, i] = log_fit - flexibility
+            pred = _matvec(test_design[..., :p + 1], theta_hat)
+            rmse[start:start + len(draws), i] = np.sqrt(np.mean((pred - y_test) ** 2, axis=-1))
+        chosen[start:start + len(draws)] = np.argmax(_tied(None, log_e, "max-evidence")[1], axis=1)
 
     rows, best = np.arange(reps), rmse.argmin(axis=1)
     counts = np.bincount(chosen, minlength=len(degrees))

@@ -55,3 +55,43 @@ def logistic_model(seed=3, n_points=10, bound=10.0):
     return ek.GenericModelSpec(
         dim=1, log_lik=log_lik, regularizer=regularizer,
         support=[[-bound, bound]], vectorized=True)
+
+
+def reference_sweet_spot(true_degree, degrees, n, sigma, lam, reps, seed):
+    """``sweet_spot_experiment``'s figures rebuilt one replicate at a time.
+
+    Each replicate gets its own ``polynomial_family`` and ``select``, and its
+    test design comes from ``np.vander``.  Returns the report's ``counts``,
+    ``chosen_degrees``, ``best_degrees``, ``rmse``, ``mean_regret`` and
+    ``mean_best_rmse``.
+    """
+    degrees = list(degrees)
+    true_pos = degrees.index(true_degree)
+    chosen = np.empty(reps, dtype=int)
+    rmse = np.empty((reps, len(degrees)))
+    for rep, child in enumerate(np.random.SeedSequence(seed).spawn(reps)):
+        rng = np.random.default_rng(child)
+        x = rng.standard_normal(n)
+        family = ek.polynomial_family(x, degrees, sigma, lam)
+        true_member = family.members[true_pos]
+        theta_true = rng.standard_normal(true_member.d) / lam
+        y = true_member.G @ theta_true + sigma * rng.standard_normal(n)
+        outcome = ek.select(family, ek.ObservationSet(y=y, x=x), "max-evidence")
+        chosen[rep] = outcome.chosen
+
+        x_test = rng.standard_normal(10 * n)
+        scale = family.info["x_std"]
+        test_design = np.vander(x_test, max(degrees) + 1, increasing=True)
+        test_design /= [scale**k if scale > 0 else 1.0 for k in range(max(degrees) + 1)]
+        y_test = (test_design[:, :true_degree + 1] @ theta_true
+                  + sigma * rng.standard_normal(10 * n))
+        for i, (p, dec) in enumerate(zip(degrees, outcome.decompositions)):
+            pred = test_design[:, :p + 1] @ dec.theta_hat
+            rmse[rep, i] = float(np.sqrt(np.mean((pred - y_test) ** 2)))
+
+    rows, best = np.arange(reps), rmse.argmin(axis=1)
+    return {"counts": np.bincount(chosen, minlength=len(degrees)),
+            "chosen_degrees": np.array(degrees)[chosen],
+            "best_degrees": np.array(degrees)[best], "rmse": rmse,
+            "mean_regret": float((rmse[rows, chosen] - rmse[rows, best]).mean()),
+            "mean_best_rmse": float(rmse[rows, best].mean())}

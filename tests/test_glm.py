@@ -1,5 +1,7 @@
 """Closed-form Gaussian linear model routines against independent oracles."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from scipy.linalg import cho_factor, cho_solve
@@ -372,3 +374,75 @@ class TestCholeskySolve:
     def test_non_finite_right_hand_side_rejected(self, bad):
         with pytest.raises(ValueError, match="infs or NaNs"):
             evidkit.glm._cholesky_solve(np.eye(2), np.array([1.0, bad]), "m")
+
+
+class TestDesignStacks:
+    """The private closed form on designs stacked as (m, n, d), one per response row."""
+
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_evidence_terms_match_each_design_alone(self, d):
+        rng = np.random.default_rng(200 + d)
+        m, n, sigma, lam = 6, 40, 0.7, 1.3
+        wide = rng.standard_normal((m, n, 10)) * rng.uniform(0.5, 3.0, size=10)
+        Y = rng.standard_normal((m, n))
+        # Leading columns of a wider design, as a view and as a copy.
+        for G in (wide[..., :d], np.ascontiguousarray(wide[..., :d])):
+            spec = SimpleNamespace(G=G, n=n, sigma=sigma, lam=lam)
+            gram, theta_hat, log_fit, flexibility = evidkit.glm._evidence_terms(spec, Y)
+            assert theta_hat.shape == (m, d) and log_fit.shape == flexibility.shape == (m,)
+            for r in range(m):
+                single = ek.GaussianLinearSpec(G=G[r], sigma=sigma, lam=lam)
+                dec = ek.glm_log_evidence(single, ek.ObservationSet(y=Y[r]))
+                assert np.array_equal(gram[r], evidkit.glm._precision(single)[0])
+                assert np.array_equal(theta_hat[r], dec.theta_hat)
+                assert log_fit[r] == dec.log_fit
+                assert flexibility[r] == dec.flexibility
+                assert log_fit[r] - flexibility[r] == dec.log_evidence
+
+    def test_non_finite_precision_names_its_row(self):
+        G = np.ones((3, 2, 1))
+        G[1, 0, 0] = 1e200
+        spec = SimpleNamespace(G=G, n=2, sigma=1.0, lam=1.0)
+        with pytest.raises(NumericFailure, match=r"^entry \[0,0\] of posterior precision is not "
+                                                 r"finite in response row 1$") as excinfo:
+            evidkit.glm._evidence_terms(spec, np.ones((3, 2)))
+        assert excinfo.value.row == 1
+
+
+class TestCholeskySolveStack:
+    """``_cholesky_solve`` on an (m, d, d) stack with one right-hand side per matrix."""
+
+    def test_each_matrix_solved_as_if_alone(self):
+        rng = np.random.default_rng(31)
+        A = rng.standard_normal((5, 9, 4))
+        matrices = np.swapaxes(A, -1, -2) @ A + np.eye(4)
+        rhs = rng.standard_normal((5, 4))
+        factors, solutions = evidkit.glm._cholesky_solve(matrices, rhs, "m")
+        for r in range(5):
+            L, solution = evidkit.glm._cholesky_solve(matrices[r], rhs[r], "m")
+            assert np.array_equal(factors[r], L)
+            assert np.array_equal(solutions[r], solution)
+
+    def test_failure_names_its_row(self):
+        matrices = np.array([np.eye(2), np.eye(2), [[1.0, 2.0], [2.0, 1.0]]])
+        with pytest.raises(NumericFailure, match="^m factorization failed: leading minor 2 ") \
+                as excinfo:
+            evidkit.glm._cholesky_solve(matrices, np.ones((3, 2)), "m")
+        assert excinfo.value.row == 2
+
+    def test_right_hand_side_checked_once_per_call(self, monkeypatch):
+        calls = []
+        isfinite = np.isfinite
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return isfinite(*args, **kwargs)
+
+        monkeypatch.setattr(np, "isfinite", counted)
+        evidkit.glm._cholesky_solve(np.stack([np.eye(3)] * 6), np.ones((6, 3)), "m")
+        assert len(calls) == 1
+        monkeypatch.undo()
+        rhs = np.ones((6, 3))
+        rhs[4, 1] = np.nan
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            evidkit.glm._cholesky_solve(np.stack([np.eye(3)] * 6), rhs, "m")

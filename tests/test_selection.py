@@ -11,7 +11,7 @@ import evidkit.glm
 import evidkit.selection
 from evidkit.exceptions import EvidkitError, SelectionFailure
 
-from helpers import random_glm_instance
+from helpers import random_glm_instance, reference_sweet_spot
 
 
 def shared_response_set(rng, k=5, n=25):
@@ -486,6 +486,18 @@ class TestPolynomialFamily:
             assert np.array_equal(design[:, :3], expected[:, :3])
             np.testing.assert_allclose(design, expected, rtol=8 * np.finfo(float).eps, atol=0.0)
 
+    def test_stacked_rows_match_np_vander(self):
+        rng = np.random.default_rng(13)
+        x = rng.standard_normal((5, 40)) * rng.uniform(0.1, 3.0, size=(5, 1))
+        scale = np.std(x, axis=1, keepdims=True)
+        designs = ek.scaled_polynomial_design(x, 9, scale)
+        assert designs.shape == (5, 40, 10)
+        for row, s in zip(x, scale[:, 0]):
+            expected = np.vander(row, 10, increasing=True) / [s**k for k in range(10)]
+            assert np.array_equal(ek.scaled_polynomial_design(row, 9, s), expected)
+        assert np.array_equal(designs, [ek.scaled_polynomial_design(row, 9, s)
+                                        for row, s in zip(x, scale[:, 0])])
+
     @pytest.mark.parametrize("x", [[1.0, np.nan], [1.0, np.inf], [1e200, 1.0]])
     def test_non_finite_design_entry_rejected(self, x):
         with np.errstate(over="ignore"), \
@@ -501,7 +513,88 @@ class TestPolynomialFamily:
             ek.polynomial_family(np.array([0.0, 1.0, 2.0]), [0, 4], 1.0, 1.0)
 
 
+@pytest.fixture
+def evidence_stacks(monkeypatch):
+    """The design shape of every ``_evidence_terms`` evaluation during the test."""
+    shapes = []
+    terms = evidkit.glm._evidence_terms
+
+    def counting(spec, y):
+        shapes.append(spec.G.shape)
+        return terms(spec, y)
+
+    monkeypatch.setattr(evidkit.glm, "_evidence_terms", counting)
+    monkeypatch.setattr(evidkit.selection, "_evidence_terms", counting)
+    return shapes
+
+
+def assert_sweet_spot_matches(report, reference):
+    for name, value in reference.items():
+        assert np.array_equal(getattr(report, name), value), name
+
+
 class TestSweetSpot:
+    # The ``poly-demo`` benchmark's settings at three seeds, a prior-dominated
+    # n = 10 with degrees 0..11, and n = 1000.
+    @pytest.mark.parametrize("degrees, n, reps, seed", [
+        (range(10), 100, 200, 501), (range(10), 100, 200, 502), (range(10), 100, 200, 503),
+        (range(12), 10, 100, 1), (range(12), 10, 100, 2), (range(12), 10, 100, 3),
+        (range(10), 1000, 20, 4), (range(10), 1000, 20, 5),
+    ])
+    def test_matches_per_replicate_selection(self, degrees, n, reps, seed):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # degree 11 on 10 points
+            reference = reference_sweet_spot(3, degrees, n, 0.3, 1.0, reps, seed)
+            report = ek.sweet_spot_experiment(3, degrees, n, 0.3, 1.0, reps, seed)
+        assert_sweet_spot_matches(report, reference)
+
+    @pytest.mark.parametrize("per_chunk", [1, 7])
+    def test_chunks_match_per_replicate_selection(self, monkeypatch, evidence_stacks,
+                                                  per_chunk):
+        n, reps = 30, 23
+        monkeypatch.setattr(evidkit.selection, "_CHUNK_FLOATS", 10 * n * 6 * per_chunk)
+        reference = reference_sweet_spot(2, range(6), n, 0.5, 1.0, reps, 7)
+        evidence_stacks.clear()
+        report = ek.sweet_spot_experiment(2, range(6), n, 0.5, 1.0, reps, 7)
+        assert_sweet_spot_matches(report, reference)
+        sizes = [min(per_chunk, reps - start) for start in range(0, reps, per_chunk)]
+        assert evidence_stacks == [(m, n, p + 1) for m in sizes for p in range(6)]
+
+    def test_each_degree_evaluated_once_per_chunk(self, evidence_stacks):
+        ek.sweet_spot_experiment(3, range(10), 100, 0.3, 1.0, reps=200, seed=0)
+        width = evidkit.selection._CHUNK_FLOATS // (10 * 100 * 10)
+        assert width == 26
+        sizes = [min(width, 200 - start) for start in range(0, 200, width)]
+        assert evidence_stacks == [(m, 100, p + 1) for m in sizes for p in range(10)]
+
+    def test_failure_inside_a_chunk_names_its_replicate_and_member(self, evidence_stacks):
+        # One chunk holds all 12 replicates; only replicate 3's degree-20 P* fails to factor.
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # degree 20 on 10 points
+            with pytest.raises(SelectionFailure, match="^replicate 3 failed: evidence "
+                                                       "evaluation failed for member 1: "
+                                                       "posterior precision factorization "
+                                                       "failed") as excinfo:
+                ek.sweet_spot_experiment(0, [0, 20], n=10, sigma=1.0, lam=1.0, reps=12,
+                                         seed=0)
+        assert excinfo.value.replicate == 3
+        assert excinfo.value.index == 1
+        assert evidence_stacks == [(12, 10, 1), (12, 10, 21)]
+
+    def test_prior_dominated_warning_emitted_once(self):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            ek.sweet_spot_experiment(1, [0, 1, 4], n=4, sigma=1.0, lam=1.0, reps=5, seed=0)
+        assert [str(w.message) for w in caught] == [
+            "largest degree 4 needs 5 columns but only 4 observations are available; "
+            "the fit is prior-dominated"]
+        assert caught[0].category is UserWarning
+
+    @pytest.mark.parametrize("name, sigma, lam", [("sigma", 0.0, 1.0), ("lam", 1.0, np.inf)])
+    def test_scales_validated(self, name, sigma, lam):
+        with pytest.raises(ValueError, match=f"^{name} must be positive and finite$"):
+            ek.sweet_spot_experiment(1, [0, 1], n=10, sigma=sigma, lam=lam, reps=3, seed=0)
+
     def test_near_noiseless_recovers_true_degree(self):
         report = ek.sweet_spot_experiment(3, range(10), 100, 1e-6, 1.0,
                                           reps=60, seed=8)
