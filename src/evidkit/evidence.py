@@ -35,7 +35,7 @@ from .generic import (
     resolve_integration_box,
 )
 from .glm import (LOG_2PI, GaussianLinearSpec, ObservationSet, _check_count, _check_scale,
-                  glm_log_evidence)
+                  _precision, glm_log_evidence)
 from .records import EvidenceDecomposition
 
 __all__ = [
@@ -405,7 +405,7 @@ def bic_sweep(family_generator, ns, seed: int) -> AsymptoticSweepResult:
         last = (spec, exact.theta_hat)
 
     spec, m_hat = last
-    H_hat = spec.G.T @ spec.G / spec.n
+    H_hat = _precision(spec)[0] / spec.n  # G'G, from a C-order copy as the closed form forms it
     sign, log_det_h = np.linalg.slogdet(H_hat)
     if sign <= 0:
         raise ValueError("empirical design moment matrix is not positive definite")

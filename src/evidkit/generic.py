@@ -578,11 +578,11 @@ def wrap_glm(spec: GaussianLinearSpec, obs: ObservationSet) -> GenericModelSpec:
     Expanding about the posterior mean rather than 0 keeps every term small
     near the mode, so no ``y'y``-sized terms cancel.
     """
-    G = spec.G
     sigma2 = spec.sigma**2
     lam2 = spec.lam**2
     const = -0.5 * spec.n * (LOG_2PI + np.log(sigma2))
-    gram, _, _, theta_hat = _posterior(spec, obs.y)
+    # G comes in C order: G'r on a column view would round differently from the closed form.
+    G, gram, _, _, theta_hat = _posterior(spec, obs.y)
     resid = obs.y - G @ theta_hat
     rss, g_resid = float(resid @ resid), G.T @ resid
 

@@ -52,7 +52,7 @@ _SOLVE_BLOCK = 64
 
 
 def _frozen_array(value, ndim, name):
-    arr = np.array(value, dtype=float)
+    arr = value if _unwritable(value) else np.array(value, dtype=float)
     if arr.ndim != ndim:
         raise ValueError(f"{name} must be {ndim}-dimensional, got shape {arr.shape}")
     if arr.size == 0:
@@ -61,6 +61,15 @@ def _frozen_array(value, ndim, name):
         raise ValueError(f"{name} contains non-finite entries")
     arr.setflags(write=False)
     return arr
+
+
+def _unwritable(value) -> bool:
+    """A read-only float64 ndarray whose ``base`` chain ends in a read-only owner of its data."""
+    if type(value) is not np.ndarray or value.dtype != np.float64:
+        return False
+    while not value.flags.writeable and isinstance(value.base, np.ndarray):
+        value = value.base
+    return not value.flags.writeable and value.flags.owndata
 
 
 def _check_scale(value, name) -> float:
@@ -86,9 +95,9 @@ class ObservationSet:
     Parameters
     ----------
     y : array_like, shape (n,)
-        Responses every likelihood is evaluated on.
+        Responses every likelihood is evaluated on, copied as ``GaussianLinearSpec`` copies ``G``.
     x : array_like, shape (n,), optional
-        Scalar covariate, used by polynomial model families.
+        Scalar covariate, used by polynomial model families; copied likewise.
     """
 
     y: np.ndarray
@@ -116,6 +125,8 @@ class GaussianLinearSpec:
     G : array_like, shape (n, d)
         Model matrix.  Rank deficiency is allowed; the prior precision
         ``lam**2 * I`` keeps the posterior precision positive definite.
+        Kept as given, a view included, when nothing can write to it: a read-only
+        float64 array whose ``base`` chain ends in a read-only owner.  Copied otherwise.
     sigma : float
         Observation noise scale, > 0.  Treated as known, never estimated.
     lam : float
@@ -210,8 +221,8 @@ def _matvec(A, x):
     return (A @ x[..., None])[..., 0]
 
 
-def _precision(spec: GaussianLinearSpec) -> tuple[np.ndarray, np.ndarray]:
-    G = np.ascontiguousarray(spec.G)  # C order: BLAS sums a strided view in another order
+def _precision(spec: GaussianLinearSpec, G=None) -> tuple[np.ndarray, np.ndarray]:
+    G = np.ascontiguousarray(spec.G if G is None else G)  # C order: BLAS sums a view otherwise
     with np.errstate(over="ignore", invalid="ignore"):
         gram = G.swapaxes(-1, -2) @ G
         p_star = gram / spec.sigma**2
@@ -248,18 +259,19 @@ def _factor_solve(matrix, rhs, name, row=None):
 
 
 def _posterior(spec: GaussianLinearSpec, y: np.ndarray) -> tuple:
-    """``(G'G, P*, L, theta_hat)``: ``P*`` factored once per model, by ``_cholesky_solve``.
+    """``(G, G'G, P*, L, theta_hat)``: ``P*`` factored once per model, by ``_cholesky_solve``.
 
     ``y`` may stack responses as the rows of an (m, n) matrix: ``theta_hat``
     then has a row each, bit for bit the MAP of that row alone.  ``G`` may stack one
     design per row, (m, n, d), in any ``spec`` with ``G``, ``n``, ``sigma`` and ``lam``.
     """
     _check_dims(spec, y)
-    gram, p_star = _precision(spec)
+    G = np.ascontiguousarray(spec.G)  # in C order: the evaluation's one copy of a view
+    gram, p_star = _precision(spec, G)
     with np.errstate(over="ignore", invalid="ignore"):
-        rhs = _matvec(np.ascontiguousarray(spec.G).swapaxes(-1, -2), y) / spec.sigma**2
+        rhs = _matvec(G.swapaxes(-1, -2), y) / spec.sigma**2
     _require_finite(rhs, "G'y / sigma**2", axes=1)
-    return gram, p_star, *_cholesky_solve(p_star, rhs, "posterior precision")
+    return G, gram, p_star, *_cholesky_solve(p_star, rhs, "posterior precision")
 
 
 def _require_finite(values, name: str, axes: int = 0):
@@ -282,14 +294,14 @@ def _log_fit(spec: GaussianLinearSpec, resid):
 
 def _evidence_terms(spec: GaussianLinearSpec, y: np.ndarray) -> tuple:
     """``(G'G, theta_hat, log_fit, flexibility)`` of ``y``, or of each row of a stack."""
-    gram, _, factor, theta_hat = _posterior(spec, y)
+    G, gram, _, factor, theta_hat = _posterior(spec, y)
     log_det_post = 2.0 * np.sum(np.log(np.diagonal(factor, axis1=-2, axis2=-1)), axis=-1)
     log_det_prior = 2.0 * spec.G.shape[-1] * np.log(spec.lam)
     # An overflow of theta_hat'theta_hat or of the residual sum of squares makes it non-finite.
     with np.errstate(over="ignore", invalid="ignore"):
         flexibility = 0.5 * (log_det_post - log_det_prior) \
             + 0.5 * spec.lam**2 * _matvec(theta_hat[..., None, :], theta_hat)[..., 0]
-        log_fit = _log_fit(spec, y - _matvec(spec.G, theta_hat))
+        log_fit = _log_fit(spec, y - _matvec(G, theta_hat))
         _require_finite(log_fit - flexibility, "log-evidence")
     return gram, theta_hat, log_fit, flexibility
 
@@ -313,7 +325,7 @@ def posterior_precision(spec: GaussianLinearSpec) -> np.ndarray:
 
 def map_estimate(spec: GaussianLinearSpec, obs: ObservationSet) -> np.ndarray:
     """MAP estimate ``theta_hat = (P*)^-1 G'y / sigma**2``, via Cholesky solve."""
-    return _posterior(spec, obs.y)[3]
+    return _posterior(spec, obs.y)[4]
 
 
 def glm_log_likelihood(spec: GaussianLinearSpec, obs: ObservationSet, theta) -> float:
@@ -388,7 +400,7 @@ def glm_log_evidence(spec: GaussianLinearSpec, obs: ObservationSet) -> EvidenceD
 
 def gaussian_posterior(spec: GaussianLinearSpec, obs: ObservationSet) -> GaussianPosterior:
     """Exact posterior ``N(theta_hat, (P*)^-1)`` paired with its prior."""
-    _, p_star, _, theta_hat = _posterior(spec, obs.y)
+    _, _, p_star, _, theta_hat = _posterior(spec, obs.y)
     return GaussianPosterior(
         theta_hat=theta_hat,
         post_precision=p_star,
@@ -408,7 +420,7 @@ def evidence_via_candidate(spec: GaussianLinearSpec, obs: ObservationSet, theta0
     if not np.all(np.isfinite(theta0)):
         raise ValueError("theta0 contains non-finite entries")
     log_lik = glm_log_likelihood(spec, obs, theta0)
-    _, _, factor, theta_hat = _posterior(spec, obs.y)
+    _, _, _, factor, theta_hat = _posterior(spec, obs.y)
     # ``lam * I`` factors the prior precision; ``P*`` comes factored by ``_posterior``.
     return log_lik + _gaussian_logpdf(theta0, np.zeros(spec.d), spec.lam * np.eye(spec.d)) \
         - _gaussian_logpdf(theta0, theta_hat, np.tril(factor))

@@ -195,13 +195,17 @@ def _member_evidence(member, obs: ObservationSet, generic_estimator: str,
 
 
 @contextmanager
-def _failure(index: int | None = None, replicate: int | None = None):
+def _failure(index: int | None = None, replicate: int | None = None, alone=None):
     """Re-raise an evidence failure, or a replicate's own ``ValueError``, naming where it arose."""
     try:
         yield
     except EvidkitError as exc:
-        if replicate is not None:  # row r of a stacked evaluation is replicate + r
-            replicate += getattr(exc, "row", None) or 0
+        # A failed stack reruns its replicates alone, in (replicate, member) order, as a loop would.
+        evaluate, rows, members = alone or (None, 0, ())
+        for row in range(rows):
+            for i in members:
+                with _failure(i, replicate=replicate + row):
+                    evaluate(row, i)
         prefix = "" if replicate is None else f"replicate {replicate} failed: "
         member = "" if index is None else f"evidence evaluation failed for member {index}: "
         index = getattr(exc, "index", None) if index is None else index
@@ -294,9 +298,7 @@ def risk_mc(model_set: ModelSet, generator: Callable | None, reps: int,
     contract.  Each Gaussian linear member is evaluated once per batch of up
     to ``_CHUNK_FLOATS // n`` stacked responses, from one factorization and
     bit for bit as :func:`glm_log_evidence` on each replicate, so the report
-    is that of :func:`select` on every replicate.  Every evidence failure
-    names its replicate: a Gaussian member's the replicate whose response
-    fails, or the first of its batch when the member itself fails.
+    and the first failure are those of :func:`select` on every replicate.
     """
     reps = _check_count(reps, "reps")
     rules = _check_rules(rules)
@@ -325,8 +327,9 @@ def risk_mc(model_set: ModelSet, generator: Callable | None, reps: int,
             truth[rep] = true_index
             ys.append(obs.y)
         Y = np.array(ys) if gaussian else None
+        alone = (lambda row, i: _log_evidences(members[i], Y[row]), len(ys), gaussian)
         for i in gaussian:
-            with _failure(i, replicate=start):
+            with _failure(i, replicate=start, alone=alone):
                 log_e[start:start + len(ys), i] = _log_evidences(members[i], Y)
 
     true_counts = np.bincount(truth, minlength=k).astype(float)
@@ -377,7 +380,8 @@ def polynomial_family(x, degrees: Sequence[int], sigma: float, lam: float) -> Mo
     recorded in ``info`` (it amounts to a per-column rescaling of the prior,
     so evidence comparisons refer to the scaled parameterization).
 
-    A degree needing more columns than there are observations is allowed
+    Every member's ``G`` is an uncopied view of one read-only design.  A
+    degree needing more columns than there are observations is allowed
     but triggers a warning.
     """
     x = np.asarray(x, dtype=float)
@@ -389,6 +393,7 @@ def polynomial_family(x, degrees: Sequence[int], sigma: float, lam: float) -> Mo
     # Every member's design is the leading columns of the largest one.
     scale_base = float(np.std(x))
     design = scaled_polynomial_design(x, max(degrees), scale_base)
+    design.setflags(write=False)  # so that each member keeps its view uncopied
     scales = _column_scales(max(degrees), scale_base)
     return ModelSet(
         members=tuple(GaussianLinearSpec(G=design[:, :p + 1], sigma=sigma, lam=lam)
@@ -445,8 +450,7 @@ def sweet_spot_experiment(true_degree: int, degrees: Sequence[int], n: int,
     each degree was chosen and the predictive regret of the selected degree
     against the per-replicate best.  Each degree is evaluated once per chunk
     of replicates, on their stacked designs, bit for bit as :func:`select` on
-    each replicate's :func:`polynomial_family`.  Every evidence failure names
-    its replicate.
+    each replicate's :func:`polynomial_family`, and so is the first failure.
     """
     degrees = _check_degrees(degrees)
     true_degree = _check_true_degree(true_degree, degrees)
@@ -472,9 +476,13 @@ def sweet_spot_experiment(true_degree: int, degrees: Sequence[int], n: int,
         test_design = scaled_polynomial_design(x_test, max(degrees), scale_base)
         y = _matvec(design[..., :true_degree + 1], theta_true) + noise
         y_test = _matvec(test_design[..., :true_degree + 1], theta_true) + noise_test
+
+        def alone(row, i):  # one replicate's design and response, as if never stacked
+            spec.G = design[row, :, :degrees[i] + 1]
+            _evidence_terms(spec, y[row])
         for i, p in enumerate(degrees):
             spec.G = design[..., :p + 1]
-            with _failure(i, replicate=start):
+            with _failure(i, replicate=start, alone=(alone, len(draws), range(len(degrees)))):
                 _, theta_hat, log_fit, flexibility = _evidence_terms(spec, y)
             log_e[:, i] = log_fit - flexibility
             pred = _matvec(test_design[..., :p + 1], theta_hat)

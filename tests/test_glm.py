@@ -49,6 +49,49 @@ class TestValidation:
             ek.map_estimate(spec, ek.ObservationSet(y=[1.0]))
 
 
+class TestAliasing:
+    """A spec keeps an array uncopied only when nothing can write to its memory."""
+
+    def test_writable_inputs_are_copied(self):
+        G, y = np.ones((3, 2)), np.ones(3)
+        spec, obs = ek.GaussianLinearSpec(G=G, sigma=1.0, lam=1.0), ek.ObservationSet(y=y, x=y)
+        G[0, 0] = y[0] = 5.0
+        assert spec.G[0, 0] == obs.y[0] == obs.x[0] == 1.0
+
+    def test_read_only_view_of_a_writable_owner_is_copied(self):
+        owner = np.ones((3, 4))
+        view = owner[:, :2]
+        view.setflags(write=False)
+        spec = ek.GaussianLinearSpec(G=view, sigma=1.0, lam=1.0)
+        obs = ek.ObservationSet(y=view[:, 0])
+        owner[0] = 5.0
+        assert spec.G[0, 0] == obs.y[0] == 1.0
+
+    def test_buffer_of_bytes_is_copied(self):
+        y = np.frombuffer(np.arange(1.0, 4.0).tobytes())
+        assert not y.flags.writeable and y.base is not None
+        G = np.frombuffer(np.ones(4).tobytes()).reshape(2, 2)
+        obs = ek.ObservationSet(y=y)
+        spec = ek.GaussianLinearSpec(G=G, sigma=1.0, lam=1.0)
+        assert not np.shares_memory(obs.y, y) and not np.shares_memory(spec.G, G)
+
+    def test_other_dtypes_are_copied(self):
+        G = np.ones((3, 2), dtype=np.float32)
+        G.setflags(write=False)
+        assert ek.GaussianLinearSpec(G=G, sigma=1.0, lam=1.0).G.dtype == np.float64
+
+    def test_read_only_view_of_a_read_only_owner_is_kept(self):
+        owner = np.arange(12.0).reshape(3, 4)
+        owner.setflags(write=False)  # but its own base, the 1-D range, stays writable
+        assert ek.GaussianLinearSpec(G=owner, sigma=1.0, lam=1.0).G.base is None
+        owner = owner.copy()
+        owner.setflags(write=False)
+        spec = ek.GaussianLinearSpec(G=owner[:, :2], sigma=1.0, lam=1.0)
+        assert spec.G.base is owner
+        assert ek.ObservationSet(y=owner[:, 1]).y.base is owner
+        assert ek.GaussianLinearSpec(G=owner, sigma=1.0, lam=1.0).G is owner
+
+
 class TestPosteriorPrecision:
     def test_identity_substitution(self):
         np.testing.assert_allclose(ek.posterior_precision(_unit_spec()), [[2.0]])

@@ -1,5 +1,6 @@
 """Selection rules, risk experiments, polynomial families, and the crossover."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -417,6 +418,20 @@ class TestRiskMcFailures:
         assert excinfo.value.replicate == 2
         assert excinfo.value.index == 0
 
+    def test_several_failures_name_the_first_replicate(self):
+        # In one batch, replicate 3's G'y overflows, which the stack checks before the
+        # log-evidence that fails for replicate 1.  A per-replicate loop meets replicate 1 first.
+        spec = ek.GaussianLinearSpec(G=[[1e10]], sigma=1.0, lam=1.0)
+        draws = iter([1.0, 1e200, 2.0, 1e300, 3.0])
+        with pytest.raises(SelectionFailure, match="^replicate 1 failed: evidence evaluation "
+                                                   "failed for member 0: log-evidence is not "
+                                                   "finite$") as excinfo:
+            ek.risk_mc(ek.ModelSet(members=(spec,)),
+                       lambda rng: (0, ek.ObservationSet(y=[next(draws)])), 5,
+                       ["max-evidence"], 0)
+        assert excinfo.value.replicate == 1
+        assert excinfo.value.index == 0
+
     @pytest.mark.parametrize("true_index", [-1, 2])
     def test_out_of_range_true_index(self, true_index):
         spec = ek.GaussianLinearSpec(G=[[1.0]], sigma=1.0, lam=1.0)
@@ -450,6 +465,14 @@ class TestRiskMcFailures:
             ek.risk_mc(model_set, generate, 6, ["max-evidence"], 0)
         assert excinfo.value.replicate == 3
         assert excinfo.value.index is None
+
+
+def bic_sweep_or_error(spec, obs):
+    """``bic_sweep`` of the one model ``(spec, obs)``, or its ``ValueError`` message."""
+    try:
+        return ek.bic_sweep(lambda n, rng: (spec, obs), [spec.n], 0)
+    except ValueError as exc:
+        return str(exc)
 
 
 class TestPolynomialFamily:
@@ -497,6 +520,58 @@ class TestPolynomialFamily:
             assert np.array_equal(ek.scaled_polynomial_design(row, 9, s), expected)
         assert np.array_equal(designs, [ek.scaled_polynomial_design(row, 9, s)
                                         for row, s in zip(x, scale[:, 0])])
+
+    def test_members_are_read_only_views_of_one_design(self):
+        x = np.random.default_rng(14).standard_normal(50)
+        members = ek.polynomial_family(x, [3, 0, 9, 5], 1.0, 1.0).members
+        design = members[2].G
+        assert design.shape == (50, 10) and not design.flags.writeable
+        for member in members:
+            assert np.shares_memory(member.G, design)
+            assert member.G.base is design.base
+            assert np.array_equal(member.G, design[:, :member.d])
+            with pytest.raises(ValueError, match="WRITEABLE"):
+                member.G.setflags(write=True)
+
+    @pytest.mark.parametrize("n", [7, 100, 10**4])
+    def test_views_evaluate_as_contiguous_copies(self, n):
+        # Every product that sums over rows reads the view's C-order copy, so each
+        # member's results equal those of its own contiguous design, bit for bit.
+        rng = np.random.default_rng(n)
+        x, y = rng.standard_normal(n), rng.standard_normal(n)
+        obs = ek.ObservationSet(y=y)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # degree 9 on 7 points
+            family = ek.polynomial_family(x, range(10), 0.7, 1.3)
+        for view in family.members:
+            copy = ek.GaussianLinearSpec(G=np.ascontiguousarray(view.G), sigma=0.7, lam=1.3)
+            assert not view.G.flags.c_contiguous or view.d == 10
+            a, b = ek.glm_log_evidence(view, obs), ek.glm_log_evidence(copy, obs)
+            assert (a.log_evidence, a.log_fit, a.flexibility) == \
+                (b.log_evidence, b.log_fit, b.flexibility)
+            assert np.array_equal(a.theta_hat, b.theta_hat)
+            assert np.array_equal(ek.map_estimate(view, obs), ek.map_estimate(copy, obs))
+            points = a.theta_hat + 0.1 * rng.standard_normal((5, view.d))
+            assert np.array_equal(ek.wrap_glm(view, obs).log_lik(points),
+                                  ek.wrap_glm(copy, obs).log_lik(points))
+            sweeps = [bic_sweep_or_error(spec, obs) for spec in (view, copy)]
+            if isinstance(sweeps[0], str):  # G'G / n is singular once d > n
+                assert view.d > n and sweeps[0] == sweeps[1]
+                continue
+            for name in ("gaps", "flexibilities", "H_hat", "m_hat", "predicted_constant"):
+                assert np.array_equal(getattr(sweeps[0], name), getattr(sweeps[1], name)), name
+
+    def test_family_memory_is_one_design(self):
+        x = np.random.default_rng(15).standard_normal(10**5)
+        tracemalloc.start()
+        try:
+            family = ek.polynomial_family(x, range(10), 1.0, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        design_bytes = x.size * 10 * 8  # 8 MB, the degree-9 design
+        assert len(family) == 10
+        assert peak <= 1.25 * design_bytes
 
     @pytest.mark.parametrize("x", [[1.0, np.nan], [1.0, np.inf], [1e200, 1.0]])
     def test_non_finite_design_entry_rejected(self, x):
@@ -579,7 +654,22 @@ class TestSweetSpot:
                                          seed=0)
         assert excinfo.value.replicate == 3
         assert excinfo.value.index == 1
-        assert evidence_stacks == [(12, 10, 1), (12, 10, 21)]
+        # The stack, then replicates 0..3 alone, in (replicate, member) order.
+        assert evidence_stacks == [(12, 10, 1), (12, 10, 21)] + [(10, 1), (10, 21)] * 4
+
+    def test_several_failures_name_the_first_replicate(self, evidence_stacks):
+        # Replicate 0's degree-300 P* fails to factor, and replicate 5's overflows, which the
+        # stack checks first.  A per-replicate loop meets replicate 0 first.
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # degree 300 on 5 points
+            with pytest.raises(SelectionFailure, match="^replicate 0 failed: evidence "
+                                                       "evaluation failed for member 1: "
+                                                       "posterior precision factorization "
+                                                       "failed: leading minor ") as excinfo:
+                ek.sweet_spot_experiment(0, [0, 300], n=5, sigma=1, lam=1, reps=8, seed=9)
+        assert excinfo.value.replicate == 0
+        assert excinfo.value.index == 1
+        assert evidence_stacks == [(8, 5, 1), (8, 5, 301), (5, 1), (5, 301)]
 
     def test_prior_dominated_warning_emitted_once(self):
         with warnings.catch_warnings(record=True) as caught:
