@@ -253,7 +253,8 @@ def evidence_importance(model: GenericModelSpec, prior: NormalizedPrior,
     top = float(np.max(log_ratios))
     weights = np.exp(log_ratios - top)
     mean_w = float(weights.mean())
-    ess = float(weights.sum() ** 2 / (weights @ weights))
+    # A numpy sum, not a BLAS dot, so that the ESS does not depend on the thread count.
+    ess = float(weights.sum() ** 2 / np.square(weights).sum())
     if not ess >= MIN_ESS_FRACTION * samples:  # a NaN ESS fails too
         raise DegeneracyFailure(
             f"importance weights degenerate: ESS {ess:.1f} of {samples} draws", ess=ess)

@@ -511,8 +511,8 @@ class CrossoverReport:
 
     The flexible model spreads its predictive density over a wider range,
     so the stiff model wins near the center and loses in the tails; the
-    ``crossovers`` are the response values where the preference flips,
-    located by bisection.
+    ``crossovers`` are the response values where the preference flips: the
+    exact roots ``±r`` of the difference that the grid brackets.
     """
 
     y_grid: np.ndarray
@@ -535,11 +535,14 @@ def mackay_crossover(model_simple: GaussianLinearSpec,
     Both models must have exactly one observation row.  Each model's
     log-evidence at every grid value comes from one batch and one
     factorization, equal bit for bit to :func:`glm_log_evidence` at each
-    point.  Sign changes of the difference are refined by bisection until
-    the difference at the reported point is below 1e-8.  When the flexible
-    model's marginal predictive variance strictly exceeds the stiff model's,
-    both preference regions must appear on the grid (widen the grid
-    otherwise).
+    point.  Each log-evidence is ``log N(y; 0, v)`` with the marginal
+    variance ``v = sigma^2 + |g|^2 / lam^2``, so the difference vanishes
+    exactly at ``y = ±r``, ``r^2 = log(v_c / v_s) / (1/v_s - 1/v_c)``.
+    Each root is reported, once and in ascending order, where a sign change
+    of the grid difference brackets it; equal variances have no root.  When
+    the flexible model's marginal predictive variance strictly exceeds the
+    stiff model's, both preference regions must appear on the grid (widen
+    the grid otherwise).
     """
     for name, spec in (("model_simple", model_simple), ("model_complex", model_complex)):
         if spec.n != 1:
@@ -550,33 +553,27 @@ def mackay_crossover(model_simple: GaussianLinearSpec,
                                    for spec in (model_simple, model_complex))
     diff = log_e_simple - log_e_complex
 
-    crossovers = []
-    for i in range(y_grid.size - 1):
-        if diff[i] == 0.0 or diff[i] * diff[i + 1] >= 0.0:
-            continue
-        lo, hi, f_lo = y_grid[i], y_grid[i + 1], diff[i]
-        while hi - lo > 1e-12 * max(1.0, abs(lo) + abs(hi)):
-            mid = (lo + hi) / 2.0
-            obs = ObservationSet(y=[mid])
-            f_mid = (glm_log_evidence(model_simple, obs).log_evidence
-                     - glm_log_evidence(model_complex, obs).log_evidence)
-            if f_mid == 0.0:
-                lo = hi = mid
-                break
-            if (f_mid > 0) == (f_lo > 0):
-                lo, f_lo = mid, f_mid
-            else:
-                hi = mid
-        crossovers.append((lo + hi) / 2.0)
-
     var_simple, var_complex = (spec.sigma**2 + float(spec.G[0] @ spec.G[0]) / spec.lam**2
                                for spec in (model_simple, model_complex))
     if var_complex > var_simple and not (np.any(diff > 0) and np.any(diff < 0)):
         raise ValueError("the grid does not exhibit both preference regions although the "
                          "flexible model has the wider predictive density; widen y_grid")
 
+    sign = np.sign(diff)
+    brackets = [(y_grid[i], y_grid[i + 1]) for i in np.flatnonzero(sign[:-1] * sign[1:] < 0)]
+    crossovers = ()
+    # Equal variances give equal evidences at every y: their diff is rounding noise.
+    if var_simple != var_complex:
+        # log N(y; 0, v_lo) = log N(y; 0, v_hi) at y^2 = log(v_hi/v_lo) / (1/v_lo - 1/v_hi),
+        # written with the relative gap so that no difference of reciprocals cancels.
+        v_lo, v_hi = sorted((var_simple, var_complex))
+        gap = (v_hi - v_lo) / v_lo
+        root = np.sqrt(v_hi * np.log1p(gap) / gap)
+        crossovers = tuple(y for y in (-root, root)
+                           if any(lo <= y <= hi for lo, hi in brackets))
+
     return CrossoverReport(
         y_grid=y_grid, log_evidence_simple=log_e_simple,
-        log_evidence_complex=log_e_complex, crossovers=tuple(crossovers),
-        sign_pattern=np.sign(diff).astype(np.int8), marginal_variance_simple=var_simple,
+        log_evidence_complex=log_e_complex, crossovers=crossovers,
+        sign_pattern=sign.astype(np.int8), marginal_variance_simple=var_simple,
         marginal_variance_complex=var_complex)

@@ -5,6 +5,8 @@ import hashlib
 import json
 import os
 import re
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -477,11 +479,11 @@ GOLDEN_PAYLOADS = {
         "6a6ed51407f9c15595b49f21b1879405b42386c28adbb91e4d017e762794d2a5"),
     "mackay-demo-csv": (
         "mackay-demo --lambda-simple 10 --lambda-complex 0.1 --format csv",
-        "a6d030397bf6b1a44275603e156402616514e73b6d02fedd59401d6ee8b9c188"),
+        "27a5170448a44c168194d306e89a2ceb99247fbff8a7091c9efd5eccea30b712"),
     "mackay-demo-sigma-2.7-csv": (
         "mackay-demo --sigma 2.7 --lambda-simple 3 --lambda-complex 0.05 --y-min -60 "
         "--y-max 60 --grid 2001 --format csv",
-        "30ca355344648e746640fde20e595d3b4ccaf065ba69afb0b9d1b58399ef8d67"),
+        "698a50c255be5bfe02454f31ee3d5eba4f59c512aa2095826b843e7b15f0dfed"),
     "poly-demo-json": (
         "poly-demo --true-degree 3 --degrees 0..9 --n 100 --sigma 0.3 --lambda 1 --reps 60 "
         "--seed 4",
@@ -500,6 +502,13 @@ GOLDEN_DATA_PAYLOADS = {
     "evidence-laplace-json": (
         "evidence --data xy.csv --estimator laplace --degree 1 --sigma 0.3 --lambda 1",
         "f9113f84c53669909ea14bf639a4d0d8457cf8d66b55e0376587108ea8203b52"),
+    "evidence-quadrature-json": (
+        "evidence --data xy.csv --estimator quadrature --degree 2 --sigma 0.3 --lambda 1",
+        "20689b2c492b5c9f2a8f38add1dee4c09f48956f73df2f8f1cf245fa17db07b1"),
+    "evidence-importance-sampling-json": (
+        "evidence --data xy.csv --estimator importance-sampling --degree 2 --sigma 0.3 "
+        "--lambda 1",
+        "aca1fd537b64741a0ecefa7072aa32e882efdf0bed459bc41cce89113494df0f"),
 }
 
 
@@ -522,6 +531,19 @@ class TestGoldenPayloads:
     def test_data_file_payload_digest(self, argv, digest, xy_csv, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         self.test_result_payload_digest(argv, digest, tmp_path)
+
+    def test_digests_hold_at_one_blas_thread(self):
+        # The goldens above run in this process at whatever thread count BLAS
+        # picked; run them again in a fresh process pinned to one thread.
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+        result = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", __file__,
+             "-k", "test_result_payload_digest or test_data_file_payload_digest"],
+            cwd=Path(__file__).parent.parent, env=env, capture_output=True, text=True,
+            timeout=600)
+        assert result.returncode == 0, result.stdout + result.stderr
+        passed = len(GOLDEN_PAYLOADS) + len(GOLDEN_DATA_PAYLOADS)
+        assert re.search(rf"\b{passed} passed\b", result.stdout), result.stdout
 
 
 _MODEL = ["--sigma", "1", "--lambda", "1"]

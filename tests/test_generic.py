@@ -330,6 +330,33 @@ class TestMultistart:
         result = ek.map_optimize_multistart(model, seed=0, box=[[-2.0, 2.0]])
         assert result.theta[0] == pytest.approx(0.0, abs=1e-6)
 
+    def test_failed_starts_keep_their_best_iterate(self, monkeypatch):
+        # The kinked model of TestMapOptimize: every start fails near the kink at 0.
+        model = ek.GenericModelSpec(
+            dim=1, log_lik=lambda pts: -0.125 * (pts[:, 0] - 1.0) ** 2,
+            regularizer=lambda pts: np.abs(pts[:, 0]), effective_box=[[-5.0, 5.0]],
+            vectorized=True)
+        search = evidkit.generic.map_optimize
+        failures = []
+
+        def recording(*args):
+            try:
+                return search(*args)
+            except ConvergenceFailure as failure:
+                failures.append(failure)
+                raise
+
+        monkeypatch.setattr(evidkit.generic, "map_optimize", recording)
+        result = ek.map_optimize_multistart(model, seed=0, box=[[-5.0, 5.0]])
+        assert len(failures) == len(result.basins) == 8
+        for (_, theta, value), failure in zip(result.basins, failures):
+            assert np.array_equal(theta, failure.best_theta)
+            assert value == failure.best_value
+        best = max(result.basins, key=lambda basin: basin[2])
+        assert np.array_equal(result.theta, best[1])
+        assert result.value == best[2]
+        assert result.theta[0] == pytest.approx(0.0, abs=1e-5)
+
 
 class TestNormalizePrior:
     def test_unit_gaussian(self):

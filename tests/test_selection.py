@@ -766,7 +766,7 @@ class TestCrossover:
                          for y in y_grid]
             assert np.array_equal(values, per_point)
 
-    def test_only_the_bisection_evaluates_single_points(self, monkeypatch):
+    def test_no_single_point_is_evaluated(self, monkeypatch):
         points = []
 
         def recording(spec, obs):
@@ -780,12 +780,50 @@ class TestCrossover:
         brackets = [(y_grid[i], y_grid[i + 1]) for i in np.flatnonzero(
             report.diff[:-1] * report.diff[1:] < 0)]
         assert len(brackets) == 2
-        assert points and len(points) % 2 == 0
-        assert all(any(lo < y < hi for lo, hi in brackets) for y in points)
-        points.clear()
+        assert points == []
+        assert all(any(lo < y < hi for lo, hi in brackets) for y in report.crossovers)
         spec = ek.GaussianLinearSpec(G=[[1.0]], sigma=1.0, lam=2.0)
         ek.mackay_crossover(spec, spec, y_grid)
         assert points == []
+
+    @pytest.mark.parametrize("sigma, lam_simple, lam_complex, y_max", [
+        (1.0, 10.0, 0.1, 25.0), (2.7, 3.0, 0.05, 60.0), (2.0, 10.0, 0.1, 25.0)])
+    def test_roots_are_exact_and_symmetric(self, sigma, lam_simple, lam_complex, y_max):
+        simple = ek.GaussianLinearSpec(G=[[1.0]], sigma=sigma, lam=lam_simple)
+        flexible = ek.GaussianLinearSpec(G=[[1.0]], sigma=sigma, lam=lam_complex)
+        y_grid = np.linspace(-y_max, y_max, 1001)
+        report = ek.mackay_crossover(simple, flexible, y_grid)
+        low, high = report.crossovers
+        assert low == -high
+        for y_star in report.crossovers:
+            obs = ek.ObservationSet(y=[y_star])
+            assert abs(ek.glm_log_evidence(simple, obs).log_evidence
+                       - ek.glm_log_evidence(flexible, obs).log_evidence) <= 1e-12
+        swapped = ek.mackay_crossover(flexible, simple, y_grid)
+        assert swapped.crossovers == report.crossovers
+
+    def test_only_bracketed_roots_are_reported(self):
+        simple, flexible = self._pair()
+        both = ek.mackay_crossover(simple, flexible, np.linspace(-25.0, 25.0, 1001))
+        right = ek.mackay_crossover(simple, flexible, np.linspace(0.0, 25.0, 501))
+        assert right.crossovers == both.crossovers[1:]
+        # With the flexible model first no region is required, and a grid
+        # between the roots brackets neither.
+        inner = ek.mackay_crossover(flexible, simple, np.linspace(-1.0, 1.0, 21))
+        assert inner.crossovers == ()
+
+    def test_equal_variances_have_no_crossover(self):
+        # Both marginal variances are sigma^2 + 1, so the grid difference is
+        # rounding noise whose sign changes many times.
+        stretched = ek.GaussianLinearSpec(G=[[3.0]], sigma=1.0, lam=3.0)
+        unit = ek.GaussianLinearSpec(G=[[1.0]], sigma=1.0, lam=1.0)
+        y_grid = np.linspace(-25.0, 25.0, 1001)
+        for pair in ((stretched, unit), (unit, stretched)):
+            report = ek.mackay_crossover(*pair, y_grid)
+            assert report.marginal_variance_simple == report.marginal_variance_complex
+            assert np.abs(report.diff).max() < 1e-13
+            assert np.any(report.sign_pattern[:-1] * report.sign_pattern[1:] < 0)
+            assert report.crossovers == ()
 
     def test_identical_specs_no_crossover(self):
         spec = ek.GaussianLinearSpec(G=[[1.0]], sigma=1.0, lam=2.0)
