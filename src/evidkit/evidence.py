@@ -30,8 +30,8 @@ from .generic import (
     _objective,
     _stencil_derivatives,
     _richardson_log_integral,
+    _search,
     _value_at,
-    map_optimize,
     resolve_integration_box,
 )
 from .glm import (LOG_2PI, GaussianLinearSpec, ObservationSet, _check_count, _check_scale,
@@ -88,11 +88,32 @@ def _log_joint_fn(model: GenericModelSpec, prior: NormalizedPrior):
     return lambda points: psi(points) - log_z
 
 
-def _map_search(model: GenericModelSpec, start):
-    """The MAP searched from ``start``, or from the centre of the declared box."""
-    if start is None:
-        start = _declared_box(model).mean(axis=1)
-    return map_optimize(model, np.asarray(start, dtype=float))
+def _laplace_mode(model: GenericModelSpec, start=None, theta_hat=None, curvature=None,
+                  strict=True):
+    """``(theta_hat, A, L)``: the MAP, the Laplace curvature ``A`` there and its lower factor.
+
+    The MAP is searched from ``start`` (default: the declared box's centre),
+    and ``A`` is ``-hess`` of its :class:`~evidkit.generic._Mode`.  A given
+    ``theta_hat`` is not searched and takes a stencil; a given ``curvature``
+    is ``A``.  An ``A`` that fails the factorization raises
+    :class:`CurvatureFailure`, or gives ``L = None`` when not ``strict``.
+    """
+    if theta_hat is None:
+        start = _declared_box(model).mean(axis=1) if start is None else start
+        theta_hat, _, hess = _search(model, start)
+    else:
+        theta_hat = np.asarray(theta_hat, dtype=float)
+        if curvature is None:
+            hess = _stencil_derivatives(_objective(model), theta_hat, hess_step=HESS_STEP)[1]
+    curvature = -hess if curvature is None else curvature
+    try:
+        return theta_hat, curvature, np.linalg.cholesky(curvature)
+    except LinAlgError as exc:
+        if not strict:
+            return theta_hat, curvature, None
+        raise CurvatureFailure(
+            "Hessian at the MAP is not positive definite (saddle or ridge); "
+            "the Laplace approximation is undefined here") from exc
 
 
 def _posterior_integral(model: GenericModelSpec, prior: NormalizedPrior, theta_hat,
@@ -122,20 +143,17 @@ def evidence_quadrature(model: GenericModelSpec, prior: NormalizedPrior,
 
     The MAP search (from ``start``, or the declared box's centre) comes
     first.  ``exp(log_lik - R) / Z_R`` is then integrated over the MAP +-
-    ``BOX_SDS`` (8) posterior sd of the Laplace curvature, clipped to a
-    grid-normalized prior's box, else to the support, and widened while
-    mass sits at a face short of those limits.  A curvature that is not
-    positive definite leaves the prior's box, or the declared box resolved.
-    A second mode outside the widened box is not integrated.  The error
-    estimate is the Richardson one of :func:`evidkit.generic.normalize_prior`,
-    floored at 64 roundings of log E, plus ``prior.err_estimate``.
+    ``BOX_SDS`` (8) posterior sd of the Laplace curvature, the negative of
+    the search's last stencil Hessian, clipped to a grid-normalized prior's
+    box, else to the support, and widened while mass sits at a face short
+    of those limits.  A curvature that is not positive definite leaves the
+    prior's box, or the declared box resolved.  A second mode outside the
+    widened box is not integrated.  The error estimate is the Richardson
+    one of :func:`evidkit.generic.normalize_prior`, floored at 64 roundings
+    of log E, plus ``prior.err_estimate``.
     """
     _check_grid_dim(model.dim)
-    theta_hat = _map_search(model, start)
-    try:
-        chol_lower = _laplace_factor(model, theta_hat)[1]
-    except CurvatureFailure:
-        chol_lower = None
+    theta_hat, _, chol_lower = _laplace_mode(model, start, strict=False)
     box, log_e, err = _posterior_integral(model, prior, theta_hat, chol_lower,
                                           grid_points_per_dim, max_err, "quadrature")
     log_fit = _value_at(model._log_lik_batch, theta_hat)
@@ -145,22 +163,6 @@ def evidence_quadrature(model: GenericModelSpec, prior: NormalizedPrior,
         info={"grid_points_per_dim": int(grid_points_per_dim), "box": np.asarray(box).tolist()})
 
 
-def _laplace_factor(model: GenericModelSpec, theta_hat, curvature=None):
-    """The Laplace curvature at the MAP (computed when None) and its lower Cholesky factor.
-
-    The factorization is the positive-definiteness test: a curvature that
-    fails it raises :class:`CurvatureFailure`.
-    """
-    if curvature is None:
-        curvature = -_stencil_derivatives(_objective(model), theta_hat, hess_step=HESS_STEP)[1]
-    try:
-        return curvature, np.linalg.cholesky(curvature)
-    except LinAlgError as exc:
-        raise CurvatureFailure(
-            "Hessian at the MAP is not positive definite (saddle or ridge); "
-            "the Laplace approximation is undefined here") from exc
-
-
 def laplace_curvature(model: GenericModelSpec, prior: NormalizedPrior, theta_hat) -> np.ndarray:
     """Negative Hessian of ``log_lik + log prior`` at the MAP.
 
@@ -168,7 +170,7 @@ def laplace_curvature(model: GenericModelSpec, prior: NormalizedPrior, theta_hat
     ``log_lik - R``.  Raises :class:`CurvatureFailure` when the result is
     not positive definite.
     """
-    return _laplace_factor(model, theta_hat)[0]
+    return _laplace_mode(model, theta_hat=theta_hat)[1]
 
 
 def evidence_laplace(model: GenericModelSpec, prior: NormalizedPrior, *, start=None,
@@ -177,8 +179,8 @@ def evidence_laplace(model: GenericModelSpec, prior: NormalizedPrior, *, start=N
 
     ``log E ~ log f(theta_hat) + log prior(theta_hat) + (d/2) log 2 pi
     - 0.5 log det A`` with ``A`` the curvature of the negative log posterior
-    at the MAP.  Exact when the posterior is Gaussian, which is what the
-    closed-form tests exploit.
+    at the MAP, from the search's last stencil.  Exact when the posterior is
+    Gaussian, which is what the closed-form tests exploit.
 
     When ``dim <= 3`` the error estimate is ``|log E - reference|`` plus the
     reference's error, both as :func:`evidence_quadrature` finds them from
@@ -186,8 +188,7 @@ def evidence_laplace(model: GenericModelSpec, prior: NormalizedPrior, *, start=N
     least 5; default ``DEFAULT_GRID``); ``info`` records the reference's
     box and grid.  Above that no estimate is available and NaN is reported.
     """
-    theta_hat = _map_search(model, start)
-    chol_lower = _laplace_factor(model, theta_hat)[1]
+    theta_hat, _, chol_lower = _laplace_mode(model, start)
     log_det = 2.0 * float(np.sum(np.log(np.diag(chol_lower))))
 
     log_fit = _value_at(model._log_lik_batch, theta_hat)
@@ -218,8 +219,9 @@ def evidence_importance(model: GenericModelSpec, prior: NormalizedPrior,
     against an underdispersed proposal).  The estimate is the log-mean-exp
     of ``log_lik + log prior - log proposal`` over the draws; the error
     estimate maps the weight standard error to the log scale by the delta
-    method.  ``theta_hat`` and ``curvature`` override the computed proposal
-    center and precision, e.g. to propose from a known exact posterior.
+    method.  ``theta_hat`` and ``curvature`` override the searched MAP and
+    its last stencil's curvature, e.g. to propose from a known exact
+    posterior; a given ``theta_hat`` alone takes a stencil there.
 
     Draws come from a counter-based Philox stream keyed by ``seed``, so the
     result is reproducible bit for bit and independent of evaluation order.
@@ -234,9 +236,7 @@ def evidence_importance(model: GenericModelSpec, prior: NormalizedPrior,
     """
     samples = _check_count(samples, "samples", 2)  # two at least, so the weights have a spread
     inflation = _check_scale(inflation, "inflation")
-    theta_hat = _map_search(model, start) if theta_hat is None \
-        else np.asarray(theta_hat, dtype=float)
-    chol_lower = _laplace_factor(model, theta_hat, curvature)[1]
+    theta_hat, _, chol_lower = _laplace_mode(model, start, theta_hat, curvature)
     log_det = 2.0 * float(np.sum(np.log(np.diag(chol_lower))))
     d = model.dim
 
@@ -392,20 +392,16 @@ def bic_sweep(family_generator, ns, seed: int) -> AsymptoticSweepResult:
     children = np.random.SeedSequence(seed).spawn(len(ns))
     gaps = np.empty(len(ns))
     flexibilities = np.empty(len(ns))
-    d = None
-    last = None
     for k, n in enumerate(ns):
         spec, obs = family_generator(n, np.random.default_rng(children[k]))
-        if d is None:
-            d = spec.d
-        elif spec.d != d:
+        if k and spec.d != d:
             raise ValueError(f"family dimension changed from {d} to {spec.d} at n={n}")
+        d = spec.d
         exact = glm_log_evidence(spec, obs)
         flexibilities[k] = exact.flexibility
         gaps[k] = flexibilities[k] - bic_penalty(spec.d, n)
-        last = (spec, exact.theta_hat)
 
-    spec, m_hat = last
+    m_hat = exact.theta_hat  # spec and exact are the largest sample size's
     H_hat = _precision(spec)[0] / spec.n  # G'G, from a C-order copy as the closed form forms it
     sign, log_det_h = np.linalg.slogdet(H_hat)
     if sign <= 0:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -269,6 +269,14 @@ def _ascent_step(grad, hess):
     return None
 
 
+class _Mode(NamedTuple):
+    """A converged MAP search: its ``theta``, objective ``value`` and confirming stencil ``hess``."""
+
+    theta: np.ndarray
+    value: float
+    hess: np.ndarray
+
+
 def map_optimize(model: GenericModelSpec, start, *, max_iter=MAX_ITER) -> np.ndarray:
     """Local maximizer of ``log_lik(theta) - regularizer(theta)``.
 
@@ -296,6 +304,11 @@ def map_optimize(model: GenericModelSpec, start, *, max_iter=MAX_ITER) -> np.nda
         (every later one would repeat it), or after ``max_iter``
         iterations; the error carries the best iterate.
     """
+    return _search(model, start, max_iter).theta
+
+
+def _search(model: GenericModelSpec, start, max_iter=MAX_ITER) -> _Mode:
+    """The search :func:`map_optimize` states, returning its converged :class:`_Mode`."""
     bounds = model.bounds()
     theta = np.asarray(start, dtype=float).copy()
     if theta.shape != (model.dim,):
@@ -319,22 +332,21 @@ def map_optimize(model: GenericModelSpec, start, *, max_iter=MAX_ITER) -> np.nda
         stationary = np.max(np.abs(grad)) < GRAD_TOL or decrement <= stall * max(1.0, abs(value))
         if stationary and _strictly_interior(theta, bounds):
             if float(np.linalg.eigvalsh(hess).max()) <= CURVATURE_TOL:
-                return theta
+                return _Mode(theta, value, hess)
             if step is not None:  # a saddle or minimum: its gain is second order
                 curvature, axes = np.linalg.eigh(hess)
                 step = axes[:, -1] * np.copysign(1.0 + np.max(np.abs(theta)), grad @ axes[:, -1])
                 decrement = 0.5 * curvature[-1] * float(step @ step)
 
-        moved = False
         t = 1.0
         while step is not None and t > 1e-12:
             trial = np.clip(theta + t * step, bounds[:, 0], bounds[:, 1])
             trial_value = psi(trial)
             if np.isfinite(trial_value) and trial_value >= value + 1e-4 * t * decrement:
-                theta, value, moved = trial, trial_value, True
+                theta, value = trial, trial_value
                 break
             t /= 2.0
-        if not moved:  # every later iteration would start here and fail alike
+        else:  # no step ascends: every later iteration would start here and fail alike
             stop = f"no ascent step was left at iteration {iteration}"
             break
         if value > best_value:
@@ -378,19 +390,15 @@ def map_optimize_multistart(model: GenericModelSpec, seed: int, *, box=None) -> 
               + rng.uniform(size=(MULTISTART_STARTS, model.dim))) / MULTISTART_STARTS
     starts = box[:, 0] + strata * (box[:, 1] - box[:, 0])
 
-    psi_batch = _objective(model)
     basins = []
-    best_theta, best_value = None, -np.inf
     for start in starts:
         try:
-            theta = map_optimize(model, start)
-            value = _value_at(psi_batch, theta)
+            theta, value, _ = _search(model, start)
         except ConvergenceFailure as failure:
-            theta, value = failure.best_theta, failure.best_value
-        basins.append((start, theta, float(value)))
-        if value > best_value:
-            best_theta, best_value = theta, float(value)
-    return MultistartResult(theta=best_theta, value=best_value, basins=tuple(basins))
+            theta, value = failure.best_theta, float(failure.best_value)
+        basins.append((start, theta, value))
+    _, theta, value = max(basins, key=lambda basin: basin[2])  # the first of equal values
+    return MultistartResult(theta=theta, value=value, basins=tuple(basins))
 
 
 # ---------------------------------------------------------------------------
@@ -578,11 +586,12 @@ def wrap_glm(spec: GaussianLinearSpec, obs: ObservationSet) -> GenericModelSpec:
     Expanding about the posterior mean rather than 0 keeps every term small
     near the mode, so no ``y'y``-sized terms cancel.
     """
+    # Before log(sigma2): a sigma**2 that underflows to 0 raises NumericFailure here.
+    # G comes in C order: G'r on a column view would round differently from the closed form.
+    G, gram, _, _, theta_hat = _posterior(spec, obs.y)
     sigma2 = spec.sigma**2
     lam2 = spec.lam**2
     const = -0.5 * spec.n * (LOG_2PI + np.log(sigma2))
-    # G comes in C order: G'r on a column view would round differently from the closed form.
-    G, gram, _, _, theta_hat = _posterior(spec, obs.y)
     resid = obs.y - G @ theta_hat
     rss, g_resid = float(resid @ resid), G.T @ resid
 

@@ -223,7 +223,7 @@ def _matvec(A, x):
 
 def _precision(spec: GaussianLinearSpec, G=None) -> tuple[np.ndarray, np.ndarray]:
     G = np.ascontiguousarray(spec.G if G is None else G)  # C order: BLAS sums a view otherwise
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         gram = G.swapaxes(-1, -2) @ G
         p_star = gram / spec.sigma**2
     np.einsum("...ii->...i", p_star)[...] += spec.lam**2  # each diagonal, through a view
@@ -268,7 +268,7 @@ def _posterior(spec: GaussianLinearSpec, y: np.ndarray) -> tuple:
     _check_dims(spec, y)
     G = np.ascontiguousarray(spec.G)  # in C order: the evaluation's one copy of a view
     gram, p_star = _precision(spec, G)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         rhs = _matvec(G.swapaxes(-1, -2), y) / spec.sigma**2
     _require_finite(rhs, "G'y / sigma**2", axes=1)
     return G, gram, p_star, *_cholesky_solve(p_star, rhs, "posterior precision")
@@ -338,7 +338,7 @@ def glm_log_likelihood(spec: GaussianLinearSpec, obs: ObservationSet, theta) -> 
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (spec.d,):
         raise ValueError(f"theta has shape {theta.shape}, expected ({spec.d},)")
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         log_lik = _log_fit(spec, obs.y - spec.G @ theta)
         _require_finite(log_lik, "log-likelihood")
     return log_lik

@@ -509,6 +509,14 @@ GOLDEN_DATA_PAYLOADS = {
         "evidence --data xy.csv --estimator importance-sampling --degree 2 --sigma 0.3 "
         "--lambda 1",
         "aca1fd537b64741a0ecefa7072aa32e882efdf0bed459bc41cce89113494df0f"),
+    # d = 5, where numpy's Cholesky and LAPACK's potrf round differently.
+    "evidence-laplace-degree-4-json": (
+        "evidence --data xy.csv --estimator laplace --degree 4 --sigma 0.3 --lambda 1",
+        "77c7f5996b57167cb64146793e8f87f979a36597be2d5f237328a6bb60d5cd0e"),
+    "evidence-importance-sampling-degree-4-json": (
+        "evidence --data xy.csv --estimator importance-sampling --degree 4 --sigma 0.3 "
+        "--lambda 1",
+        "2fe1b5613b7616f4770cf0117b8028e2a046bac137e7680400cca379d4fd1dda"),
 }
 
 

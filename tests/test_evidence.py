@@ -148,9 +148,9 @@ class TestLaplace:
 
         def counting(model, start, **kwargs):
             searches.append(start)
-            return evidkit.generic.map_optimize(model, start, **kwargs)
+            return evidkit.generic._search(model, start, **kwargs)
 
-        monkeypatch.setattr(evidkit.evidence, "map_optimize", counting)
+        monkeypatch.setattr(evidkit.evidence, "_search", counting)
         dec = ek.evidence_laplace(model, prior, err_check_grid=101)
         assert len(searches) == 1
         assert dec.info["grid_points_per_dim"] == 101
@@ -463,3 +463,78 @@ class TestErrorBarSweep:
             # The estimates are tight too, so a tolerance of 1e-6 would pass.
             loosest = max(rows, key=lambda row: row[1])
             assert loosest[1] < 1e-6, (estimator, loosest)
+
+
+def _scalar_copy(model):
+    """The same model through scalar callables, one point per call."""
+    return ek.GenericModelSpec(
+        dim=model.dim, log_lik=lambda theta: float(model.log_lik(theta[None, :])[0]),
+        regularizer=lambda theta: float(model.regularizer(theta[None, :])[0]),
+        support=model.support, effective_box=model.effective_box)
+
+
+class TestModeRecord:
+    """The estimators take the MAP's curvature from the search that found it."""
+
+    @staticmethod
+    def _models():
+        rng = np.random.default_rng(101)
+        for d in range(1, 7):
+            for n in (25, 200, 1000):
+                x = rng.standard_normal(n)
+                G = ek.scaled_polynomial_design(x, d - 1, float(np.std(x)))
+                y = G @ rng.standard_normal(d) + 0.5 * rng.standard_normal(n)
+                spec = ek.GaussianLinearSpec(G=G, sigma=0.5, lam=1.0)
+                yield f"glm-d{d}-n{n}", ek.wrap_glm(spec, ek.ObservationSet(y=y))
+        for seed in (3, 4, 5):
+            yield f"logistic-{seed}", logistic_model(seed=seed)
+            yield f"logistic-{seed}-scalar", _scalar_copy(logistic_model(seed=seed))
+
+    def test_search_hessian_is_the_laplace_curvature(self):
+        # The record rests on this: the stencil the search's last iteration
+        # took at the MAP is, bit for bit, the one a fresh stencil takes there.
+        prior = ek.NormalizedPrior(log_norm_const=0.0, method="closed-form", err_estimate=0.0)
+        for name, model in self._models():
+            box = evidkit.generic._declared_box(model)
+            mode = evidkit.generic._search(model, box.mean(axis=1))
+            np.testing.assert_array_equal(
+                -mode.hess, evidkit.evidence.laplace_curvature(model, prior, mode.theta),
+                err_msg=name)
+
+    @pytest.mark.parametrize("estimate", [
+        lambda model, prior, start: ek.evidence_quadrature(model, prior, 21, start=start),
+        lambda model, prior, start: ek.evidence_laplace(model, prior, start=start,
+                                                        err_check_grid=21),
+        lambda model, prior, start: ek.evidence_importance(model, prior, 500, seed=1,
+                                                           start=start),
+    ], ids=["quadrature", "laplace", "importance-sampling"])
+    def test_no_stencil_beyond_the_search(self, monkeypatch, estimate):
+        rng = np.random.default_rng(54)
+        _, _, model, prior = wrapped_instance(rng, n=20, d=2, lam_range=(0.5, 2.0))
+        start = np.array([0.3, -0.2])
+        stencils = []
+        derivatives = evidkit.generic._stencil_derivatives
+
+        def counted(*args, **kwargs):
+            stencils.append(args[1])
+            return derivatives(*args, **kwargs)
+
+        for module in (evidkit.generic, evidkit.evidence):
+            monkeypatch.setattr(module, "_stencil_derivatives", counted)
+        ek.map_optimize(model, start)
+        iterations = len(stencils)
+        assert iterations > 1
+        stencils.clear()
+        estimate(model, prior, start)
+        assert len(stencils) == iterations
+
+    def test_a_given_map_takes_the_searched_bits(self):
+        # A theta_hat given without a curvature takes a fresh stencil there,
+        # which equals the search's last one, so the draws land on the same points.
+        rng = np.random.default_rng(55)
+        _, _, model, prior = wrapped_instance(rng, n=20, d=3, lam_range=(0.5, 2.0))
+        searched = ek.evidence_importance(model, prior, 500, seed=4)
+        given = ek.evidence_importance(model, prior, 500, seed=4, theta_hat=searched.theta_hat)
+        assert given.log_evidence == searched.log_evidence
+        assert given.err_estimate == searched.err_estimate
+        assert given.info == searched.info

@@ -330,13 +330,32 @@ class TestMultistart:
         result = ek.map_optimize_multistart(model, seed=0, box=[[-2.0, 2.0]])
         assert result.theta[0] == pytest.approx(0.0, abs=1e-6)
 
+    def test_evaluates_only_inside_its_searches(self):
+        # A basin's value is the one its search ended on: the model sees exactly
+        # the batches of the 8 searches run alone from the same starts.
+        batches = []
+        base = logistic_model(seed=3)
+
+        def log_lik(points):
+            batches.append(len(points))
+            return base.log_lik(points)
+
+        model = ek.GenericModelSpec(dim=1, log_lik=log_lik, regularizer=base.regularizer,
+                                    support=base.support, vectorized=True)
+        result = ek.map_optimize_multistart(model, seed=2)
+        in_multistart = list(batches)
+        batches.clear()
+        for start, theta, _ in result.basins:
+            np.testing.assert_array_equal(ek.map_optimize(model, start), theta)
+        assert in_multistart == batches
+
     def test_failed_starts_keep_their_best_iterate(self, monkeypatch):
         # The kinked model of TestMapOptimize: every start fails near the kink at 0.
         model = ek.GenericModelSpec(
             dim=1, log_lik=lambda pts: -0.125 * (pts[:, 0] - 1.0) ** 2,
             regularizer=lambda pts: np.abs(pts[:, 0]), effective_box=[[-5.0, 5.0]],
             vectorized=True)
-        search = evidkit.generic.map_optimize
+        search = evidkit.generic._search
         failures = []
 
         def recording(*args):
@@ -346,7 +365,7 @@ class TestMultistart:
                 failures.append(failure)
                 raise
 
-        monkeypatch.setattr(evidkit.generic, "map_optimize", recording)
+        monkeypatch.setattr(evidkit.generic, "_search", recording)
         result = ek.map_optimize_multistart(model, seed=0, box=[[-5.0, 5.0]])
         assert len(failures) == len(result.basins) == 8
         for (_, theta, value), failure in zip(result.basins, failures):

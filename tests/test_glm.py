@@ -156,6 +156,27 @@ class TestPosteriorPrecision:
             evidkit.glm._log_evidences(spec, np.array([[1.0], [1e200], [2.0]]))
         assert excinfo.value.row == 1
 
+    @pytest.mark.parametrize("entry_point", [
+        lambda spec, obs: ek.glm_log_evidence(spec, obs),
+        lambda spec, obs: ek.map_estimate(spec, obs),
+        lambda spec, obs: ek.posterior_precision(spec),
+        lambda spec, obs: ek.gaussian_posterior(spec, obs),
+        lambda spec, obs: ek.evidence_via_candidate(spec, obs, [0.1]),
+        lambda spec, obs: ek.gram_eigen_range(spec),
+        lambda spec, obs: ek.flexibility_exact(spec, obs),
+        lambda spec, obs: ek.wrap_glm(spec, obs),
+        lambda spec, obs: ek.glm_log_likelihood(spec, obs, [0.1]),
+    ], ids=["glm_log_evidence", "map_estimate", "posterior_precision", "gaussian_posterior",
+            "evidence_via_candidate", "gram_eigen_range", "flexibility_exact", "wrap_glm",
+            "glm_log_likelihood"])
+    def test_sigma_squared_underflow_raises_numeric_failure(self, entry_point):
+        # sigma**2 underflows to 0: G'G / sigma**2 and the residual term divide
+        # by zero.  With RuntimeWarning an error, a division outside the guards
+        # escapes as a bare warning instead of the typed failure.
+        spec = ek.GaussianLinearSpec(G=[[1.0]], sigma=1e-200, lam=1.0)
+        with pytest.raises(NumericFailure, match="not finite"):
+            entry_point(spec, ek.ObservationSet(y=[0.5]))
+
 
 class TestMapEstimate:
     def test_zero_responses_give_zero_fit(self):
