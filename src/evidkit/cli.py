@@ -308,19 +308,6 @@ def _design_from_data(obs, params):
     return family.members[0], degree, list(family.info["column_scales"][0])
 
 
-def _decomposition_result(dec) -> dict:
-    return {
-        "log_evidence": dec.log_evidence,
-        "log_fit": dec.log_fit,
-        "flexibility": dec.flexibility,
-        "estimator": dec.estimator,
-        "err_estimate": dec.err_estimate,
-        "theta_hat": dec.theta_hat.tolist(),
-        "warnings": list(dec.warnings),
-        "info": {k: v for k, v in dec.info.items()},
-    }
-
-
 def _run_fit(config):
     obs = read_observations(config.data_path)
     spec, degree, scales = _design_from_data(obs, config.params)
@@ -358,7 +345,16 @@ def _run_evidence(config):
         else:
             dec = evidence_importance(model, prior, params["samples"], params["seed"],
                                       inflation=params["inflation"], start=search.theta)
-    result = _decomposition_result(dec)
+    result = {
+        "log_evidence": dec.log_evidence,
+        "log_fit": dec.log_fit,
+        "flexibility": dec.flexibility,
+        "estimator": dec.estimator,
+        "err_estimate": dec.err_estimate,
+        "theta_hat": dec.theta_hat.tolist(),
+        "warnings": list(dec.warnings),
+        "info": dict(dec.info),
+    }
     if search is not None:
         result["map_search"] = {
             "starts": len(search.basins),
@@ -367,9 +363,7 @@ def _run_evidence(config):
     result["degree"] = degree
     result["column_scales"] = scales
     header = ["log_evidence", "log_fit", "flexibility", "estimator", "err_estimate"]
-    rows = [[dec.log_evidence, dec.log_fit, dec.flexibility, dec.estimator,
-             dec.err_estimate]]
-    return result, header, rows
+    return result, header, [[result[key] for key in header]]
 
 
 def _run_decompose(config):
@@ -377,8 +371,7 @@ def _run_decompose(config):
     result = {"log_evidence": fragment.log_evidence, "log_fit": fragment.log_fit,
               "flexibility": fragment.flexibility, "note": fragment.note}
     header = ["log_evidence", "log_fit", "flexibility", "note"]
-    rows = [[fragment.log_evidence, fragment.log_fit, fragment.flexibility, fragment.note]]
-    return result, header, rows
+    return result, header, [[result[key] for key in header]]
 
 
 def _family_from_config(x, params):
@@ -404,9 +397,7 @@ def _run_select(config):
               "per_model": per_model}
     header = ["index", "label", "weight", "log_evidence", "log_fit", "flexibility",
               "log_score", "chosen"]
-    rows = [[m["index"], m["label"], m["weight"], m["log_evidence"], m["log_fit"],
-             m["flexibility"], m["log_score"], m["chosen"]] for m in per_model]
-    return result, header, rows
+    return result, header, [[model[key] for key in header] for model in per_model]
 
 
 def _run_risk(config):

@@ -26,6 +26,7 @@ from .generic import (
     NormalizedPrior,
     HESS_STEP,
     _check_grid_dim,
+    _check_grid_size,
     _declared_box,
     _objective,
     _stencil_derivatives,
@@ -44,6 +45,7 @@ __all__ = [
     "AsymptoticSweepResult",
     "evidence_quadrature",
     "evidence_laplace",
+    "laplace_curvature",
     "evidence_importance",
     "decompose",
     "bic_penalty",
@@ -118,22 +120,24 @@ def _laplace_mode(model: GenericModelSpec, start=None, theta_hat=None, curvature
 
 def _posterior_integral(model: GenericModelSpec, prior: NormalizedPrior, theta_hat,
                         chol_lower, grid_points_per_dim, max_err, what):
-    """``(box, log E, err)`` by the rule :func:`evidence_quadrature` states."""
+    """``(log E, err, info)`` by :func:`evidence_quadrature`'s rule; grid None: ``DEFAULT_GRID``."""
     log_joint = _log_joint_fn(model, prior)
     # A grid-normalized prior's normalizer covers its box only.
     limits = model.bounds() if prior.box is None else prior.box
-    box = _declared_box(model) if prior.box is None else prior.box
+    box = prior.box  # None resolves from the declared box, built only then
     if chol_lower is not None:
         # The posterior covariance is L^-T L^-1, so each sd is a column norm of L^-1.
         sd = np.linalg.norm(np.linalg.inv(chol_lower), axis=0)
         centre = np.clip(theta_hat, limits[:, 0], limits[:, 1])
         box = np.clip(centre[:, None] + BOX_SDS * np.outer(sd, [-1.0, 1.0]),
                       limits[:, :1], limits[:, 1:])
+    grid = DEFAULT_GRID[model.dim] if grid_points_per_dim is None else grid_points_per_dim
     box, log_e, err = _richardson_log_integral(
-        model, log_joint, grid_points_per_dim, max_err, what,
+        model, log_joint, grid, max_err, what,
         box=resolve_integration_box(model, log_joint, box, limits))
     floor = ROUNDING_ULPS * np.finfo(float).eps * max(1.0, abs(log_e))
-    return box, log_e, max(err, floor) + prior.err_estimate
+    info = {"grid_points_per_dim": int(grid), "box": box.tolist()}
+    return log_e, max(err, floor) + prior.err_estimate, info
 
 
 def evidence_quadrature(model: GenericModelSpec, prior: NormalizedPrior,
@@ -153,14 +157,14 @@ def evidence_quadrature(model: GenericModelSpec, prior: NormalizedPrior,
     of log E, plus ``prior.err_estimate``.
     """
     _check_grid_dim(model.dim)
+    _check_grid_size(grid_points_per_dim)
     theta_hat, _, chol_lower = _laplace_mode(model, start, strict=False)
-    box, log_e, err = _posterior_integral(model, prior, theta_hat, chol_lower,
-                                          grid_points_per_dim, max_err, "quadrature")
+    log_e, err, info = _posterior_integral(model, prior, theta_hat, chol_lower,
+                                           grid_points_per_dim, max_err, "quadrature")
     log_fit = _value_at(model._log_lik_batch, theta_hat)
     return EvidenceDecomposition(
         log_evidence=log_e, log_fit=log_fit, flexibility=log_fit - log_e,
-        estimator="quadrature", err_estimate=err, theta_hat=theta_hat,
-        info={"grid_points_per_dim": int(grid_points_per_dim), "box": np.asarray(box).tolist()})
+        estimator="quadrature", err_estimate=err, theta_hat=theta_hat, info=info)
 
 
 def laplace_curvature(model: GenericModelSpec, prior: NormalizedPrior, theta_hat) -> np.ndarray:
@@ -188,6 +192,8 @@ def evidence_laplace(model: GenericModelSpec, prior: NormalizedPrior, *, start=N
     least 5; default ``DEFAULT_GRID``); ``info`` records the reference's
     box and grid.  Above that no estimate is available and NaN is reported.
     """
+    if err_check_grid is not None:  # refuse before the search
+        _check_grid_size(err_check_grid)
     theta_hat, _, chol_lower = _laplace_mode(model, start)
     log_det = 2.0 * float(np.sum(np.log(np.diag(chol_lower))))
 
@@ -197,12 +203,11 @@ def evidence_laplace(model: GenericModelSpec, prior: NormalizedPrior, *, start=N
 
     err = float("nan")  # no reference quadrature above dim 3
     info = {"log_det_curvature": log_det}
-    if model.dim <= 3:
-        grid = DEFAULT_GRID[model.dim] if err_check_grid is None else err_check_grid
-        box, reference, reference_err = _posterior_integral(
-            model, prior, theta_hat, chol_lower, grid, None, "Laplace reference")
+    if model.dim in DEFAULT_GRID:
+        reference, reference_err, reference_info = _posterior_integral(
+            model, prior, theta_hat, chol_lower, err_check_grid, None, "Laplace reference")
         err = abs(log_e - reference) + reference_err
-        info.update(grid_points_per_dim=int(grid), box=box.tolist())
+        info.update(reference_info)
 
     return EvidenceDecomposition(
         log_evidence=log_e, log_fit=log_fit, flexibility=log_fit - log_e,

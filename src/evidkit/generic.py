@@ -418,13 +418,6 @@ def _declared_box(model: GenericModelSpec) -> np.ndarray:
     return box
 
 
-def _grid_nodes(box, points_per_dim):
-    axes = [np.linspace(box[k, 0], box[k, 1], points_per_dim) for k in range(box.shape[0])]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    points = np.column_stack([m.reshape(-1) for m in mesh])
-    return axes, points
-
-
 def _log_trapezoid_sum(axes, values) -> float:
     """Log trapezoid sum over the grid ``axes`` of ``exp(values)``, values in grid order."""
     total = np.zeros(1)  # tensor product of the per-axis log weights, in grid order
@@ -449,7 +442,10 @@ def _evaluate_grid(model: GenericModelSpec, log_integrand, box, points_per_dim):
         raise ValueError(
             f"grid of {points_per_dim}^{model.dim} nodes exceeds the "
             f"{MAX_GRID_NODES} node limit")
-    axes, points = _grid_nodes(np.asarray(box, dtype=float), points_per_dim)
+    box = np.asarray(box, dtype=float)
+    axes = [np.linspace(box[k, 0], box[k, 1], points_per_dim) for k in range(box.shape[0])]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    points = np.column_stack([m.reshape(-1) for m in mesh])
     return axes, log_integrand(points)
 
 
@@ -467,20 +463,19 @@ def resolve_integration_box(model: GenericModelSpec, log_integrand, box=None,
 
     Starts from ``box`` within ``limits`` (default: the declared box within
     the support) and doubles the width of every face short of its limit,
-    clipped to it, until the integrand at every such face is below 1e-12
-    of the grid peak, at most 6 doublings.  Truncation that cannot be cured
-    this way (an integrand that does not decay) raises instead of silently
-    returning a too-small box.
+    clipped to it, until the integrand at every such face of a 17-point
+    probe grid (held to ``MAX_GRID_NODES``) is below 1e-12 of its peak, at
+    most 6 doublings.  Truncation that cannot be cured this way (an
+    integrand that does not decay) raises instead of returning a too-small box.
     """
     box = _declared_box(model) if box is None else np.asarray(box, dtype=float)
     limits = model.bounds() if limits is None else np.asarray(limits, dtype=float)
     widenable = box != limits
     if not np.any(widenable):
         return box
-    for attempt in range(MAX_BOX_DOUBLINGS + 1):
-        axes, points = _grid_nodes(box, PROBE_POINTS_PER_DIM)
-        values = log_integrand(points).reshape(
-            [PROBE_POINTS_PER_DIM] * model.dim)
+    for _ in range(MAX_BOX_DOUBLINGS + 1):  # the last widening is never probed
+        _, values = _evaluate_grid(model, log_integrand, box, PROBE_POINTS_PER_DIM)
+        values = values.reshape([PROBE_POINTS_PER_DIM] * model.dim)
         peak = float(values.max())
         boundary_max = -np.inf
         for k, side in zip(*np.nonzero(widenable)):
@@ -488,8 +483,6 @@ def resolve_integration_box(model: GenericModelSpec, log_integrand, box=None,
             boundary_max = max(boundary_max, float(face.max()))
         if boundary_max - peak < np.log(BOUNDARY_MASS_RATIO):
             return box
-        if attempt == MAX_BOX_DOUBLINGS:
-            break
         half_width = (box[:, 1] - box[:, 0]) / 2.0
         box = np.where(widenable, box + np.outer(half_width, [-1.0, 1.0]), box)
         box = np.clip(box, limits[:, :1], limits[:, 1:])

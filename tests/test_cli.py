@@ -488,6 +488,9 @@ GOLDEN_PAYLOADS = {
         "poly-demo --true-degree 3 --degrees 0..9 --n 100 --sigma 0.3 --lambda 1 --reps 60 "
         "--seed 4",
         "47a84bd20104c58ee9a23cc56dd8fae7f3a20e3dbca32d2d864395950ebe91dc"),
+    "decompose-negative-flexibility-csv": (
+        "decompose --log-evidence -3 --log-fit -5 --format csv",
+        "a990315414fdab29fdb3e40430f4dabed9b4200ceae5621d6216fb7f806fd2e6"),
 }
 
 # Commands that read a data file, run beside the seeded ``xy_csv`` fixture.
@@ -517,6 +520,13 @@ GOLDEN_DATA_PAYLOADS = {
         "evidence --data xy.csv --estimator importance-sampling --degree 4 --sigma 0.3 "
         "--lambda 1",
         "2fe1b5613b7616f4770cf0117b8028e2a046bac137e7680400cca379d4fd1dda"),
+    "evidence-quadrature-csv": (
+        "evidence --data xy.csv --estimator quadrature --degree 2 --sigma 0.3 --lambda 1 "
+        "--format csv",
+        "724e99dd22fb99f1d46cb2120d15ffdc1f80b7855041e6eee3f9d72c0afabfb1"),
+    "select-csv": (
+        "select --data xy.csv --degrees 0..4 --sigma 0.3 --lambda 1 --format csv",
+        "76b39e84361922c533dd0e013c0940dbcc9d7f857b17bb4a0c8d394ecbdf9780"),
 }
 
 

@@ -418,6 +418,65 @@ class TestLaplaceBox:
         assert dec.log_evidence == pytest.approx(exact.log_evidence, abs=1e-6)
 
 
+class TestIntegralBox:
+    """One rule picks the box and grid of the quadrature and the Laplace reference."""
+
+    ESTIMATES = [
+        lambda model, prior, start: ek.evidence_quadrature(model, prior, 41, start=start),
+        lambda model, prior, start: ek.evidence_laplace(model, prior, start=start),
+    ]
+    IDS = ["quadrature", "laplace"]
+
+    @staticmethod
+    def _unbounded():
+        # log-lik -(theta - 1)^2 / 2 and penalty theta^2 / 2 on all of R, with no
+        # effective box: log E = -1/4 - (1/2) log 2 under the normalized prior.
+        model = ek.GenericModelSpec(
+            dim=1, log_lik=lambda theta: -0.5 * (theta[:, 0] - 1.0) ** 2,
+            regularizer=lambda theta: 0.5 * theta[:, 0] ** 2, vectorized=True)
+        prior = ek.NormalizedPrior(log_norm_const=0.5 * np.log(2.0 * np.pi),
+                                   method="closed-form", err_estimate=0.0)
+        return model, prior
+
+    @pytest.mark.parametrize("estimate", ESTIMATES, ids=IDS)
+    def test_a_start_integrates_unbounded_support(self, estimate):
+        model, prior = self._unbounded()
+        dec = estimate(model, prior, np.array([0.0]))
+        assert abs(dec.log_evidence - (-0.25 - 0.5 * np.log(2.0))) <= dec.err_estimate
+
+    @pytest.mark.parametrize("estimate", ESTIMATES, ids=IDS)
+    def test_no_start_needs_the_declared_box(self, estimate):
+        model, prior = self._unbounded()
+        with pytest.raises(ValueError, match="unbounded support; declare effective_box"):
+            estimate(model, prior, None)
+
+    @pytest.mark.parametrize("estimate", [
+        lambda model, prior: ek.evidence_quadrature(model, prior, 4),
+        lambda model, prior: ek.evidence_laplace(model, prior, err_check_grid=4),
+    ], ids=IDS)
+    def test_bad_grid_refused_before_the_search(self, estimate):
+        calls = []
+
+        def penalty(theta):
+            calls.append(theta)
+            return 0.5 * float(theta[0]) ** 2
+
+        model = ek.GenericModelSpec(dim=1, log_lik=lambda theta: -penalty(theta),
+                                    regularizer=penalty, support=[[-5.0, 5.0]])
+        prior = ek.NormalizedPrior(log_norm_const=0.0, method="closed-form", err_estimate=0.0)
+        with pytest.raises(ValueError, match="grid_points_per_dim must be >= 5"):
+            estimate(model, prior)
+        assert calls == []
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_laplace_reference_is_the_default_quadrature(self, d):
+        rng = np.random.default_rng(60 + d)
+        _, _, model, prior = wrapped_instance(rng, n=20, d=d, lam_range=(0.5, 2.0))
+        reference = ek.evidence_laplace(model, prior).info
+        quadrature = ek.evidence_quadrature(model, prior, evidkit.evidence.DEFAULT_GRID[d])
+        assert {key: reference[key] for key in quadrature.info} == quadrature.info
+
+
 class TestImportanceInflation:
     @pytest.mark.parametrize("inflation", [-1.5, 0.0, float("nan"), float("inf")])
     def test_bad_inflation_rejected(self, inflation):

@@ -41,3 +41,7 @@ def test_traced_functions_importable():
         module = importlib.import_module(f"evidkit.{layer}")
         for name in names:
             assert callable(getattr(module, name))
+
+
+def test_laplace_curvature_is_exported():
+    assert evidkit.laplace_curvature is evidkit.evidence.laplace_curvature

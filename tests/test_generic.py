@@ -449,6 +449,23 @@ class TestNormalizePrior:
         with pytest.raises(ValueError, match="dim <= 3"):
             ek.normalize_prior(model, 101)
 
+    def test_probe_obeys_the_node_limit(self, monkeypatch):
+        # The 17 x 17 probe is over a limit of 100 nodes: refused before any evaluation.
+        monkeypatch.setattr(evidkit.generic, "MAX_GRID_NODES", 100)
+        model = ek.GenericModelSpec(
+            dim=2, log_lik=lambda theta: 0.0,
+            regularizer=lambda theta: 0.5 * float(np.sum(np.square(theta))),
+            support=None, effective_box=[[-1.0, 1.0]] * 2)
+        calls = []
+
+        def log_integrand(points):
+            calls.append(len(points))
+            return -0.5 * np.sum(np.square(points), axis=1)
+
+        with pytest.raises(ValueError, match="exceeds the 100 node limit"):
+            evidkit.generic.resolve_integration_box(model, log_integrand)
+        assert calls == []
+
     def test_two_dimensional_gaussian(self):
         model = ek.GenericModelSpec(
             dim=2, log_lik=lambda theta: 0.0,
