@@ -23,10 +23,9 @@ import numpy as np
 from . import __version__
 from .dataio import read_observations, render_json, write_csv, write_json
 from .evidence import (
-    DEFAULT_GRID,
     DEFAULT_INFLATION,
+    _check_finite,
     _check_sample_sizes,
-    _require_finite,
     bic_penalty,
     bic_sweep,
     decompose,
@@ -37,8 +36,7 @@ from .evidence import (
 )
 from .exceptions import EvidkitError, UsageError
 from .generic import (
-    _check_grid_dim,
-    _check_grid_size,
+    _check_grid,
     glm_normalized_prior,
     map_optimize_multistart,
     wrap_glm,
@@ -187,7 +185,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--degree", type=degree,
                    help="polynomial degree (default: 1 with an x column, else 0)")
     p.add_argument("--estimator", choices=list(ESTIMATORS), default="glm-exact")
-    p.add_argument("--grid", type=_checked(int, _check_grid_size),
+    p.add_argument("--grid", type=_checked(int, _check_grid, 1),
                    help="grid points per dimension for quadrature")
     p.add_argument("--samples", type=_checked(int, _check_count, "samples", 2), default=20000,
                    help="importance sampling draws (default %(default)s)")
@@ -198,9 +196,9 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("decompose", help="flexibility implied by evidence and fit values")
     p.add_argument("--log-evidence", dest="log_evidence", required=True,
-                   type=_checked(float, _require_finite, "log_evidence"))
+                   type=_checked(float, _check_finite, "log_evidence"))
     p.add_argument("--log-fit", dest="log_fit", required=True,
-                   type=_checked(float, _require_finite, "log_fit"))
+                   type=_checked(float, _check_finite, "log_fit"))
     add_common(p)
 
     p = sub.add_parser("select", help="choose a polynomial degree by evidence")
@@ -330,7 +328,7 @@ def _run_evidence(config):
         search = None
     else:
         if estimator == "quadrature":  # refuse before the search
-            _check_grid_dim(spec.d)
+            grid = _check_grid(params["grid"], spec.d)
         model = wrap_glm(spec, obs)
         prior = glm_normalized_prior(spec)
         # Generic estimators only find a local MAP; restart from 8 seeded
@@ -338,7 +336,6 @@ def _run_evidence(config):
         search = map_optimize_multistart(model, params["seed"],
                                          box=model.effective_box)
         if estimator == "quadrature":
-            grid = params["grid"] or DEFAULT_GRID[spec.d]
             dec = evidence_quadrature(model, prior, grid, start=search.theta)
         elif estimator == "laplace":
             dec = evidence_laplace(model, prior, start=search.theta)

@@ -24,9 +24,9 @@ from .exceptions import CurvatureFailure, DegeneracyFailure
 from .generic import (
     GenericModelSpec,
     NormalizedPrior,
+    DEFAULT_GRID,
     HESS_STEP,
-    _check_grid_dim,
-    _check_grid_size,
+    _check_grid,
     _declared_box,
     _objective,
     _stencil_derivatives,
@@ -55,8 +55,6 @@ __all__ = [
     "polynomial_sweep_family",
 ]
 
-# The one table of default evidence grids: the half grid has a node every 0.8 posterior sd.
-DEFAULT_GRID = {1: 41, 2: 41, 3: 41}
 # Half-width of the evidence integration box, in posterior sd about the MAP.
 BOX_SDS = 8.0
 # No err_estimate is below this many roundings of the value it bounds.
@@ -66,7 +64,7 @@ MIN_ESS_FRACTION = 0.01
 DEFAULT_INFLATION = 1.5
 
 
-def _require_finite(value, name):
+def _check_finite(value, name):
     value = float(value)
     if not np.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value}")
@@ -120,7 +118,7 @@ def _laplace_mode(model: GenericModelSpec, start=None, theta_hat=None, curvature
 
 def _posterior_integral(model: GenericModelSpec, prior: NormalizedPrior, theta_hat,
                         chol_lower, grid_points_per_dim, max_err, what):
-    """``(log E, err, info)`` by :func:`evidence_quadrature`'s rule; grid None: ``DEFAULT_GRID``."""
+    """``(log E, err, info)`` by :func:`evidence_quadrature`'s rule, on a checked grid."""
     log_joint = _log_joint_fn(model, prior)
     # A grid-normalized prior's normalizer covers its box only.
     limits = model.bounds() if prior.box is None else prior.box
@@ -131,12 +129,11 @@ def _posterior_integral(model: GenericModelSpec, prior: NormalizedPrior, theta_h
         centre = np.clip(theta_hat, limits[:, 0], limits[:, 1])
         box = np.clip(centre[:, None] + BOX_SDS * np.outer(sd, [-1.0, 1.0]),
                       limits[:, :1], limits[:, 1:])
-    grid = DEFAULT_GRID[model.dim] if grid_points_per_dim is None else grid_points_per_dim
     box, log_e, err = _richardson_log_integral(
-        model, log_joint, grid, max_err, what,
+        model, log_joint, grid_points_per_dim, max_err, what,
         box=resolve_integration_box(model, log_joint, box, limits))
     floor = ROUNDING_ULPS * np.finfo(float).eps * max(1.0, abs(log_e))
-    info = {"grid_points_per_dim": int(grid), "box": box.tolist()}
+    info = {"grid_points_per_dim": grid_points_per_dim, "box": box.tolist()}
     return log_e, max(err, floor) + prior.err_estimate, info
 
 
@@ -156,8 +153,7 @@ def evidence_quadrature(model: GenericModelSpec, prior: NormalizedPrior,
     one of :func:`evidkit.generic.normalize_prior`, floored at 64 roundings
     of log E, plus ``prior.err_estimate``.
     """
-    _check_grid_dim(model.dim)
-    _check_grid_size(grid_points_per_dim)
+    grid_points_per_dim = _check_grid(grid_points_per_dim, model.dim)  # before the search
     theta_hat, _, chol_lower = _laplace_mode(model, start, strict=False)
     log_e, err, info = _posterior_integral(model, prior, theta_hat, chol_lower,
                                            grid_points_per_dim, max_err, "quadrature")
@@ -190,10 +186,10 @@ def evidence_laplace(model: GenericModelSpec, prior: NormalizedPrior, *, start=N
     reference's error, both as :func:`evidence_quadrature` finds them from
     the same MAP and factor, on ``err_check_grid`` points per axis (at
     least 5; default ``DEFAULT_GRID``); ``info`` records the reference's
-    box and grid.  Above that no estimate is available and NaN is reported.
+    box and grid.  Above that NaN is reported and a given grid is refused.
     """
-    if err_check_grid is not None:  # refuse before the search
-        _check_grid_size(err_check_grid)
+    if model.dim in DEFAULT_GRID or err_check_grid is not None:  # refuse before the search
+        err_check_grid = _check_grid(err_check_grid, model.dim)
     theta_hat, _, chol_lower = _laplace_mode(model, start)
     log_det = 2.0 * float(np.sum(np.log(np.diag(chol_lower))))
 
@@ -295,8 +291,8 @@ class Decomposition:
 
 def decompose(log_evidence: float, log_fit: float) -> Decomposition:
     """Flexibility implied by an evidence value: ``log_fit - log_evidence``."""
-    log_evidence = _require_finite(log_evidence, "log_evidence")
-    log_fit = _require_finite(log_fit, "log_fit")
+    log_evidence = _check_finite(log_evidence, "log_evidence")
+    log_fit = _check_finite(log_fit, "log_fit")
     flexibility = log_fit - log_evidence
     note = None
     if flexibility < 0:
@@ -328,8 +324,8 @@ def pen_prime(supplied_penalty: float, flexibility: float) -> float:
     algebraically identical to penalizing log-evidence with
     ``supplied_penalty - flexibility``.
     """
-    return _require_finite(supplied_penalty, "supplied_penalty") \
-        - _require_finite(flexibility, "flexibility")
+    return _check_finite(supplied_penalty, "supplied_penalty") \
+        - _check_finite(flexibility, "flexibility")
 
 
 @dataclass(frozen=True)
@@ -347,8 +343,8 @@ class PenaltyComparison:
 def compare_penalties(flexibility: float, supplied_penalty: float,
                       d: int, n: int) -> PenaltyComparison:
     """Full penalty comparison record for one model."""
-    flexibility = _require_finite(flexibility, "flexibility")
-    supplied_penalty = _require_finite(supplied_penalty, "supplied_penalty")
+    flexibility = _check_finite(flexibility, "flexibility")
+    supplied_penalty = _check_finite(supplied_penalty, "supplied_penalty")
     return PenaltyComparison(
         flexibility=flexibility, supplied_penalty=supplied_penalty,
         d=int(d), n=int(n), bic_penalty=bic_penalty(d, n),

@@ -50,6 +50,9 @@ MAX_BOX_DOUBLINGS = 6
 # just makes the boundary-mass check more conservative.
 PROBE_POINTS_PER_DIM = 17
 MAX_GRID_NODES = 20_000_000
+# The one table of default evidence grids, keyed by the dimensions grid quadrature
+# supports: the half grid has a node every 0.8 posterior sd.
+DEFAULT_GRID = {1: 41, 2: 41, 3: 41}
 EVAL_CHUNK = 262_144
 
 
@@ -270,7 +273,8 @@ def _ascent_step(grad, hess):
 
 
 class _Mode(NamedTuple):
-    """A converged MAP search: its ``theta``, objective ``value`` and confirming stencil ``hess``."""
+    """A converged MAP search: its ``theta``, objective ``value`` and
+    confirming stencil ``hess``."""
 
     theta: np.ndarray
     value: float
@@ -434,14 +438,32 @@ def _log_trapezoid_sum(axes, values) -> float:
     return top + float(np.log(np.sum(np.exp(values - top))))
 
 
+def _check_node_limit(points_per_dim, dim):
+    """Refuse a grid of more than ``MAX_GRID_NODES`` nodes."""
+    if points_per_dim ** dim > MAX_GRID_NODES:
+        raise ValueError(
+            f"grid of {points_per_dim}^{dim} nodes exceeds the {MAX_GRID_NODES} node limit")
+
+
+def _check_grid(grid_points_per_dim, dim: int) -> int:
+    """Points per axis of a Richardson-checked grid, checked before any model evaluation.
+
+    The keys of ``DEFAULT_GRID`` are the supported dimensions; None takes their default.
+    """
+    if dim not in DEFAULT_GRID:
+        raise ValueError(f"grid quadrature supports dim <= 3, got dim={dim}")
+    g = DEFAULT_GRID[dim] if grid_points_per_dim is None else int(grid_points_per_dim)
+    if g < 5:
+        raise ValueError("grid_points_per_dim must be >= 5")
+    _check_node_limit(g, dim)
+    return g
+
+
 def _evaluate_grid(model: GenericModelSpec, log_integrand, box, points_per_dim):
     """Grid axes over ``box`` and the integrand's values at every node, in grid order."""
     if points_per_dim < 3:
         raise ValueError("points_per_dim must be >= 3")
-    if points_per_dim ** model.dim > MAX_GRID_NODES:
-        raise ValueError(
-            f"grid of {points_per_dim}^{model.dim} nodes exceeds the "
-            f"{MAX_GRID_NODES} node limit")
+    _check_node_limit(points_per_dim, model.dim)
     box = np.asarray(box, dtype=float)
     axes = [np.linspace(box[k, 0], box[k, 1], points_per_dim) for k in range(box.shape[0])]
     mesh = np.meshgrid(*axes, indexing="ij")
@@ -493,34 +515,17 @@ def resolve_integration_box(model: GenericModelSpec, log_integrand, box=None,
         err_estimate=float(np.exp(boundary_max - peak)))
 
 
-def _check_grid_dim(dim: int) -> int:
-    """The dimension of a grid quadrature: at most 3."""
-    if dim > 3:
-        raise ValueError(f"grid quadrature supports dim <= 3, got dim={dim}")
-    return dim
-
-
-def _check_grid_size(grid_points_per_dim) -> int:
-    """Points per axis of a Richardson-checked grid: at least 5."""
-    g = int(grid_points_per_dim)
-    if g < 5:
-        raise ValueError("grid_points_per_dim must be >= 5")
-    return g
-
-
-def _richardson_log_integral(model: GenericModelSpec, log_integrand, grid_points_per_dim,
-                            max_err, what, box=None):
+def _richardson_log_integral(model: GenericModelSpec, log_integrand, g, max_err, what,
+                            box=None):
     """``(box, fine, err)``: the trapezoid log-integral and its Richardson error estimate.
 
-    ``box`` is resolved from the integrand when None.  The half-resolution
-    rule has ``(g + 1) // 2`` points per axis: an odd ``g`` grid holds it as
-    its even-indexed nodes, so the integrand is evaluated once; an even
-    ``g`` has no such nodes and needs a second grid.  :class:`AccuracyFailure`
+    ``g`` is a grid that :func:`_check_grid` has passed, and ``box`` is
+    resolved from the integrand when None.  The half-resolution rule has
+    ``(g + 1) // 2`` points per axis: an odd ``g`` grid holds it as its
+    even-indexed nodes, so the integrand is evaluated once; an even ``g``
+    has no such nodes and needs a second grid.  :class:`AccuracyFailure`
     names the integral by ``what``.
     """
-    _check_grid_dim(model.dim)
-    g = _check_grid_size(grid_points_per_dim)
-
     box = resolve_integration_box(model, log_integrand) if box is None else box
     axes, values = _evaluate_grid(model, log_integrand, box, g)
     fine = _log_trapezoid_sum(axes, values)
@@ -555,11 +560,11 @@ def normalize_prior(model: GenericModelSpec, grid_points_per_dim: int,
     def neg_reg(points):
         return -model._regularizer_batch(points)
 
-    box, log_z, err = _richardson_log_integral(
-        model, neg_reg, grid_points_per_dim, max_err, "prior normalizer")
+    g = _check_grid(grid_points_per_dim, model.dim)  # before the probe
+    box, log_z, err = _richardson_log_integral(model, neg_reg, g, max_err, "prior normalizer")
     return NormalizedPrior(
         log_norm_const=log_z, method="grid-quadrature", err_estimate=err,
-        box=box, grid_points_per_dim=int(grid_points_per_dim))
+        box=box, grid_points_per_dim=g)
 
 
 # ---------------------------------------------------------------------------

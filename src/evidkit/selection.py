@@ -21,9 +21,9 @@ from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
-from .evidence import DEFAULT_GRID, evidence_laplace, evidence_quadrature
+from .evidence import evidence_laplace, evidence_quadrature
 from .exceptions import EvidkitError, SelectionFailure
-from .generic import GenericModelSpec, _check_grid_dim, normalize_prior
+from .generic import GenericModelSpec, _check_grid, normalize_prior
 from .glm import (GaussianLinearSpec, ObservationSet, _check_count, _check_dims, _check_scale,
                   _evidence_terms, _log_evidences, _matvec, glm_log_evidence)
 from .records import EvidenceDecomposition
@@ -187,10 +187,10 @@ def _member_evidence(member, obs: ObservationSet, generic_estimator: str,
                      grid_points_per_dim: int | None) -> EvidenceDecomposition:
     if isinstance(member, GaussianLinearSpec):
         return glm_log_evidence(member, obs)
-    dim = _check_grid_dim(member.dim)
-    prior = normalize_prior(member, _PRIOR_GRID[dim])
+    grid = _check_grid(grid_points_per_dim, member.dim)  # before the prior's grid
+    prior = normalize_prior(member, _PRIOR_GRID[member.dim])
     if generic_estimator == "quadrature":
-        return evidence_quadrature(member, prior, grid_points_per_dim or DEFAULT_GRID[dim])
+        return evidence_quadrature(member, prior, grid)
     return evidence_laplace(member, prior)
 
 
@@ -237,8 +237,8 @@ def select(model_set: ModelSet, obs: ObservationSet, rule: str = "max-evidence",
     scores differ by a constant.  Gaussian linear members use the exact
     closed form; black-box members use the configured generic estimator,
     with the prior normalized on a prior-scale grid (2001, 201^2 or 41^3
-    nodes) and ``grid_points_per_dim`` (default ``DEFAULT_GRID``) sizing
-    the quadrature.
+    nodes).  ``grid_points_per_dim`` (default ``DEFAULT_GRID``) sizes the
+    quadrature; under either estimator it is checked before any evaluation.
 
     Ties within 1e-12 of the maximum go to the lowest index and set
     ``tie_broken``.  A failure raises ``SelectionFailure`` naming the member.

@@ -16,7 +16,7 @@ import pytest
 import evidkit.cli
 import evidkit.dataio
 from evidkit.cli import RunConfig, main, parse_args, run
-from evidkit.dataio import _parse_rows, format_number, read_observations, render_json
+from evidkit.dataio import _parse_rows, format_number, read_observations, render_json, write_csv
 from evidkit.exceptions import DataError, UsageError
 
 
@@ -298,6 +298,28 @@ class TestSerialization:
         assert parsed["a"] == [1, 2.5, None, True]
         assert np.isnan(parsed["b"]["d"])
 
+    @pytest.mark.parametrize("render, value, text", [
+        (render_json, np.array([1.0, 2.5]), "[\n  1,\n  2.5\n]"), (render_json, {}, "{}"),
+        (format_number, float("-inf"), "-Infinity"),
+    ], ids=["ndarray", "empty-dict", "negative-infinity"])
+    def test_edge_values_render(self, render, value, text):
+        assert render(value) == text
+
+    @pytest.mark.parametrize("render, value", [
+        (render_json, {1.0}), (format_number, True), (format_number, np.bool_(False)),
+    ], ids=["set", "bool", "numpy-bool"])
+    def test_unrenderable_value_raises_type_error(self, render, value):
+        with pytest.raises(TypeError):
+            render(value)
+
+    def test_csv_cells_are_quoted_where_needed(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_csv(str(path), ["a", "b"], [["x,y", 'say "hi"'], ["two\nlines", None]])
+        text = path.read_text(encoding="utf-8")
+        assert text == 'a,b\n"x,y","say ""hi"""\n"two\nlines",\n'
+        assert list(csv.reader(text.splitlines(keepends=True))) == [
+            ["a", "b"], ["x,y", 'say "hi"'], ["two\nlines", ""]]
+
 
 class TestRun:
     def test_evidence_worked_example(self, y_csv, tmp_path):
@@ -491,6 +513,14 @@ GOLDEN_PAYLOADS = {
     "decompose-negative-flexibility-csv": (
         "decompose --log-evidence -3 --log-fit -5 --format csv",
         "a990315414fdab29fdb3e40430f4dabed9b4200ceae5621d6216fb7f806fd2e6"),
+    # The paper's flexibility against the (d/2) log n penalty of BIC.
+    "bic-sweep-json": (
+        "bic-sweep --d 3 --ns 100,1000,10000,100000 --seed 13",
+        "169cc55ef97722b17e7fda2c7cd1200f4162557957cf260fda3ce3b385122892"),
+    "poly-demo-csv": (
+        "poly-demo --true-degree 3 --degrees 0..9 --n 100 --sigma 0.3 --lambda 1 --reps 60 "
+        "--seed 4 --format csv",
+        "29c0b17eb8cba4b2244689034bcf8d6a55a2a9c4a2c51d362436d855ee208397"),
 }
 
 # Commands that read a data file, run beside the seeded ``xy_csv`` fixture.
@@ -578,6 +608,7 @@ REJECTED = {
     "evidence-sigma-negative": ["evidence", *_DATA, "--sigma", "-1", "--lambda", "1"],
     "evidence-degree-negative": ["evidence", *_DATA, *_MODEL, "--degree", "-2"],
     "evidence-grid-4": ["evidence", *_DATA, *_MODEL, "--grid", "4"],
+    "evidence-grid-over-node-limit": ["evidence", *_DATA, *_MODEL, "--grid", "20000001"],
     "evidence-samples-1": ["evidence", *_DATA, *_MODEL, "--samples", "1"],
     "evidence-inflation-zero": ["evidence", *_DATA, *_MODEL, "--inflation", "0"],
     "evidence-inflation-nan": ["evidence", *_DATA, *_MODEL, "--inflation", "nan"],
@@ -589,6 +620,12 @@ REJECTED = {
     "select-weights-sum": ["select", *_DATA, *_MODEL, "--degrees", "0,1",
                            "--weights", "0.5,0.6"],
     "select-weights-count": ["select", *_DATA, *_MODEL, "--degrees", "0,1", "--weights", "1"],
+    "select-weights-not-numbers": ["select", *_DATA, *_MODEL, "--degrees", "0,1",
+                                   "--weights", "0.5,x"],
+    "select-degrees-empty-entry": ["select", *_DATA, *_MODEL, "--degrees", "0,,2"],
+    "select-degrees-range-not-integer": ["select", *_DATA, *_MODEL, "--degrees", "a..3"],
+    "select-degrees-range-descending": ["select", *_DATA, *_MODEL, "--degrees", "5..1"],
+    "select-degrees-not-integer": ["select", *_DATA, *_MODEL, "--degrees", "x"],
     "risk-lambda-zero": ["risk", "--sigma", "1", "--lambda", "0", "--degrees", "0,1",
                          "--n", "10"],
     "risk-n-zero": ["risk", *_MODEL, "--degrees", "0,1", "--n", "0"],
@@ -752,7 +789,34 @@ class TestRejectedArguments:
         assert not out.exists()
 
 
+# Failures at run time, run beside a y-only ``y.csv`` and a directory
+# ``taken``: (argv, the start of stderr).
+RUN_TIME_ERRORS = {
+    "evidence-degree-needs-x": (
+        ["evidence", "--data", "y.csv", *_MODEL, "--degree", "2", "--out", "r.json"],
+        "evidkit: error: degree 2 requires an x column in the data file"),
+    "missing-data-file": (
+        ["fit", "--data", "missing.csv", *_MODEL, "--out", "r.json"],
+        "evidkit: error: cannot read missing.csv"),
+    "out-is-a-directory": (
+        ["fit", "--data", "y.csv", *_MODEL, "--out", "taken"], "evidkit: i/o error: "),
+}
+
+
 class TestRunTimeLibraryErrors:
+    @pytest.mark.parametrize("argv, message", list(RUN_TIME_ERRORS.values()),
+                             ids=list(RUN_TIME_ERRORS))
+    def test_run_time_error_names_its_cause(self, argv, message, tmp_path, monkeypatch,
+                                            capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "y.csv").write_text("y\n2.0\n", encoding="utf-8")
+        (tmp_path / "taken").mkdir()
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith(message)
+        # No output, and no temporary file left beside it.
+        assert sorted(os.listdir(tmp_path)) == ["taken", "y.csv"]
+        assert os.listdir(tmp_path / "taken") == []
+
     @pytest.mark.parametrize("argv", [
         ["mackay-demo", "--lambda-simple", "1", "--lambda-complex", "0.1",
          "--y-min", "0", "--y-max", "0.1", "--grid", "5"],
@@ -778,4 +842,22 @@ class TestRunTimeLibraryErrors:
         assert main(["evidence", "--data", xy_csv, *_MODEL, "--degree", "3",
                      "--estimator", "quadrature", "--out", str(out)]) == 1
         assert searches == []
+        assert not out.exists()
+
+    def test_quadrature_refuses_an_oversized_grid_before_searching(
+            self, xy_csv, tmp_path, monkeypatch, capsys):
+        searches = []
+        search = evidkit.cli.map_optimize_multistart
+
+        def counting(*args, **kwargs):
+            searches.append(args)
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(evidkit.cli, "map_optimize_multistart", counting)
+        out = tmp_path / "q.json"
+        assert main(["evidence", "--data", xy_csv, *_MODEL, "--degree", "2",
+                     "--estimator", "quadrature", "--grid", "301", "--out", str(out)]) == 1
+        assert searches == []
+        assert capsys.readouterr().err == (
+            "evidkit: error: grid of 301^3 nodes exceeds the 20000000 node limit\n")
         assert not out.exists()

@@ -477,6 +477,55 @@ class TestIntegralBox:
         assert {key: reference[key] for key in quadrature.info} == quadrature.info
 
 
+NODE_LIMIT = r"^grid of 301\^3 nodes exceeds the 20000000 node limit$"
+
+
+def _select(generic_estimator, grid):
+    return lambda model, prior: ek.select(
+        ek.ModelSet(members=(model,)), ek.ObservationSet(y=[0.0]),
+        generic_estimator=generic_estimator, grid_points_per_dim=grid)
+
+
+# Grids that are refused before the model's first evaluation: (d, call, message).
+REFUSED_GRIDS = {
+    "quadrature-node-limit": (
+        3, lambda model, prior: ek.evidence_quadrature(model, prior, 301), NODE_LIMIT),
+    "laplace-node-limit": (
+        3, lambda model, prior: ek.evidence_laplace(model, prior, err_check_grid=301),
+        NODE_LIMIT),
+    "select-quadrature-node-limit": (3, _select("quadrature", 301), NODE_LIMIT),
+    "select-laplace-node-limit": (3, _select("laplace", 301), NODE_LIMIT),
+    "normalize-prior-node-limit": (
+        3, lambda model, prior: ek.normalize_prior(model, 301), NODE_LIMIT),
+    "laplace-grid-above-dim-3": (
+        4, lambda model, prior: ek.evidence_laplace(model, prior, err_check_grid=21),
+        r"^grid quadrature supports dim <= 3, got dim=4$"),
+    "select-laplace-grid-below-5": (
+        1, _select("laplace", 4), r"^grid_points_per_dim must be >= 5$"),
+}
+
+
+class TestGridCheck:
+    @pytest.mark.parametrize("d, call, message", list(REFUSED_GRIDS.values()),
+                             ids=list(REFUSED_GRIDS))
+    def test_refused_before_any_model_evaluation(self, d, call, message):
+        _, _, wrapped, prior = wrapped_instance(np.random.default_rng(70), n=20, d=d)
+        points = []
+
+        def counted(fn):
+            def batch(theta):
+                points.append(len(theta))
+                return fn(theta)
+            return batch
+
+        model = ek.GenericModelSpec(
+            dim=d, log_lik=counted(wrapped.log_lik), regularizer=counted(wrapped.regularizer),
+            effective_box=wrapped.effective_box, vectorized=True)
+        with pytest.raises(ValueError, match=message):
+            call(model, prior)
+        assert points == []
+
+
 class TestImportanceInflation:
     @pytest.mark.parametrize("inflation", [-1.5, 0.0, float("nan"), float("inf")])
     def test_bad_inflation_rejected(self, inflation):
