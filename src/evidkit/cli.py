@@ -186,7 +186,7 @@ def _build_parser() -> _Parser:
                    help="polynomial degree (default: 1 with an x column, else 0)")
     p.add_argument("--estimator", choices=list(ESTIMATORS), default="glm-exact")
     p.add_argument("--grid", type=_checked(int, _check_grid, 1),
-                   help="grid points per dimension for quadrature")
+                   help="grid points per dimension for quadrature or the laplace reference")
     p.add_argument("--samples", type=_checked(int, _check_count, "samples", 2), default=20000,
                    help="importance sampling draws (default %(default)s)")
     p.add_argument("--inflation", type=_checked(float, _check_scale, "inflation"),
@@ -265,6 +265,9 @@ def parse_args(argv) -> RunConfig:
     argv = [str(a) for a in argv]
     params = vars(_build_parser().parse_args(argv))
     routing = {key: params.pop(key, None) for key in _ROUTING_KEYS}
+    if params.get("estimator") in ("glm-exact", "importance-sampling") \
+            and params["grid"] is not None:
+        raise UsageError(f"--grid does not apply to the {params['estimator']} estimator")
     if params.get("weights") is not None:
         _library_check(_check_weights, params["weights"], len(params["degrees"]))
     if "true_degree" in params:
@@ -327,8 +330,9 @@ def _run_evidence(config):
         dec = glm_log_evidence(spec, obs)
         search = None
     else:
-        if estimator == "quadrature":  # refuse before the search
-            grid = _check_grid(params["grid"], spec.d)
+        grid = params["grid"]
+        if estimator == "quadrature" or grid is not None:  # refuse before the search
+            grid = _check_grid(grid, spec.d)
         model = wrap_glm(spec, obs)
         prior = glm_normalized_prior(spec)
         # Generic estimators only find a local MAP; restart from 8 seeded
@@ -338,7 +342,7 @@ def _run_evidence(config):
         if estimator == "quadrature":
             dec = evidence_quadrature(model, prior, grid, start=search.theta)
         elif estimator == "laplace":
-            dec = evidence_laplace(model, prior, start=search.theta)
+            dec = evidence_laplace(model, prior, start=search.theta, err_check_grid=grid)
         else:
             dec = evidence_importance(model, prior, params["samples"], params["seed"],
                                       inflation=params["inflation"], start=search.theta)

@@ -13,7 +13,7 @@ rule serves every curvature.  Gradients are never requested from the caller.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -95,7 +95,8 @@ class GenericModelSpec:
         below 1e-12 of its peak.
     vectorized : bool
         When True the two callables accept an ``(m, dim)`` array and return
-        an ``(m,)`` array, which is dramatically faster on dense grids.
+        an ``(m,)`` array, which is dramatically faster on dense grids.  A
+        row's value must not depend on the other rows in the batch.
 
     Notes
     -----
@@ -192,37 +193,61 @@ def _value_at(batch_fn, theta) -> float:
 # Finite differences
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
+def _stencil_table(d):
+    """``(offsets, i, j)``: the read-only ``±1`` offsets of the d-dimensional stencil.
+
+    The Hessian's points come in the order centre, up, down, and then the
+    four corners of each pair ``(i, j)``; its up and down rows are the
+    gradient's.  Scaling an offset by the steps multiplies by ``±1`` or 0,
+    which is exact, so every point keeps the bits of adding its step alone.
+    """
+    eye = np.eye(d)
+    i, j = np.triu_indices(d, k=1)
+    corners = [si * eye[i] + sj * eye[j]
+               for si, sj in ((1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0))]
+    table = (np.concatenate([np.zeros((1, d)), eye, -eye] + corners), i, j)
+    for array in table:
+        array.setflags(write=False)
+    return table
+
+
 def _stencil_derivatives(f_batch, theta, grad_step=None, hess_step=None):
     """Central-difference gradient and Hessian from one batch of evaluations.
 
     The points and formulas are those of :func:`finite_difference_gradient`
     (step ``grad_step``) and :func:`finite_difference_hessian` (step
     ``hess_step``); a step of None leaves that derivative out and returns
-    None in its place.
+    None in its place.  A stack ``theta`` of shape (m, d) evaluates every
+    row's stencil in the one batch and returns (m, d) gradients and
+    (m, d, d) Hessians.
     """
     theta = np.asarray(theta, dtype=float)
-    d = theta.size
-    eye = np.eye(d)
-    i, j = np.triu_indices(d, k=1)
-    offsets = []
+    rows = np.atleast_2d(theta)
+    m, d = rows.shape
+    offsets, i, j = _stencil_table(d)
+    scaled = []
     if grad_step is not None:
-        hg = grad_step * (1.0 + np.abs(theta))
-        offsets += [eye * hg, -eye * hg]
+        hg = grad_step * (1.0 + np.abs(rows))
+        scaled.append(offsets[1:2 * d + 1] * hg[:, None, :])
     if hess_step is not None:
-        h = hess_step * (1.0 + np.abs(theta))
-        offsets += [np.zeros((1, d)), eye * h, -eye * h] + [
-            (si * eye[i] + sj * eye[j]) * h
-            for si, sj in ((1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0))]
-    parts = np.split(f_batch(theta + np.concatenate(offsets)),
-                     np.cumsum([len(o) for o in offsets])[:-1])
+        h = hess_step * (1.0 + np.abs(rows))
+        scaled.append(offsets * h[:, None, :])
+    points = rows[:, None, :] + np.concatenate(scaled, axis=1)
+    values = f_batch(points.reshape(-1, d)).reshape(m, -1)
 
     grad = hess = None
     if grad_step is not None:
-        grad = (parts[0] - parts[1]) / (2.0 * hg)
+        grad = (values[:, :d] - values[:, d:2 * d]) / (2.0 * hg)
     if hess_step is not None:
-        f0, f_up, f_dn, f_pp, f_pm, f_mp, f_mm = parts[-7:]
-        hess = np.diag((f_up - 2.0 * f0 + f_dn) / h ** 2)
-        hess[i, j] = hess[j, i] = (f_pp - f_pm - f_mp + f_mm) / (4.0 * h[i] * h[j])
+        f0, f_up, f_dn, f_pp, f_pm, f_mp, f_mm = np.split(
+            values[:, -len(offsets):], np.cumsum([1, d, d] + [i.size] * 3), axis=1)
+        hess = np.zeros((m, d, d))
+        hess[:, range(d), range(d)] = (f_up - 2.0 * f0 + f_dn) / h ** 2
+        hess[:, i, j] = hess[:, j, i] = (f_pp - f_pm - f_mp + f_mm) / (4.0 * h[:, i] * h[:, j])
+    if theta.ndim < 2:  # one point: its results unstacked
+        grad = None if grad is None else grad[0]
+        hess = None if hess is None else hess[0]
     return grad, hess
 
 
@@ -313,52 +338,81 @@ def map_optimize(model: GenericModelSpec, start, *, max_iter=MAX_ITER) -> np.nda
 
 def _search(model: GenericModelSpec, start, max_iter=MAX_ITER) -> _Mode:
     """The search :func:`map_optimize` states, returning its converged :class:`_Mode`."""
+    mode = _search_all(model, np.asarray(start, dtype=float)[None], max_iter)[0]
+    if isinstance(mode, ConvergenceFailure):
+        raise mode
+    return mode
+
+
+def _search_all(model: GenericModelSpec, starts, max_iter=MAX_ITER) -> list:
+    """The search :func:`map_optimize` states, from every row of ``starts`` in lockstep.
+
+    Each start keeps its own path, so it ends as it would alone, in a
+    :class:`_Mode` or a :class:`ConvergenceFailure` in the returned list.
+    Only the model evaluations are shared: one batch for the start values,
+    one per iteration for every searching start's stencil, and one per
+    backtracking round for every start still line-searching.
+    """
     bounds = model.bounds()
-    theta = np.asarray(start, dtype=float).copy()
-    if theta.shape != (model.dim,):
-        raise ValueError(f"start has shape {theta.shape}, expected ({model.dim},)")
-    if np.any(theta < bounds[:, 0]) or np.any(theta > bounds[:, 1]):
+    thetas = np.array(starts, dtype=float)
+    if thetas.shape[1:] != (model.dim,):
+        raise ValueError(f"start has shape {thetas.shape[1:]}, expected ({model.dim},)")
+    if np.any(thetas < bounds[:, 0]) or np.any(thetas > bounds[:, 1]):
         raise ValueError("start lies outside the support box")
 
     psi_batch = _objective(model)
-    psi = partial(_value_at, psi_batch)
-    value = psi(theta)
-    if not np.isfinite(value):
+    values = [float(value) for value in psi_batch(thetas)]
+    if not np.all(np.isfinite(values)):
         raise ValueError("objective is not finite at the start point")
-    best_theta, best_value = theta.copy(), value
+    best = [(theta.copy(), value) for theta, value in zip(thetas, values)]
     stall = STALL_ULPS * np.finfo(float).eps
+    # Each start's end: a _Mode, or why its search stopped.
+    ends = [f"the {max_iter}-iteration limit was reached"] * len(thetas)
 
-    stop = f"the {max_iter}-iteration limit was reached"
+    searching = list(range(len(thetas)))
     for iteration in range(1, max_iter + 1):
-        grad, hess = _stencil_derivatives(psi_batch, theta, GRAD_STEP, HESS_STEP)
-        step = _ascent_step(grad, hess)
-        decrement = np.inf if step is None else float(grad @ step)
-        stationary = np.max(np.abs(grad)) < GRAD_TOL or decrement <= stall * max(1.0, abs(value))
-        if stationary and _strictly_interior(theta, bounds):
-            if float(np.linalg.eigvalsh(hess).max()) <= CURVATURE_TOL:
-                return _Mode(theta, value, hess)
-            if step is not None:  # a saddle or minimum: its gain is second order
-                curvature, axes = np.linalg.eigh(hess)
-                step = axes[:, -1] * np.copysign(1.0 + np.max(np.abs(theta)), grad @ axes[:, -1])
-                decrement = 0.5 * curvature[-1] * float(step @ step)
+        grads, hesses = _stencil_derivatives(psi_batch, thetas[searching], GRAD_STEP, HESS_STEP)
+        steps = {}
+        for k, grad, hess in zip(searching, grads, hesses):
+            theta, value = thetas[k], values[k]
+            step = _ascent_step(grad, hess)
+            decrement = np.inf if step is None else float(grad @ step)
+            stationary = (np.max(np.abs(grad)) < GRAD_TOL
+                          or decrement <= stall * max(1.0, abs(value)))
+            if stationary and _strictly_interior(theta, bounds):
+                if float(np.linalg.eigvalsh(hess).max()) <= CURVATURE_TOL:
+                    ends[k] = _Mode(theta.copy(), value, hess)
+                    continue
+                if step is not None:  # a saddle or minimum: its gain is second order
+                    curvature, axes = np.linalg.eigh(hess)
+                    step = axes[:, -1] * np.copysign(1.0 + np.max(np.abs(theta)),
+                                                     grad @ axes[:, -1])
+                    decrement = 0.5 * curvature[-1] * float(step @ step)
+            steps[k] = step, decrement
 
         t = 1.0
-        while step is not None and t > 1e-12:
-            trial = np.clip(theta + t * step, bounds[:, 0], bounds[:, 1])
-            trial_value = psi(trial)
-            if np.isfinite(trial_value) and trial_value >= value + 1e-4 * t * decrement:
-                theta, value = trial, trial_value
-                break
+        backtracking = [k for k, (step, _) in steps.items() if step is not None]
+        searching = []  # the starts whose line search accepts a step
+        while backtracking and t > 1e-12:
+            trials = np.clip(thetas[backtracking] + t * np.array(
+                [steps[k][0] for k in backtracking]), bounds[:, 0], bounds[:, 1])
+            for k, trial, trial_value in zip(backtracking, trials, psi_batch(trials)):
+                if np.isfinite(trial_value) and trial_value >= values[k] + 1e-4 * t * steps[k][1]:
+                    thetas[k], values[k] = trial, float(trial_value)
+                    searching.append(k)
+            backtracking = [k for k in backtracking if k not in searching]
             t /= 2.0
-        else:  # no step ascends: every later iteration would start here and fail alike
-            stop = f"no ascent step was left at iteration {iteration}"
+        for k in steps:
+            if k not in searching:
+                # No step ascends: every later iteration would start here and fail alike.
+                ends[k] = f"no ascent step was left at iteration {iteration}"
+            elif values[k] > best[k][1]:
+                best[k] = thetas[k].copy(), values[k]
+        if not searching:
             break
-        if value > best_value:
-            best_theta, best_value = theta.copy(), value
-
-    raise ConvergenceFailure(
-        f"no interior stationary point found: {stop} (best objective {best_value:.6g})",
-        best_theta=best_theta, best_value=best_value)
+    return [end if isinstance(end, _Mode) else ConvergenceFailure(
+        f"no interior stationary point found: {end} (best objective {value:.6g})",
+        best_theta=theta, best_value=value) for end, (theta, value) in zip(ends, best)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -382,12 +436,18 @@ def map_optimize_multistart(model: GenericModelSpec, seed: int, *, box=None) -> 
     Latin-hypercube sample over ``box`` (the support box by default, which
     must then be finite), one stratum per start in every coordinate.  The
     best local maximum wins; all basins are returned for inspection.
+
+    The starts advance in lockstep: each iteration evaluates every searching
+    start's stencil as one batch, and each backtracking round the trial
+    points of every start still line-searching.  Each start keeps the path
+    and the result it would have alone.
     """
     if box is None:
         box = model.bounds()
-    box = np.asarray(box, dtype=float)
-    if not np.all(np.isfinite(box)):
-        raise ValueError("multistart needs a finite box; pass one for unbounded support")
+        if not np.all(np.isfinite(box)):
+            raise ValueError("multistart needs a finite box; pass one for unbounded support")
+    else:
+        box = _as_box(box, model.dim, "box", require_finite=True)
 
     rng = np.random.default_rng(seed)
     strata = (rng.permuted(np.tile(np.arange(MULTISTART_STARTS), (model.dim, 1)), axis=1).T
@@ -395,11 +455,11 @@ def map_optimize_multistart(model: GenericModelSpec, seed: int, *, box=None) -> 
     starts = box[:, 0] + strata * (box[:, 1] - box[:, 0])
 
     basins = []
-    for start in starts:
-        try:
-            theta, value, _ = _search(model, start)
-        except ConvergenceFailure as failure:
-            theta, value = failure.best_theta, float(failure.best_value)
+    for start, end in zip(starts, _search_all(model, starts)):
+        if isinstance(end, ConvergenceFailure):
+            theta, value = end.best_theta, float(end.best_value)
+        else:
+            theta, value, _ = end
         basins.append((start, theta, value))
     _, theta, value = max(basins, key=lambda basin: basin[2])  # the first of equal values
     return MultistartResult(theta=theta, value=value, basins=tuple(basins))

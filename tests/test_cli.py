@@ -609,6 +609,9 @@ REJECTED = {
     "evidence-degree-negative": ["evidence", *_DATA, *_MODEL, "--degree", "-2"],
     "evidence-grid-4": ["evidence", *_DATA, *_MODEL, "--grid", "4"],
     "evidence-grid-over-node-limit": ["evidence", *_DATA, *_MODEL, "--grid", "20000001"],
+    "evidence-glm-exact-grid": ["evidence", *_DATA, *_MODEL, "--grid", "41"],
+    "evidence-importance-sampling-grid": ["evidence", *_DATA, *_MODEL, "--estimator",
+                                          "importance-sampling", "--grid", "41"],
     "evidence-samples-1": ["evidence", *_DATA, *_MODEL, "--samples", "1"],
     "evidence-inflation-zero": ["evidence", *_DATA, *_MODEL, "--inflation", "0"],
     "evidence-inflation-nan": ["evidence", *_DATA, *_MODEL, "--inflation", "nan"],
@@ -861,3 +864,25 @@ class TestRunTimeLibraryErrors:
         assert capsys.readouterr().err == (
             "evidkit: error: grid of 301^3 nodes exceeds the 20000000 node limit\n")
         assert not out.exists()
+
+    def test_laplace_refuses_an_oversized_grid_before_searching(
+            self, xy_csv, tmp_path, monkeypatch, capsys):
+        searches = []
+        monkeypatch.setattr(evidkit.cli, "map_optimize_multistart",
+                            lambda *args, **kwargs: searches.append(args))
+        out = tmp_path / "l.json"
+        assert main(["evidence", "--data", xy_csv, *_MODEL, "--degree", "2",
+                     "--estimator", "laplace", "--grid", "301", "--out", str(out)]) == 1
+        assert searches == []
+        assert capsys.readouterr().err == (
+            "evidkit: error: grid of 301^3 nodes exceeds the 20000000 node limit\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("grid", [None, "5", "43"])
+    def test_laplace_reference_takes_the_given_grid(self, grid, xy_csv, tmp_path):
+        out = tmp_path / "l.json"
+        argv = ["evidence", "--data", xy_csv, *_MODEL, "--degree", "1",
+                "--estimator", "laplace", "--out", str(out)]
+        assert main(argv + ([] if grid is None else ["--grid", grid])) == 0
+        info = json.loads(out.read_text(encoding="utf-8"))["result"]["info"]
+        assert info["grid_points_per_dim"] == (41 if grid is None else int(grid))

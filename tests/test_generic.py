@@ -154,6 +154,29 @@ class TestStencil:
                               / (2.0 * h[k]) for k, e in enumerate(np.eye(d))]
             np.testing.assert_array_equal(grad, reference_grad)
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_stack_matches_its_rows_bit_for_bit(self, d):
+        # Rows of mixed scale, one of them with a zero coordinate.
+        rng = np.random.default_rng(10 + d)
+        thetas = rng.standard_normal((6, d)) * 10.0 ** rng.uniform(-3, 2, size=(6, 1))
+        thetas[2, 0] = 0.0
+        batch_calls = []
+
+        def f_batch(points):
+            batch_calls.append(len(points))
+            return np.array([self._f(p) for p in points])
+
+        grads, hesses = _stencil_derivatives(f_batch, thetas, GRAD_STEP, HESS_STEP)
+        assert batch_calls == [6 * (1 + 2 * d + 2 * d * d)]
+        assert grads.shape == (6, d) and hesses.shape == (6, d, d)
+        assert _stencil_derivatives(f_batch, thetas, hess_step=HESS_STEP)[1].tobytes() \
+            == hesses.tobytes()
+        for theta, grad, hess in zip(thetas, grads, hesses):
+            row_grad, row_hess = _stencil_derivatives(f_batch, theta, GRAD_STEP, HESS_STEP)
+            assert row_grad.shape == (d,) and row_hess.shape == (d, d)
+            assert grad.tobytes() == row_grad.tobytes()
+            assert hess.tobytes() == row_hess.tobytes()
+
 
 class TestMapOptimize:
     def test_wrapped_glm_matches_closed_form(self):
@@ -229,8 +252,8 @@ class TestMapOptimize:
         # cannot converge in one iteration with this Hessian.
         derivatives = evidkit.generic._stencil_derivatives
 
-        def bad_hessian(*args):
-            return derivatives(*args)[0], np.array(hess)
+        def bad_hessian(*args):  # the search asks for a stack of one point
+            return derivatives(*args)[0], np.array([hess])
 
         monkeypatch.setattr(evidkit.generic, "_stencil_derivatives", bad_hessian)
         with pytest.raises(ConvergenceFailure) as excinfo:
@@ -332,49 +355,77 @@ class TestMultistart:
 
     def test_evaluates_only_inside_its_searches(self):
         # A basin's value is the one its search ended on: the model sees exactly
-        # the batches of the 8 searches run alone from the same starts.
-        batches = []
+        # the points of the 8 searches run alone from the same starts.
+        rows = []
         base = logistic_model(seed=3)
 
         def log_lik(points):
-            batches.append(len(points))
+            rows.extend(point.tobytes() for point in points)
             return base.log_lik(points)
 
         model = ek.GenericModelSpec(dim=1, log_lik=log_lik, regularizer=base.regularizer,
                                     support=base.support, vectorized=True)
         result = ek.map_optimize_multistart(model, seed=2)
-        in_multistart = list(batches)
-        batches.clear()
+        in_multistart = sorted(rows)
+        rows.clear()
         for start, theta, _ in result.basins:
             np.testing.assert_array_equal(ek.map_optimize(model, start), theta)
-        assert in_multistart == batches
+        assert in_multistart == sorted(rows)
 
-    def test_failed_starts_keep_their_best_iterate(self, monkeypatch):
+    def test_failed_starts_keep_their_best_iterate(self):
         # The kinked model of TestMapOptimize: every start fails near the kink at 0.
         model = ek.GenericModelSpec(
             dim=1, log_lik=lambda pts: -0.125 * (pts[:, 0] - 1.0) ** 2,
             regularizer=lambda pts: np.abs(pts[:, 0]), effective_box=[[-5.0, 5.0]],
             vectorized=True)
-        search = evidkit.generic._search
-        failures = []
-
-        def recording(*args):
-            try:
-                return search(*args)
-            except ConvergenceFailure as failure:
-                failures.append(failure)
-                raise
-
-        monkeypatch.setattr(evidkit.generic, "_search", recording)
         result = ek.map_optimize_multistart(model, seed=0, box=[[-5.0, 5.0]])
-        assert len(failures) == len(result.basins) == 8
-        for (_, theta, value), failure in zip(result.basins, failures):
-            assert np.array_equal(theta, failure.best_theta)
-            assert value == failure.best_value
+        assert len(result.basins) == 8
+        for start, theta, value in result.basins:
+            with pytest.raises(ConvergenceFailure) as excinfo:
+                ek.map_optimize(model, start)
+            assert np.array_equal(theta, excinfo.value.best_theta)
+            assert value == excinfo.value.best_value
         best = max(result.basins, key=lambda basin: basin[2])
         assert np.array_equal(result.theta, best[1])
         assert result.value == best[2]
         assert result.theta[0] == pytest.approx(0.0, abs=1e-5)
+
+    def test_one_stencil_batch_per_iteration_of_its_longest_start(self, monkeypatch):
+        spec, obs = polynomial_glm(5, 3)
+        model = ek.wrap_glm(spec, obs)
+        derivatives = evidkit.generic._stencil_derivatives
+        stacks = []
+
+        def counted(f_batch, theta, *args):
+            stacks.append(np.shape(theta))
+            return derivatives(f_batch, theta, *args)
+
+        monkeypatch.setattr(evidkit.generic, "_stencil_derivatives", counted)
+        result = ek.map_optimize_multistart(model, seed=4, box=model.effective_box)
+        in_multistart = list(stacks)
+        iterations = []
+        for start, theta, _ in result.basins:
+            stacks.clear()
+            np.testing.assert_array_equal(ek.map_optimize(model, start), theta)
+            iterations.append(len(stacks))
+        assert in_multistart[0] == (8, 3)
+        assert len(in_multistart) == max(iterations) < sum(iterations)
+
+    def test_scalar_callable_basins_match_their_solo_searches(self):
+        model = self._bimodal()
+        result = ek.map_optimize_multistart(model, seed=3)
+        for start, theta, value in result.basins:
+            mode = evidkit.generic._search(model, start)
+            assert theta.tobytes() == mode.theta.tobytes()
+            assert value == mode.value
+
+    @pytest.mark.parametrize("box", [[[2.0, -2.0], [-2.0, 2.0]], [[-2.0, 2.0]],
+                                     [[-2.0, 2.0, 0.0], [-2.0, 2.0, 0.0]]],
+                             ids=["lower-above-upper", "one-row", "three-columns"])
+    def test_rejects_a_malformed_box(self, box):
+        model = ek.wrap_glm(*polynomial_glm(0, 2))
+        with pytest.raises(ValueError, match="box"):
+            ek.map_optimize_multistart(model, seed=0, box=box)
 
 
 class TestNormalizePrior:
