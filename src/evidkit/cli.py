@@ -186,7 +186,7 @@ def _build_parser() -> _Parser:
                    help="polynomial degree (default: 1 with an x column, else 0)")
     p.add_argument("--estimator", choices=list(ESTIMATORS), default="glm-exact")
     p.add_argument("--grid", type=_checked(int, _check_grid, 1),
-                   help="grid points per dimension for quadrature or the laplace reference")
+                   help="grid points per dimension, odd, for quadrature or the laplace reference")
     p.add_argument("--samples", type=_checked(int, _check_count, "samples", 2), default=20000,
                    help="importance sampling draws (default %(default)s)")
     p.add_argument("--inflation", type=_checked(float, _check_scale, "inflation"),
@@ -346,16 +346,7 @@ def _run_evidence(config):
         else:
             dec = evidence_importance(model, prior, params["samples"], params["seed"],
                                       inflation=params["inflation"], start=search.theta)
-    result = {
-        "log_evidence": dec.log_evidence,
-        "log_fit": dec.log_fit,
-        "flexibility": dec.flexibility,
-        "estimator": dec.estimator,
-        "err_estimate": dec.err_estimate,
-        "theta_hat": dec.theta_hat.tolist(),
-        "warnings": list(dec.warnings),
-        "info": dict(dec.info),
-    }
+    result = asdict(dec)
     if search is not None:
         result["map_search"] = {
             "starts": len(search.basins),
@@ -369,8 +360,7 @@ def _run_evidence(config):
 
 def _run_decompose(config):
     fragment = decompose(config.params["log_evidence"], config.params["log_fit"])
-    result = {"log_evidence": fragment.log_evidence, "log_fit": fragment.log_fit,
-              "flexibility": fragment.flexibility, "note": fragment.note}
+    result = asdict(fragment)
     header = ["log_evidence", "log_fit", "flexibility", "note"]
     return result, header, [[result[key] for key in header]]
 

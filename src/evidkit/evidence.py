@@ -26,6 +26,7 @@ from .generic import (
     NormalizedPrior,
     DEFAULT_GRID,
     HESS_STEP,
+    _as_box,
     _check_grid,
     _declared_box,
     _objective,
@@ -120,18 +121,18 @@ def _posterior_integral(model: GenericModelSpec, prior: NormalizedPrior, theta_h
                         chol_lower, grid_points_per_dim, max_err, what):
     """``(log E, err, info)`` by :func:`evidence_quadrature`'s rule, on a checked grid."""
     log_joint = _log_joint_fn(model, prior)
-    # A grid-normalized prior's normalizer covers its box only.
-    limits = model.bounds() if prior.box is None else prior.box
-    box = prior.box  # None resolves from the declared box, built only then
+    box = None  # resolves from the declared box, built only then
+    limits = model.bounds()
+    if prior.box is not None:  # a grid-normalized prior's normalizer covers its box only
+        box = limits = _as_box(prior.box, model.dim, "prior box", require_finite=True)
     if chol_lower is not None:
         # The posterior covariance is L^-T L^-1, so each sd is a column norm of L^-1.
         sd = np.linalg.norm(np.linalg.inv(chol_lower), axis=0)
         centre = np.clip(theta_hat, limits[:, 0], limits[:, 1])
         box = np.clip(centre[:, None] + BOX_SDS * np.outer(sd, [-1.0, 1.0]),
                       limits[:, :1], limits[:, 1:])
-    box, log_e, err = _richardson_log_integral(
-        model, log_joint, grid_points_per_dim, max_err, what,
-        box=resolve_integration_box(model, log_joint, box, limits))
+    box = resolve_integration_box(model, log_joint, box, limits)
+    log_e, err = _richardson_log_integral(model, log_joint, box, grid_points_per_dim, max_err, what)
     floor = ROUNDING_ULPS * np.finfo(float).eps * max(1.0, abs(log_e))
     info = {"grid_points_per_dim": grid_points_per_dim, "box": box.tolist()}
     return log_e, max(err, floor) + prior.err_estimate, info

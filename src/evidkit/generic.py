@@ -431,23 +431,26 @@ class MultistartResult:
 def map_optimize_multistart(model: GenericModelSpec, seed: int, *, box=None) -> MultistartResult:
     """MAP search restarted from seeded Latin-hypercube points.
 
-    :func:`map_optimize` is a local method; multimodal objectives need
-    several starts.  The ``MULTISTART_STARTS`` (8) starts are a
-    Latin-hypercube sample over ``box`` (the support box by default, which
-    must then be finite), one stratum per start in every coordinate.  The
-    best local maximum wins; all basins are returned for inspection.
+    :func:`map_optimize` is a local method; multimodal objectives need several
+    starts.  The ``MULTISTART_STARTS`` (8) starts are a Latin-hypercube sample
+    over ``box`` (the support box by default, which must then be finite; a given
+    one must lie inside the support), one stratum per start in every coordinate.
+    The best local maximum wins; all basins are returned for inspection.
 
     The starts advance in lockstep: each iteration evaluates every searching
     start's stencil as one batch, and each backtracking round the trial
     points of every start still line-searching.  Each start keeps the path
     and the result it would have alone.
     """
+    bounds = model.bounds()
     if box is None:
-        box = model.bounds()
+        box = bounds
         if not np.all(np.isfinite(box)):
             raise ValueError("multistart needs a finite box; pass one for unbounded support")
     else:
         box = _as_box(box, model.dim, "box", require_finite=True)
+        if np.any(box[:, 0] < bounds[:, 0]) or np.any(box[:, 1] > bounds[:, 1]):
+            raise ValueError("box must lie inside the support")
 
     rng = np.random.default_rng(seed)
     strata = (rng.permuted(np.tile(np.arange(MULTISTART_STARTS), (model.dim, 1)), axis=1).T
@@ -515,6 +518,8 @@ def _check_grid(grid_points_per_dim, dim: int) -> int:
     g = DEFAULT_GRID[dim] if grid_points_per_dim is None else int(grid_points_per_dim)
     if g < 5:
         raise ValueError("grid_points_per_dim must be >= 5")
+    if g % 2 == 0:  # the half grid is the even-indexed nodes of an odd one
+        raise ValueError(f"grid_points_per_dim must be odd, got {g}")
     _check_node_limit(g, dim)
     return g
 
@@ -575,41 +580,34 @@ def resolve_integration_box(model: GenericModelSpec, log_integrand, box=None,
         err_estimate=float(np.exp(boundary_max - peak)))
 
 
-def _richardson_log_integral(model: GenericModelSpec, log_integrand, g, max_err, what,
-                            box=None):
-    """``(box, fine, err)``: the trapezoid log-integral and its Richardson error estimate.
+def _richardson_log_integral(model: GenericModelSpec, log_integrand, box, g, max_err, what):
+    """``(fine, err)``: the trapezoid log-integral over ``box`` and its Richardson error estimate.
 
-    ``g`` is a grid that :func:`_check_grid` has passed, and ``box`` is
-    resolved from the integrand when None.  The half-resolution rule has
-    ``(g + 1) // 2`` points per axis: an odd ``g`` grid holds it as its
-    even-indexed nodes, so the integrand is evaluated once; an even ``g``
-    has no such nodes and needs a second grid.  :class:`AccuracyFailure`
-    names the integral by ``what``.
+    ``g`` passed :func:`_check_grid`, so it is odd: its even-indexed nodes hold
+    the half-resolution rule, ``(g + 1) // 2`` points per axis, and the
+    integrand is evaluated once.  :class:`AccuracyFailure` names the integral
+    by ``what``.
     """
-    box = resolve_integration_box(model, log_integrand) if box is None else box
     axes, values = _evaluate_grid(model, log_integrand, box, g)
     fine = _log_trapezoid_sum(axes, values)
-    if g % 2:
-        even_nodes = values.reshape([g] * model.dim)[(slice(None, None, 2),) * model.dim]
-        coarse = _log_trapezoid_sum([nodes[::2] for nodes in axes], even_nodes.reshape(-1))
-    else:
-        coarse = log_trapezoid_integral(model, log_integrand, box, (g + 1) // 2)
+    even_nodes = values.reshape([g] * model.dim)[(slice(None, None, 2),) * model.dim]
+    coarse = _log_trapezoid_sum([nodes[::2] for nodes in axes], even_nodes.reshape(-1))
     err = abs(fine - coarse) / 3.0
     if max_err is not None and err > max_err:
         raise AccuracyFailure(
             f"{what} error estimate {err:.3e} exceeds tolerance {max_err:.3e} "
             f"(fine {fine:.12g}, half-resolution {coarse:.12g})",
             value=fine, coarse_value=coarse, err_estimate=err)
-    return box, fine, err
+    return fine, err
 
 
 def normalize_prior(model: GenericModelSpec, grid_points_per_dim: int,
                     max_err: float | None = None) -> NormalizedPrior:
     """Log normalizer of ``exp(-R)`` by trapezoid quadrature in log space, dim <= 3.
 
-    The error estimate is a Richardson comparison against the same rule at
-    half resolution (trapezoid error scales as the squared step, so a third
-    of the observed change bounds the fine-grid error).
+    ``grid_points_per_dim`` is odd, and the error estimate is a Richardson
+    comparison against the same rule on its even-indexed nodes (trapezoid error
+    scales as the squared step, so a third of the change bounds the fine error).
 
     Raises
     ------
@@ -621,7 +619,8 @@ def normalize_prior(model: GenericModelSpec, grid_points_per_dim: int,
         return -model._regularizer_batch(points)
 
     g = _check_grid(grid_points_per_dim, model.dim)  # before the probe
-    box, log_z, err = _richardson_log_integral(model, neg_reg, g, max_err, "prior normalizer")
+    box = resolve_integration_box(model, neg_reg)
+    log_z, err = _richardson_log_integral(model, neg_reg, box, g, max_err, "prior normalizer")
     return NormalizedPrior(
         log_norm_const=log_z, method="grid-quadrature", err_estimate=err,
         box=box, grid_points_per_dim=g)

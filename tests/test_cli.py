@@ -609,6 +609,8 @@ REJECTED = {
     "evidence-degree-negative": ["evidence", *_DATA, *_MODEL, "--degree", "-2"],
     "evidence-grid-4": ["evidence", *_DATA, *_MODEL, "--grid", "4"],
     "evidence-grid-over-node-limit": ["evidence", *_DATA, *_MODEL, "--grid", "20000001"],
+    "evidence-quadrature-grid-40": ["evidence", *_DATA, *_MODEL, "--estimator", "quadrature",
+                                    "--grid", "40"],
     "evidence-glm-exact-grid": ["evidence", *_DATA, *_MODEL, "--grid", "41"],
     "evidence-importance-sampling-grid": ["evidence", *_DATA, *_MODEL, "--estimator",
                                           "importance-sampling", "--grid", "41"],

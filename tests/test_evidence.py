@@ -476,8 +476,24 @@ class TestIntegralBox:
         quadrature = ek.evidence_quadrature(model, prior, evidkit.evidence.DEFAULT_GRID[d])
         assert {key: reference[key] for key in quadrature.info} == quadrature.info
 
+    @pytest.mark.parametrize("box, message", [
+        ([[5.0, -5.0], [-5.0, 5.0]], "must have lower < upper in every coordinate"),
+        ([[-5.0, np.nan], [-5.0, 5.0]], "contains NaN"),
+        ([[-5.0, 5.0], [-np.inf, 5.0]], "must be finite"),
+        ([[-5.0, 5.0, 0.0], [-5.0, 5.0, 0.0]], r"must have shape \(2, 2\), got \(2, 3\)"),
+        ([[-5.0, 5.0]], r"must have shape \(2, 2\), got \(1, 2\)"),
+    ], ids=["lower-above-upper", "nan", "infinite", "three-columns", "one-row"])
+    @pytest.mark.parametrize("estimate", ESTIMATES, ids=IDS)
+    def test_a_malformed_prior_box_is_refused_by_name(self, estimate, box, message):
+        _, _, model, prior = wrapped_instance(np.random.default_rng(80), n=20, d=2)
+        prior = ek.NormalizedPrior(log_norm_const=prior.log_norm_const, method="closed-form",
+                                   err_estimate=0.0, box=box)
+        with pytest.raises(ValueError, match=f"^prior box {message}$"):
+            estimate(model, prior, None)
+
 
 NODE_LIMIT = r"^grid of 301\^3 nodes exceeds the 20000000 node limit$"
+ODD_RULE = r"^grid_points_per_dim must be odd, got %d$"
 
 
 def _select(generic_estimator, grid):
@@ -502,6 +518,16 @@ REFUSED_GRIDS = {
         r"^grid quadrature supports dim <= 3, got dim=4$"),
     "select-laplace-grid-below-5": (
         1, _select("laplace", 4), r"^grid_points_per_dim must be >= 5$"),
+    # An even grid has no half grid among its nodes.
+    "quadrature-even": (
+        1, lambda model, prior: ek.evidence_quadrature(model, prior, 40), ODD_RULE % 40),
+    "laplace-even": (
+        2, lambda model, prior: ek.evidence_laplace(model, prior, err_check_grid=20),
+        ODD_RULE % 20),
+    "select-quadrature-even": (3, _select("quadrature", 10), ODD_RULE % 10),
+    "select-laplace-even": (1, _select("laplace", 40), ODD_RULE % 40),
+    "normalize-prior-even": (
+        2, lambda model, prior: ek.normalize_prior(model, 20), ODD_RULE % 20),
 }
 
 

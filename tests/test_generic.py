@@ -427,6 +427,19 @@ class TestMultistart:
         with pytest.raises(ValueError, match="box"):
             ek.map_optimize_multistart(model, seed=0, box=box)
 
+    def test_refuses_a_box_that_leaves_the_support(self):
+        points = []
+
+        def log_lik(theta):
+            points.append(theta)
+            return -float(theta[0]) ** 2
+
+        model = ek.GenericModelSpec(dim=1, log_lik=log_lik, regularizer=lambda theta: 0.0,
+                                    support=[[-1.0, 1.0]])
+        with pytest.raises(ValueError, match="^box must lie inside the support$"):
+            ek.map_optimize_multistart(model, seed=0, box=[[-1.0, 3.0]])
+        assert points == []
+
 
 class TestNormalizePrior:
     def test_unit_gaussian(self):
@@ -592,7 +605,7 @@ class TestScalarAndVectorizedSpecs:
 class TestRichardsonGrid:
     """One grid serves both resolutions of the Richardson error estimate."""
 
-    GRIDS = {1: (41, 40), 2: (21, 20), 3: (11, 10)}
+    GRIDS = {1: 41, 2: 21, 3: 11}
 
     @staticmethod
     def _model(d):
@@ -610,10 +623,10 @@ class TestRichardsonGrid:
         return fine, abs(fine - coarse) / 3.0
 
     @pytest.mark.parametrize("d", [1, 2, 3])
-    @pytest.mark.parametrize("odd", [True, False])
+    @pytest.mark.parametrize("odd", [True])  # an even grid is refused: see test_evidence.py
     def test_equal_to_two_separate_grids(self, d, odd):
         model = self._model(d)
-        g = self.GRIDS[d][0 if odd else 1]
+        g = self.GRIDS[d]
 
         prior = ek.normalize_prior(model, g)
         fine, err = self._two_grids(model, lambda p: -model.regularizer(p), prior.box, g)
@@ -630,7 +643,7 @@ class TestRichardsonGrid:
         assert (dec.log_evidence, dec.err_estimate) == \
             (fine, max(err, floor) + prior.err_estimate)
 
-    @pytest.mark.parametrize("g, batches", [(21, {441: 1, 121: 0}), (20, {400: 1, 100: 1})])
+    @pytest.mark.parametrize("g, batches", [(21, {441: 1, 121: 0})])
     def test_odd_grid_is_evaluated_once(self, g, batches):
         base = self._model(2)
         prior = ek.normalize_prior(base, g)

@@ -1,5 +1,6 @@
 """Rules on the package's source text."""
 
+import ast
 import glob
 import os
 
@@ -15,3 +16,22 @@ def test_lines_are_at_most_100_characters():
                 if len(line.rstrip("\n")) > 100:
                     long_lines.append(f"{os.path.basename(path)}:{number}")
     assert long_lines == []
+
+
+def test_every_private_definition_is_referenced():
+    # A private function or class that nothing names is dead code: the package is measured
+    # in lines, and only its public names may go unused inside it.
+    defined, referenced = {}, set()
+    for path in sorted(glob.glob(os.path.join(ROOT, "src", "evidkit", "*.py"))):
+        with open(path, encoding="utf-8") as handle:
+            tree = ast.parse(handle.read(), filename=path)
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if node.name.startswith("_") and not node.name.endswith("__"):
+                    defined[node.name] = f"{os.path.basename(path)}:{node.lineno}"
+            elif isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+    assert defined
+    assert sorted(place for name, place in defined.items() if name not in referenced) == []
