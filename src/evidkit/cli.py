@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import asdict, dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -148,109 +149,71 @@ def _library_check(check, *args):
         raise UsageError(str(exc)) from None
 
 
+_SIGMA = _checked(float, _check_scale, "sigma")
+_LAMBDA = _checked(float, _check_scale, "lambda")
+
+# Every argument's argparse keywords, declared once per meaning and keyed by
+# its flag, with a note after the flag where one flag has two meanings.  A
+# command in ``_COMMANDS`` names the keys it takes, in the order that fixes
+# its params, the config it writes and argparse's "required" messages.
+_ARGUMENTS = {
+    "--data": dict(dest="data_path", required=True, metavar="CSV"),
+    "--sigma": dict(type=_SIGMA, required=True, help="noise scale, > 0"),
+    "--sigma (default 1)": dict(type=_SIGMA, default=1.0),
+    "--lambda": dict(dest="lam", type=_LAMBDA, required=True, help="regularizer scale, > 0"),
+    "--lambda (default 1)": dict(dest="lam", type=_LAMBDA, default=1.0),
+    "--degree": dict(type=_checked(int, lambda value: _check_degrees([value])),
+                     help="polynomial degree (default: 1 with an x column, else 0)"),
+    "--degrees": dict(type=_checked(_parse_int_list, _check_degrees), required=True,
+                      help="candidate degrees, e.g. '0..9' or '0,1,2'"),
+    "--weights": dict(type=_parse_float_list,
+                      help="prior model weights, comma separated, summing to 1"),
+    "--estimator": dict(choices=list(ESTIMATORS), default="glm-exact"),
+    "--grid": dict(type=_checked(int, _check_grid, 1),
+                   help="grid points per dimension, odd, for quadrature or the laplace reference"),
+    "--samples": dict(type=_checked(int, _check_count, "samples", 2), default=20000,
+                      help="importance sampling draws (default %(default)s)"),
+    "--inflation": dict(type=_checked(float, _check_scale, "inflation"), default=DEFAULT_INFLATION,
+                        help="importance proposal covariance inflation (default %(default)s)"),
+    "--log-evidence": dict(type=_checked(float, _check_finite, "log_evidence"), required=True),
+    "--log-fit": dict(type=_checked(float, _check_finite, "log_fit"), required=True),
+    "--rule": dict(choices=list(RULES), default="max-evidence"),
+    "--rules": dict(type=_checked(_parse_names, _check_rules), default=",".join(RULES)),
+    "--n": dict(type=_checked(int, _check_count, "n"), required=True,
+                help="observations per replicate"),
+    "--reps": dict(type=_checked(int, _check_count, "reps"), default=100),
+    "--true-degree": dict(type=int, required=True),
+    "--lambda-simple": dict(type=_checked(float, _check_scale, "lambda-simple"), required=True),
+    "--lambda-complex": dict(type=_checked(float, _check_scale, "lambda-complex"), required=True),
+    "--y-min": dict(type=float, default=-25.0),
+    "--y-max": dict(type=float, default=25.0),
+    "--grid (y points)": dict(type=_checked(int, _check_count, "grid"), default=1001),
+    "--d": dict(type=_checked(int, _check_count, "d"), required=True, help="parameter dimension"),
+    "--ns": dict(type=_checked(_parse_int_list, _check_sample_sizes), required=True,
+                 help="sample sizes, e.g. '100,1000,10000'"),
+    "--theta": dict(type=_parse_float_list,
+                    help="true coefficients, comma separated (default (-1/2)^k pattern)"),
+    # Every command takes these three last.
+    "--seed": dict(type=_checked(int, _check_count, "seed", 0), default=0),
+    "--out": dict(dest="output_path", required=True, metavar="PATH",
+                  help="output file (written atomically)"),
+    "--format": dict(choices=["json", "csv"], default="json",
+                     help="output format (default %(default)s)"),
+}
+
+
+@lru_cache(maxsize=None)
 def _build_parser() -> _Parser:
+    """The parser of ``_COMMANDS`` and ``_ARGUMENTS``, built once per process."""
     parser = _Parser(
         prog="evidkit",
         description="Model selection by evidence: exact Gaussian-linear closed forms, "
                     "generic estimators, penalty comparisons, and seeded experiments.")
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-    sigma = _checked(float, _check_scale, "sigma")
-    lam = _checked(float, _check_scale, "lambda")
-    degree = _checked(int, lambda value: _check_degrees([value]))
-    degrees = _checked(_parse_int_list, _check_degrees)
-
-    def add_common(p):
-        """``--seed``, ``--out`` and ``--format``, which every command takes last."""
-        p.add_argument("--seed", type=_checked(int, _check_count, "seed", 0), default=0)
-        p.add_argument("--out", dest="output_path", required=True, metavar="PATH",
-                       help="output file (written atomically)")
-        p.add_argument("--format", choices=["json", "csv"], default="json",
-                       help="output format (default %(default)s)")
-
-    def add_model(p):
-        p.add_argument("--sigma", type=sigma, required=True, help="noise scale, > 0")
-        p.add_argument("--lambda", dest="lam", type=lam, required=True,
-                       help="regularizer scale, > 0")
-
-    p = sub.add_parser("fit", help="MAP fit of a polynomial model to a data file")
-    p.add_argument("--data", dest="data_path", required=True, metavar="CSV")
-    add_model(p)
-    p.add_argument("--degree", type=degree,
-                   help="polynomial degree (default: 1 with an x column, else 0)")
-    add_common(p)
-
-    p = sub.add_parser("evidence", help="log-evidence decomposition for one model")
-    p.add_argument("--data", dest="data_path", required=True, metavar="CSV")
-    add_model(p)
-    p.add_argument("--degree", type=degree,
-                   help="polynomial degree (default: 1 with an x column, else 0)")
-    p.add_argument("--estimator", choices=list(ESTIMATORS), default="glm-exact")
-    p.add_argument("--grid", type=_checked(int, _check_grid, 1),
-                   help="grid points per dimension, odd, for quadrature or the laplace reference")
-    p.add_argument("--samples", type=_checked(int, _check_count, "samples", 2), default=20000,
-                   help="importance sampling draws (default %(default)s)")
-    p.add_argument("--inflation", type=_checked(float, _check_scale, "inflation"),
-                   default=DEFAULT_INFLATION,
-                   help="importance proposal covariance inflation (default %(default)s)")
-    add_common(p)
-
-    p = sub.add_parser("decompose", help="flexibility implied by evidence and fit values")
-    p.add_argument("--log-evidence", dest="log_evidence", required=True,
-                   type=_checked(float, _check_finite, "log_evidence"))
-    p.add_argument("--log-fit", dest="log_fit", required=True,
-                   type=_checked(float, _check_finite, "log_fit"))
-    add_common(p)
-
-    p = sub.add_parser("select", help="choose a polynomial degree by evidence")
-    p.add_argument("--data", dest="data_path", required=True, metavar="CSV")
-    add_model(p)
-    p.add_argument("--degrees", type=degrees, required=True,
-                   help="candidate degrees, e.g. '0..9' or '0,1,2'")
-    p.add_argument("--weights", type=_parse_float_list,
-                   help="prior model weights, comma separated, summing to 1")
-    p.add_argument("--rule", choices=list(RULES), default="max-evidence")
-    add_common(p)
-
-    p = sub.add_parser("risk", help="Monte Carlo zero-one risk of selection rules")
-    add_model(p)
-    p.add_argument("--degrees", type=degrees, required=True)
-    p.add_argument("--weights", type=_parse_float_list)
-    p.add_argument("--n", type=_checked(int, _check_count, "n"), required=True,
-                   help="observations per replicate")
-    p.add_argument("--reps", type=_checked(int, _check_count, "reps"), default=100)
-    p.add_argument("--rules", type=_checked(_parse_names, _check_rules), default=",".join(RULES))
-    add_common(p)
-
-    p = sub.add_parser("poly-demo", help="degree sweet-spot selection experiment")
-    add_model(p)
-    p.add_argument("--degrees", type=degrees, required=True)
-    p.add_argument("--true-degree", dest="true_degree", type=int, required=True)
-    p.add_argument("--n", type=_checked(int, _check_count, "n"), required=True)
-    p.add_argument("--reps", type=_checked(int, _check_count, "reps"), default=100)
-    add_common(p)
-
-    p = sub.add_parser("mackay-demo", help="evidence crossover of a stiff vs flexible model")
-    p.add_argument("--sigma", type=sigma, default=1.0)
-    p.add_argument("--lambda-simple", dest="lambda_simple", required=True,
-                   type=_checked(float, _check_scale, "lambda-simple"))
-    p.add_argument("--lambda-complex", dest="lambda_complex", required=True,
-                   type=_checked(float, _check_scale, "lambda-complex"))
-    p.add_argument("--y-min", dest="y_min", type=float, default=-25.0)
-    p.add_argument("--y-max", dest="y_max", type=float, default=25.0)
-    p.add_argument("--grid", type=_checked(int, _check_count, "grid"), default=1001)
-    add_common(p)
-
-    p = sub.add_parser("bic-sweep", help="flexibility vs (d/2) log n over sample sizes")
-    p.add_argument("--d", type=_checked(int, _check_count, "d"), required=True,
-                   help="parameter dimension")
-    p.add_argument("--ns", type=_checked(_parse_int_list, _check_sample_sizes), required=True,
-                   help="sample sizes, e.g. '100,1000,10000'")
-    p.add_argument("--sigma", type=sigma, default=1.0)
-    p.add_argument("--lambda", dest="lam", type=lam, default=1.0)
-    p.add_argument("--theta", type=_parse_float_list,
-                   help="true coefficients, comma separated (default (-1/2)^k pattern)")
-    add_common(p)
-
+    for command, (help_text, _, names) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for name in (*names, "--seed", "--out", "--format"):
+            p.add_argument(name.split()[0], **_ARGUMENTS[name])
     return parser
 
 
@@ -486,15 +449,26 @@ def _run_bic_sweep(config):
     return result, header, rows
 
 
-_RUNNERS = {
-    "fit": _run_fit,
-    "evidence": _run_evidence,
-    "decompose": _run_decompose,
-    "select": _run_select,
-    "risk": _run_risk,
-    "poly-demo": _run_poly_demo,
-    "mackay-demo": _run_mackay_demo,
-    "bic-sweep": _run_bic_sweep,
+# Each command's help, its runner and the ``_ARGUMENTS`` it takes, in order.
+_COMMANDS = {
+    "fit": ("MAP fit of a polynomial model to a data file", _run_fit,
+            ("--data", "--sigma", "--lambda", "--degree")),
+    "evidence": ("log-evidence decomposition for one model", _run_evidence,
+                 ("--data", "--sigma", "--lambda", "--degree", "--estimator", "--grid",
+                  "--samples", "--inflation")),
+    "decompose": ("flexibility implied by evidence and fit values", _run_decompose,
+                  ("--log-evidence", "--log-fit")),
+    "select": ("choose a polynomial degree by evidence", _run_select,
+               ("--data", "--sigma", "--lambda", "--degrees", "--weights", "--rule")),
+    "risk": ("Monte Carlo zero-one risk of selection rules", _run_risk,
+             ("--sigma", "--lambda", "--degrees", "--weights", "--n", "--reps", "--rules")),
+    "poly-demo": ("degree sweet-spot selection experiment", _run_poly_demo,
+                  ("--sigma", "--lambda", "--degrees", "--true-degree", "--n", "--reps")),
+    "mackay-demo": ("evidence crossover of a stiff vs flexible model", _run_mackay_demo,
+                    ("--sigma (default 1)", "--lambda-simple", "--lambda-complex", "--y-min",
+                     "--y-max", "--grid (y points)")),
+    "bic-sweep": ("flexibility vs (d/2) log n over sample sizes", _run_bic_sweep,
+                  ("--d", "--ns", "--sigma (default 1)", "--lambda (default 1)", "--theta")),
 }
 
 
@@ -505,7 +479,7 @@ def run(config: RunConfig) -> int:
     the embedded argv reproduces the file byte for byte.
     """
     try:
-        result, header, rows = _RUNNERS[config.command](config)
+        result, header, rows = _COMMANDS[config.command][1](config)
         config_dict = asdict(config)
         if config.format == "json":
             payload = {

@@ -117,14 +117,19 @@ def _laplace_mode(model: GenericModelSpec, start=None, theta_hat=None, curvature
             "the Laplace approximation is undefined here") from exc
 
 
-def _posterior_integral(model: GenericModelSpec, prior: NormalizedPrior, theta_hat,
+def _prior_box(model: GenericModelSpec, prior: NormalizedPrior):
+    """``prior.box`` checked, or None: a grid-normalized prior's normalizer covers its box only."""
+    if prior.box is None:
+        return None
+    return _as_box(prior.box, model.dim, "prior box", require_finite=True)
+
+
+def _posterior_integral(model: GenericModelSpec, prior: NormalizedPrior, prior_box, theta_hat,
                         chol_lower, grid_points_per_dim, max_err, what):
-    """``(log E, err, info)`` by :func:`evidence_quadrature`'s rule, on a checked grid."""
+    """``(log E, err, info)`` by :func:`evidence_quadrature`'s rule, on a checked grid and box."""
     log_joint = _log_joint_fn(model, prior)
-    box = None  # resolves from the declared box, built only then
-    limits = model.bounds()
-    if prior.box is not None:  # a grid-normalized prior's normalizer covers its box only
-        box = limits = _as_box(prior.box, model.dim, "prior box", require_finite=True)
+    box = prior_box  # None resolves from the declared box, built only then
+    limits = model.bounds() if prior_box is None else prior_box
     if chol_lower is not None:
         # The posterior covariance is L^-T L^-1, so each sd is a column norm of L^-1.
         sd = np.linalg.norm(np.linalg.inv(chol_lower), axis=0)
@@ -155,8 +160,9 @@ def evidence_quadrature(model: GenericModelSpec, prior: NormalizedPrior,
     of log E, plus ``prior.err_estimate``.
     """
     grid_points_per_dim = _check_grid(grid_points_per_dim, model.dim)  # before the search
+    prior_box = _prior_box(model, prior)
     theta_hat, _, chol_lower = _laplace_mode(model, start, strict=False)
-    log_e, err, info = _posterior_integral(model, prior, theta_hat, chol_lower,
+    log_e, err, info = _posterior_integral(model, prior, prior_box, theta_hat, chol_lower,
                                            grid_points_per_dim, max_err, "quadrature")
     log_fit = _value_at(model._log_lik_batch, theta_hat)
     return EvidenceDecomposition(
@@ -191,6 +197,7 @@ def evidence_laplace(model: GenericModelSpec, prior: NormalizedPrior, *, start=N
     """
     if model.dim in DEFAULT_GRID or err_check_grid is not None:  # refuse before the search
         err_check_grid = _check_grid(err_check_grid, model.dim)
+    prior_box = _prior_box(model, prior)
     theta_hat, _, chol_lower = _laplace_mode(model, start)
     log_det = 2.0 * float(np.sum(np.log(np.diag(chol_lower))))
 
@@ -202,7 +209,8 @@ def evidence_laplace(model: GenericModelSpec, prior: NormalizedPrior, *, start=N
     info = {"log_det_curvature": log_det}
     if model.dim in DEFAULT_GRID:
         reference, reference_err, reference_info = _posterior_integral(
-            model, prior, theta_hat, chol_lower, err_check_grid, None, "Laplace reference")
+            model, prior, prior_box, theta_hat, chol_lower, err_check_grid, None,
+            "Laplace reference")
         err = abs(log_e - reference) + reference_err
         info.update(reference_info)
 
@@ -219,10 +227,11 @@ def evidence_importance(model: GenericModelSpec, prior: NormalizedPrior,
     The proposal is a Gaussian at the MAP whose covariance is the inverse
     Laplace curvature inflated by ``inflation`` (default 1.5, guarding
     against an underdispersed proposal).  The estimate is the log-mean-exp
-    of ``log_lik + log prior - log proposal`` over the draws; the error
-    estimate maps the weight standard error to the log scale by the delta
-    method.  ``theta_hat`` and ``curvature`` override the searched MAP and
-    its last stencil's curvature, e.g. to propose from a known exact
+    of ``log_lik + log prior - log proposal`` over the draws, where a draw
+    outside the support or ``prior.box`` weighs 0 and is not evaluated; the
+    error estimate maps the weight standard error to the log scale by the
+    delta method.  ``theta_hat`` and ``curvature`` override the searched MAP
+    and its last stencil's curvature, e.g. to propose from a known exact
     posterior; a given ``theta_hat`` alone takes a stencil there.
 
     Draws come from a counter-based Philox stream keyed by ``seed``, so the
@@ -238,6 +247,7 @@ def evidence_importance(model: GenericModelSpec, prior: NormalizedPrior,
     """
     samples = _check_count(samples, "samples", 2)  # two at least, so the weights have a spread
     inflation = _check_scale(inflation, "inflation")
+    prior_box = _prior_box(model, prior)
     theta_hat, _, chol_lower = _laplace_mode(model, start, theta_hat, curvature)
     log_det = 2.0 * float(np.sum(np.log(np.diag(chol_lower))))
     d = model.dim
@@ -250,8 +260,19 @@ def evidence_importance(model: GenericModelSpec, prior: NormalizedPrior,
     log_proposal = (-0.5 * d * LOG_2PI + 0.5 * log_det - d * np.log(inflation)
                     - 0.5 * np.einsum("ij,ij->i", z, z))
 
+    # The prior's normalizer holds inside its box only.  Column by column is
+    # faster than one (samples, d) comparison.
+    inside = np.ones(samples, dtype=bool)
+    for limits in (model.bounds(), prior_box):
+        if limits is not None:
+            for j, (lower, upper) in enumerate(limits):
+                inside &= (lower <= points[:, j]) & (points[:, j] <= upper)
     log_joint = _log_joint_fn(model, prior)
-    log_ratios = log_joint(points) - log_proposal
+    if inside.all():  # no copy and no scatter when no draw is dropped, as on a wrapped GLM
+        log_ratios = log_joint(points) - log_proposal
+    else:
+        log_ratios = np.full(samples, -np.inf)
+        log_ratios[inside] = log_joint(points[inside]) - log_proposal[inside]
     top = float(np.max(log_ratios))
     weights = np.exp(log_ratios - top)
     mean_w = float(weights.mean())

@@ -173,8 +173,12 @@ class GaussianPosterior:
         theta_hat = _frozen_array(self.theta_hat, 1, "theta_hat")
         post = _frozen_array(self.post_precision, 2, "post_precision")
         prior = _frozen_array(self.prior_precision, 2, "prior_precision")
+        d = theta_hat.size
         for name, mat, factor in (("post_precision", post, "_post_factor"),
                                   ("prior_precision", prior, "_prior_factor")):
+            if mat.shape != (d, d):
+                raise ValueError(
+                    f"{name} must have shape ({d}, {d}) to match theta_hat, got {mat.shape}")
             scale = np.abs(mat).max()
             if not np.allclose(mat, mat.T, atol=1e-10 * max(scale, 1.0)):
                 raise ValueError(f"{name} is not symmetric")

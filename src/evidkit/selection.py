@@ -191,7 +191,7 @@ def _member_evidence(member, obs: ObservationSet, generic_estimator: str,
     prior = normalize_prior(member, _PRIOR_GRID[member.dim])
     if generic_estimator == "quadrature":
         return evidence_quadrature(member, prior, grid)
-    return evidence_laplace(member, prior)
+    return evidence_laplace(member, prior, err_check_grid=grid)
 
 
 @contextmanager

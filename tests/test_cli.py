@@ -128,6 +128,37 @@ class TestParseArgs:
         assert config.params["theta"] == (1.0, -0.5)
         assert config.params["ns"] == (100, 1000)
 
+    def test_two_parses_build_the_parser_once(self, monkeypatch):
+        built = []
+        init = evidkit.cli._Parser.__init__
+
+        def counting(parser, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(parser, *args, **kwargs)
+
+        monkeypatch.setattr(evidkit.cli._Parser, "__init__", counting)
+        argv = ["decompose", "--log-evidence", "-2", "--log-fit", "-1", "--out", "d.json"]
+        assert parse_args(argv) == parse_args(argv)
+        # None at all when an earlier call in this process built it.
+        assert built.count("evidkit") <= 1
+
+    def test_the_built_parser_keeps_no_state_between_calls(self, y_csv, tmp_path, capsys):
+        out = tmp_path / "s.json"
+        missing_lambda = ["select", "--data", y_csv, "--sigma", "1", "--degrees", "0",
+                          "--rule", "max-posterior", "--out", str(out)]
+
+        def usage_error():
+            code = main(missing_lambda)
+            return code, capsys.readouterr(), out.exists()
+
+        first, second = usage_error(), usage_error()
+        assert main(missing_lambda + ["--lambda", "1"]) == 0
+        out.unlink()
+        capsys.readouterr()
+        expected = (2, ("", "evidkit: usage error: the following arguments are required: "
+                            "--lambda\n"), False)
+        assert first == second == usage_error() == expected
+
 
 class TestReadObservations:
     def test_y_only(self, y_csv):

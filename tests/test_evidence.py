@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.stats import norm
 
 import evidkit as ek
 import evidkit.evidence
@@ -14,6 +15,20 @@ from helpers import logistic_model, random_glm_instance
 def wrapped_instance(rng, **kwargs):
     spec, obs = random_glm_instance(rng, **kwargs)
     return spec, obs, ek.wrap_glm(spec, obs), ek.glm_normalized_prior(spec)
+
+
+def counted_copy(wrapped, points):
+    """``wrapped`` with the size of each batch it evaluates appended to ``points``."""
+    def counted(fn):
+        def batch(theta):
+            points.append(len(theta))
+            return fn(theta)
+        return batch
+
+    return ek.GenericModelSpec(
+        dim=wrapped.dim, log_lik=counted(wrapped.log_lik),
+        regularizer=counted(wrapped.regularizer), effective_box=wrapped.effective_box,
+        vectorized=True)
 
 
 class TestQuadrature:
@@ -226,6 +241,39 @@ class TestImportanceSampling:
                                      curvature=post.post_precision)
         assert dec.err_estimate < 1e-12
         assert dec.log_evidence == pytest.approx(exact.log_evidence, abs=1e-8)
+
+    @staticmethod
+    def _truncated_normal(log_lik):
+        # Log-lik N(theta; 0.2, 0.2^2) under a flat prior on the support [0, 1]:
+        # log E = log(Phi(4) - Phi(-1)), and about a quarter of the draws of a
+        # proposal at the MAP fall outside the support.
+        model = ek.GenericModelSpec(dim=1, log_lik=log_lik, regularizer=lambda theta: 0.0,
+                                    support=[[0.0, 1.0]])
+        return model, ek.normalize_prior(model, 2001), float(np.log(norm.cdf(4) - norm.cdf(-1)))
+
+    @staticmethod
+    def _normal_log_lik(theta):
+        return float(norm.logpdf(theta[0], 0.2, 0.2))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_draws_outside_the_support_weigh_nothing(self, seed):
+        model, prior, exact = self._truncated_normal(self._normal_log_lik)
+        dec = ek.evidence_importance(model, prior, 20_000, seed=seed)
+        assert abs(dec.log_evidence - exact) <= 3.0 * dec.err_estimate
+
+    def test_the_model_is_not_evaluated_outside_the_support(self):
+        outside = []
+
+        def log_lik(theta):
+            if not 0.0 <= theta[0] <= 1.0:
+                outside.append(theta[0])
+                raise ValueError(f"log_lik evaluated outside the support at {theta[0]}")
+            return self._normal_log_lik(theta)
+
+        model, prior, exact = self._truncated_normal(log_lik)
+        dec = ek.evidence_importance(model, prior, 2000, seed=1)
+        assert outside == []
+        assert abs(dec.log_evidence - exact) <= 3.0 * dec.err_estimate
 
     def test_grossly_overdispersed_proposal_degenerates(self):
         rng = np.random.default_rng(44)
@@ -483,13 +531,17 @@ class TestIntegralBox:
         ([[-5.0, 5.0, 0.0], [-5.0, 5.0, 0.0]], r"must have shape \(2, 2\), got \(2, 3\)"),
         ([[-5.0, 5.0]], r"must have shape \(2, 2\), got \(1, 2\)"),
     ], ids=["lower-above-upper", "nan", "infinite", "three-columns", "one-row"])
-    @pytest.mark.parametrize("estimate", ESTIMATES, ids=IDS)
+    @pytest.mark.parametrize("estimate", ESTIMATES + [
+        lambda model, prior, start: ek.evidence_importance(model, prior, 100, 0, start=start),
+    ], ids=IDS + ["importance-sampling"])
     def test_a_malformed_prior_box_is_refused_by_name(self, estimate, box, message):
-        _, _, model, prior = wrapped_instance(np.random.default_rng(80), n=20, d=2)
+        _, _, wrapped, prior = wrapped_instance(np.random.default_rng(80), n=20, d=2)
         prior = ek.NormalizedPrior(log_norm_const=prior.log_norm_const, method="closed-form",
                                    err_estimate=0.0, box=box)
+        points = []
         with pytest.raises(ValueError, match=f"^prior box {message}$"):
-            estimate(model, prior, None)
+            estimate(counted_copy(wrapped, points), prior, None)
+        assert points == []  # refused before the MAP search
 
 
 NODE_LIMIT = r"^grid of 301\^3 nodes exceeds the 20000000 node limit$"
@@ -537,18 +589,8 @@ class TestGridCheck:
     def test_refused_before_any_model_evaluation(self, d, call, message):
         _, _, wrapped, prior = wrapped_instance(np.random.default_rng(70), n=20, d=d)
         points = []
-
-        def counted(fn):
-            def batch(theta):
-                points.append(len(theta))
-                return fn(theta)
-            return batch
-
-        model = ek.GenericModelSpec(
-            dim=d, log_lik=counted(wrapped.log_lik), regularizer=counted(wrapped.regularizer),
-            effective_box=wrapped.effective_box, vectorized=True)
         with pytest.raises(ValueError, match=message):
-            call(model, prior)
+            call(counted_copy(wrapped, points), prior)
         assert points == []
 
 

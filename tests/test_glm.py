@@ -372,6 +372,19 @@ class TestGaussianPosterior:
             ek.GaussianPosterior(theta_hat=[0.0], post_precision=[[-1.0]],
                                  prior_precision=[[1.0]])
 
+    @pytest.mark.parametrize("post, prior, message", [
+        (np.eye(3), np.eye(3), r"post_precision must have shape \(2, 2\) to match theta_hat, "
+                               r"got \(3, 3\)"),
+        ([[2.0, 0.0]], np.eye(2), r"post_precision must have shape \(2, 2\) to match theta_hat, "
+                                  r"got \(1, 2\)"),
+        (np.eye(2), np.eye(3), r"prior_precision must have shape \(2, 2\) to match theta_hat, "
+                               r"got \(3, 3\)"),
+    ], ids=["both-3x3", "post-1x2", "prior-3x3"])
+    def test_rejects_a_precision_of_the_wrong_shape(self, post, prior, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ek.GaussianPosterior(theta_hat=[0.0, 0.0], post_precision=post,
+                                 prior_precision=prior)
+
     def test_rejects_posterior_below_prior(self):
         with pytest.raises(ValueError, match="semidefinite"):
             ek.GaussianPosterior(theta_hat=[0.0], post_precision=[[1.0]],

@@ -156,6 +156,14 @@ class TestSelect:
                                for dec in outcome.decompositions]
             assert int(np.argmax(fits_minus_flex)) == outcome.chosen
 
+    @pytest.mark.parametrize("grid", [None, 5, 43])
+    def test_laplace_reference_takes_the_given_grid(self, grid):
+        spec, obs = random_glm_instance(np.random.default_rng(16), n=20, d=2)
+        outcome = ek.select(ek.ModelSet(members=(ek.wrap_glm(spec, obs),)), obs,
+                            generic_estimator="laplace", grid_points_per_dim=grid)
+        info = outcome.decompositions[0].info
+        assert info["grid_points_per_dim"] == (41 if grid is None else grid)
+
     @pytest.mark.parametrize("estimator", ["quadrature", "laplace"])
     def test_kinked_prior_member_normalized_at_prior_scale(self, estimator):
         # On a 41-node prior grid log Z of exp(-|theta|) is 0.17 nats off;
