@@ -137,10 +137,12 @@ class TestParseArgs:
             init(parser, *args, **kwargs)
 
         monkeypatch.setattr(evidkit.cli._Parser, "__init__", counting)
+        evidkit.cli._build_parser.cache_clear()  # as if this were the first call in the process
         argv = ["decompose", "--log-evidence", "-2", "--log-fit", "-1", "--out", "d.json"]
-        assert parse_args(argv) == parse_args(argv)
-        # None at all when an earlier call in this process built it.
-        assert built.count("evidkit") <= 1
+        first, second = parse_args(argv), parse_args(argv)
+        assert built.count("evidkit") == 1
+        assert first == second
+        assert (first.command, first.params["log_evidence"]) == ("decompose", -2.0)
 
     def test_the_built_parser_keeps_no_state_between_calls(self, y_csv, tmp_path, capsys):
         out = tmp_path / "s.json"
