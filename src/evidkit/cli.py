@@ -272,13 +272,18 @@ def _design_from_data(obs, params):
     return family.members[0], degree, list(family.info["column_scales"][0])
 
 
+def _fields(record, *names) -> dict:
+    """A command's ``result`` entries: the named fields of its record, in the order given."""
+    return {name: getattr(record, name) for name in names}
+
+
 def _run_fit(config):
     obs = read_observations(config.data_path)
     spec, degree, scales = _design_from_data(obs, config.params)
     theta_hat = map_estimate(spec, obs)
     log_fit = glm_log_likelihood(spec, obs, theta_hat)
-    result = {"degree": degree, "theta_hat": theta_hat.tolist(),
-              "log_fit": log_fit, "column_scales": scales, "n": spec.n, "d": spec.d}
+    result = {"degree": degree, "theta_hat": theta_hat, "log_fit": log_fit,
+              "column_scales": scales, **_fields(spec, "n", "d")}
     header = ["coefficient", "theta_hat", "column_scale"]
     rows = [[k, theta_hat[k], scales[k]] for k in range(spec.d)]
     return result, header, rows
@@ -359,14 +364,8 @@ def _run_risk(config):
     x = np.random.default_rng(params["seed"]).standard_normal(params["n"])
     family = _family_from_config(x, params)
     report = risk_mc(family, None, params["reps"], params["rules"], params["seed"])
-    result = {
-        "rule_names": list(report.rule_names),
-        "risks": report.risks.tolist(),
-        "reps": report.reps, "seed": report.seed,
-        "labels": list(family.labels),
-        "true_counts": report.true_counts.tolist(),
-        "per_true_model": report.per_true_model.tolist(),
-    }
+    result = {**_fields(report, "rule_names", "risks", "reps", "seed"), "labels": family.labels,
+              **_fields(report, "true_counts", "per_true_model")}
     header = ["rule", "true_model", "risk", "count"]
     rows = []
     for r, rule in enumerate(report.rule_names):
@@ -382,16 +381,9 @@ def _run_poly_demo(config):
     report = sweet_spot_experiment(
         params["true_degree"], params["degrees"], params["n"], params["sigma"],
         params["lam"], params["reps"], params["seed"])
-    result = {
-        "degrees": list(report.degrees), "true_degree": report.true_degree,
-        "n": report.n, "reps": report.reps, "seed": report.seed,
-        "counts": report.counts.tolist(),
-        "selection_frequency": report.selection_frequency.tolist(),
-        "modal_degree": report.modal_degree,
-        "mean_regret": report.mean_regret,
-        "mean_best_rmse": report.mean_best_rmse,
-        "regret_ratio": report.regret_ratio,
-    }
+    result = _fields(report, "degrees", "true_degree", "n", "reps", "seed", "counts",
+                     "selection_frequency", "modal_degree", "mean_regret", "mean_best_rmse",
+                     "regret_ratio")
     header = ["metric", "degree", "value"]
     rows = [["count", p, int(c)] for p, c in zip(report.degrees, report.counts)]
     rows += [["frequency", p, f] for p, f in
@@ -409,14 +401,8 @@ def _run_mackay_demo(config):
     flexible = GaussianLinearSpec(G=[[1.0]], sigma=params["sigma"],
                                   lam=params["lambda_complex"])
     report = mackay_crossover(simple, flexible, _y_grid(params))
-    result = {
-        "y_grid": report.y_grid.tolist(),
-        "log_evidence_simple": report.log_evidence_simple.tolist(),
-        "log_evidence_complex": report.log_evidence_complex.tolist(),
-        "crossovers": list(report.crossovers),
-        "marginal_variance_simple": report.marginal_variance_simple,
-        "marginal_variance_complex": report.marginal_variance_complex,
-    }
+    result = _fields(report, "y_grid", "log_evidence_simple", "log_evidence_complex",
+                     "crossovers", "marginal_variance_simple", "marginal_variance_complex")
     header = ["kind", "y", "log_evidence_simple", "log_evidence_complex", "difference"]
     rows = [["grid", y, s, c, s - c] for y, s, c in
             zip(report.y_grid, report.log_evidence_simple, report.log_evidence_complex)]
@@ -433,16 +419,9 @@ def _run_bic_sweep(config):
     family = polynomial_sweep_family(params["theta"], params["sigma"], params["lam"])
     sweep = bic_sweep(family, params["ns"], params["seed"])
     bic_values = [bic_penalty(sweep.d, n) for n in sweep.ns]
-    result = {
-        "d": sweep.d, "ns": list(sweep.ns),
-        "flexibilities": sweep.flexibilities.tolist(),
-        "bic_penalties": bic_values,
-        "gaps": sweep.gaps.tolist(),
-        "H_hat": sweep.H_hat.tolist(),
-        "m_hat": sweep.m_hat.tolist(),
-        "predicted_constant": sweep.predicted_constant,
-        "final_gap_minus_constant": float(sweep.gaps[-1] - sweep.predicted_constant),
-    }
+    result = {**_fields(sweep, "d", "ns", "flexibilities"), "bic_penalties": bic_values,
+              **_fields(sweep, "gaps", "H_hat", "m_hat", "predicted_constant"),
+              "final_gap_minus_constant": float(sweep.gaps[-1] - sweep.predicted_constant)}
     header = ["n", "flexibility", "bic_penalty", "gap", "predicted_constant"]
     rows = [[n, f, b, g, sweep.predicted_constant] for n, f, b, g in
             zip(sweep.ns, sweep.flexibilities, bic_values, sweep.gaps)]

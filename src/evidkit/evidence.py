@@ -26,10 +26,10 @@ from .generic import (
     NormalizedPrior,
     DEFAULT_GRID,
     HESS_STEP,
-    _as_box,
     _check_grid,
     _declared_box,
     _objective,
+    _region,
     _stencil_derivatives,
     _richardson_log_integral,
     _search,
@@ -117,26 +117,18 @@ def _laplace_mode(model: GenericModelSpec, start=None, theta_hat=None, curvature
             "the Laplace approximation is undefined here") from exc
 
 
-def _prior_box(model: GenericModelSpec, prior: NormalizedPrior):
-    """``prior.box`` checked, or None: a grid-normalized prior's normalizer covers its box only."""
-    if prior.box is None:
-        return None
-    return _as_box(prior.box, model.dim, "prior box", require_finite=True)
-
-
-def _posterior_integral(model: GenericModelSpec, prior: NormalizedPrior, prior_box, theta_hat,
+def _posterior_integral(model: GenericModelSpec, prior: NormalizedPrior, region, theta_hat,
                         chol_lower, grid_points_per_dim, max_err, what):
     """``(log E, err, info)`` by :func:`evidence_quadrature`'s rule, on a checked grid and box."""
     log_joint = _log_joint_fn(model, prior)
-    box = prior_box  # None resolves from the declared box, built only then
-    limits = model.bounds() if prior_box is None else prior_box
+    box = None  # resolves to the declared box within the region, built only then
     if chol_lower is not None:
         # The posterior covariance is L^-T L^-1, so each sd is a column norm of L^-1.
         sd = np.linalg.norm(np.linalg.inv(chol_lower), axis=0)
-        centre = np.clip(theta_hat, limits[:, 0], limits[:, 1])
+        centre = np.clip(theta_hat, region[:, 0], region[:, 1])
         box = np.clip(centre[:, None] + BOX_SDS * np.outer(sd, [-1.0, 1.0]),
-                      limits[:, :1], limits[:, 1:])
-    box = resolve_integration_box(model, log_joint, box, limits)
+                      region[:, :1], region[:, 1:])
+    box = resolve_integration_box(model, log_joint, box, region)
     log_e, err = _richardson_log_integral(model, log_joint, box, grid_points_per_dim, max_err, what)
     floor = ROUNDING_ULPS * np.finfo(float).eps * max(1.0, abs(log_e))
     info = {"grid_points_per_dim": grid_points_per_dim, "box": box.tolist()}
@@ -151,18 +143,18 @@ def evidence_quadrature(model: GenericModelSpec, prior: NormalizedPrior,
     The MAP search (from ``start``, or the declared box's centre) comes
     first.  ``exp(log_lik - R) / Z_R`` is then integrated over the MAP +-
     ``BOX_SDS`` (8) posterior sd of the Laplace curvature, the negative of
-    the search's last stencil Hessian, clipped to a grid-normalized prior's
-    box, else to the support, and widened while mass sits at a face short
-    of those limits.  A curvature that is not positive definite leaves the
-    prior's box, or the declared box resolved.  A second mode outside the
-    widened box is not integrated.  The error estimate is the Richardson
-    one of :func:`evidkit.generic.normalize_prior`, floored at 64 roundings
-    of log E, plus ``prior.err_estimate``.
+    the search's last stencil Hessian, clipped to the region (the support
+    cut to ``prior.box``, where the normalizer holds), and widened while
+    mass sits at a face short of it.  A curvature that is not positive
+    definite leaves the declared box within the region, resolved.  A
+    second mode outside the widened box is not integrated.  The error
+    estimate is the Richardson one of :func:`evidkit.generic.normalize_prior`,
+    floored at 64 roundings of log E, plus ``prior.err_estimate``.
     """
     grid_points_per_dim = _check_grid(grid_points_per_dim, model.dim)  # before the search
-    prior_box = _prior_box(model, prior)
+    region = _region(model, prior)
     theta_hat, _, chol_lower = _laplace_mode(model, start, strict=False)
-    log_e, err, info = _posterior_integral(model, prior, prior_box, theta_hat, chol_lower,
+    log_e, err, info = _posterior_integral(model, prior, region, theta_hat, chol_lower,
                                            grid_points_per_dim, max_err, "quadrature")
     log_fit = _value_at(model._log_lik_batch, theta_hat)
     return EvidenceDecomposition(
@@ -197,7 +189,7 @@ def evidence_laplace(model: GenericModelSpec, prior: NormalizedPrior, *, start=N
     """
     if model.dim in DEFAULT_GRID or err_check_grid is not None:  # refuse before the search
         err_check_grid = _check_grid(err_check_grid, model.dim)
-    prior_box = _prior_box(model, prior)
+    region = _region(model, prior)
     theta_hat, _, chol_lower = _laplace_mode(model, start)
     log_det = 2.0 * float(np.sum(np.log(np.diag(chol_lower))))
 
@@ -209,7 +201,7 @@ def evidence_laplace(model: GenericModelSpec, prior: NormalizedPrior, *, start=N
     info = {"log_det_curvature": log_det}
     if model.dim in DEFAULT_GRID:
         reference, reference_err, reference_info = _posterior_integral(
-            model, prior, prior_box, theta_hat, chol_lower, err_check_grid, None,
+            model, prior, region, theta_hat, chol_lower, err_check_grid, None,
             "Laplace reference")
         err = abs(log_e - reference) + reference_err
         info.update(reference_info)
@@ -228,11 +220,11 @@ def evidence_importance(model: GenericModelSpec, prior: NormalizedPrior,
     Laplace curvature inflated by ``inflation`` (default 1.5, guarding
     against an underdispersed proposal).  The estimate is the log-mean-exp
     of ``log_lik + log prior - log proposal`` over the draws, where a draw
-    outside the support or ``prior.box`` weighs 0 and is not evaluated; the
-    error estimate maps the weight standard error to the log scale by the
-    delta method.  ``theta_hat`` and ``curvature`` override the searched MAP
-    and its last stencil's curvature, e.g. to propose from a known exact
-    posterior; a given ``theta_hat`` alone takes a stencil there.
+    outside :func:`evidence_quadrature`'s region weighs 0 and is not
+    evaluated; the error estimate maps the weight standard error to the log
+    scale by the delta method.  ``theta_hat`` and ``curvature`` override the
+    searched MAP and its last stencil's curvature, e.g. to propose from a
+    known exact posterior; a given ``theta_hat`` alone takes a stencil there.
 
     Draws come from a counter-based Philox stream keyed by ``seed``, so the
     result is reproducible bit for bit and independent of evaluation order.
@@ -243,11 +235,11 @@ def evidence_importance(model: GenericModelSpec, prior: NormalizedPrior,
         When the curvature, computed or supplied, is not positive definite.
     DegeneracyFailure
         When the effective sample size falls below 1% of ``samples`` or is
-        not a number.
+        not a number, and with ``ess == 0`` when no draw has positive weight.
     """
     samples = _check_count(samples, "samples", 2)  # two at least, so the weights have a spread
     inflation = _check_scale(inflation, "inflation")
-    prior_box = _prior_box(model, prior)
+    region = _region(model, prior)
     theta_hat, _, chol_lower = _laplace_mode(model, start, theta_hat, curvature)
     log_det = 2.0 * float(np.sum(np.log(np.diag(chol_lower))))
     d = model.dim
@@ -260,13 +252,10 @@ def evidence_importance(model: GenericModelSpec, prior: NormalizedPrior,
     log_proposal = (-0.5 * d * LOG_2PI + 0.5 * log_det - d * np.log(inflation)
                     - 0.5 * np.einsum("ij,ij->i", z, z))
 
-    # The prior's normalizer holds inside its box only.  Column by column is
-    # faster than one (samples, d) comparison.
+    # Only the region's bounded columns, one at a time: faster than one (samples, d) comparison.
     inside = np.ones(samples, dtype=bool)
-    for limits in (model.support, prior_box):
-        if limits is not None:
-            for j, (lower, upper) in enumerate(limits):
-                inside &= (lower <= points[:, j]) & (points[:, j] <= upper)
+    for j in np.flatnonzero(np.isfinite(region).any(axis=1)):
+        inside &= (region[j, 0] <= points[:, j]) & (points[:, j] <= region[j, 1])
     log_joint = _log_joint_fn(model, prior)
     if inside.all():  # a copy and a scatter cost ~10% of a wrapped GLM's 20 000-draw call
         log_ratios = log_joint(points) - log_proposal
@@ -274,6 +263,9 @@ def evidence_importance(model: GenericModelSpec, prior: NormalizedPrior,
         log_ratios = np.full(samples, -np.inf)
         log_ratios[inside] = log_joint(points[inside]) - log_proposal[inside]
     top = float(np.max(log_ratios))
+    if top == -np.inf:  # every weight is 0, and scaling by the top one would give 0 / 0
+        raise DegeneracyFailure(
+            f"importance weights degenerate: no draw of {samples} has positive weight", ess=0.0)
     weights = np.exp(log_ratios - top)
     mean_w = float(weights.mean())
     # A numpy sum, not a BLAS dot, so that the ESS does not depend on the thread count.

@@ -143,8 +143,8 @@ class NormalizedPrior:
     """Log normalizing constant of ``exp(-R)`` over the integration box.
 
     ``method`` is ``grid-quadrature`` when computed here or ``closed-form``
-    when supplied analytically.  ``box`` records the resolved integration
-    box: the evidence integrals stay inside it, where the normalizer holds.
+    when supplied analytically.  ``box`` records where the normalizer holds:
+    every evidence integral and draw stays inside it, cut to the support.
     """
 
     log_norm_const: float
@@ -472,17 +472,27 @@ def map_optimize_multistart(model: GenericModelSpec, seed: int, *, box=None) -> 
 # Integration boxes and trapezoid quadrature in log space
 # ---------------------------------------------------------------------------
 
-def _declared_box(model: GenericModelSpec) -> np.ndarray:
-    """Initial finite integration box: the support, with the effective box where it is unbounded."""
-    bounds = model.bounds()
-    box = bounds.copy()
-    for k, side in zip(*np.nonzero(~np.isfinite(bounds))):
+def _declared_box(model: GenericModelSpec, limits=None) -> np.ndarray:
+    """Initial finite box: ``limits`` (default: the support), the effective box where infinite."""
+    box = (model.bounds() if limits is None else limits).copy()
+    for k, side in zip(*np.nonzero(~np.isfinite(box))):
         if model.effective_box is None:
             raise ValueError(f"coordinate {k} has unbounded support; declare effective_box")
         box[k, side] = model.effective_box[k, side]
     if np.any(box[:, 0] >= box[:, 1]):
         raise ValueError("integration box has lower >= upper")
     return box
+
+
+def _region(model: GenericModelSpec, prior: NormalizedPrior) -> np.ndarray:
+    """Where every evidence integral and importance draw stays: the support cut to ``prior.box``."""
+    bounds = model.bounds()
+    box = bounds if prior.box is None else _as_box(
+        prior.box, model.dim, "prior box", require_finite=True)
+    region = np.clip(box, bounds[:, :1], bounds[:, 1:])  # the normalizer holds inside its box only
+    if np.any(region[:, 0] >= region[:, 1]):
+        raise ValueError(f"prior box {box.tolist()} does not overlap the support {bounds.tolist()}")
+    return region
 
 
 def _log_trapezoid_sum(axes, values) -> float:
@@ -548,15 +558,15 @@ def resolve_integration_box(model: GenericModelSpec, log_integrand, box=None,
                             limits=None) -> np.ndarray:
     """Finite box covering the integrand mass.
 
-    Starts from ``box`` within ``limits`` (default: the declared box within
-    the support) and doubles the width of every face short of its limit,
-    clipped to it, until the integrand at every such face of a 17-point
-    probe grid (held to ``MAX_GRID_NODES``) is below 1e-12 of its peak, at
-    most 6 doublings.  Truncation that cannot be cured this way (an
+    Starts from ``box`` (default: the declared box within ``limits``) within
+    ``limits`` (default: the support) and doubles the width of every face short
+    of its limit, clipped to it, until the integrand at every such face of a
+    17-point probe grid (held to ``MAX_GRID_NODES``) is below 1e-12 of its peak,
+    at most 6 doublings.  Truncation that cannot be cured this way (an
     integrand that does not decay) raises instead of returning a too-small box.
     """
-    box = _declared_box(model) if box is None else np.asarray(box, dtype=float)
     limits = model.bounds() if limits is None else np.asarray(limits, dtype=float)
+    box = _declared_box(model, limits) if box is None else np.asarray(box, dtype=float)
     widenable = box != limits
     if not np.any(widenable):
         return box

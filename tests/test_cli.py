@@ -535,6 +535,9 @@ GOLDEN_PAYLOADS = {
     "mackay-demo-csv": (
         "mackay-demo --lambda-simple 10 --lambda-complex 0.1 --format csv",
         "27a5170448a44c168194d306e89a2ceb99247fbff8a7091c9efd5eccea30b712"),
+    "mackay-demo-json": (
+        "mackay-demo --lambda-simple 10 --lambda-complex 0.1",
+        "2d5a4c9e3a3c76c079cb0fd0863f55ffc1deb16748f8ddccafcb59c17555244c"),
     "mackay-demo-sigma-2.7-csv": (
         "mackay-demo --sigma 2.7 --lambda-simple 3 --lambda-complex 0.05 --y-min -60 "
         "--y-max 60 --grid 2001 --format csv",
@@ -565,6 +568,9 @@ GOLDEN_DATA_PAYLOADS = {
     "fit-csv": (
         "fit --data xy.csv --degree 2 --sigma 0.3 --lambda 1 --format csv",
         "5d7af8c18ee5b0b9d915249b92f873dd5b1e40986814221f37a192fbe042f59c"),
+    "fit-json": (
+        "fit --data xy.csv --degree 2 --sigma 0.3 --lambda 1",
+        "ffdf4c013e060126012d9c5e869b34dcfbea97b9f7cf865803a3a3ccfbeaf785"),
     "evidence-laplace-json": (
         "evidence --data xy.csv --estimator laplace --degree 1 --sigma 0.3 --lambda 1",
         "f9113f84c53669909ea14bf639a4d0d8457cf8d66b55e0376587108ea8203b52"),

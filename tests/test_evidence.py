@@ -1,5 +1,7 @@
 """Evidence estimators, decomposition arithmetic, and the penalty sweep."""
 
+import re
+
 import numpy as np
 import pytest
 from scipy.stats import norm
@@ -27,8 +29,8 @@ def counted_copy(wrapped, points):
 
     return ek.GenericModelSpec(
         dim=wrapped.dim, log_lik=counted(wrapped.log_lik),
-        regularizer=counted(wrapped.regularizer), effective_box=wrapped.effective_box,
-        vectorized=True)
+        regularizer=counted(wrapped.regularizer), support=wrapped.support,
+        effective_box=wrapped.effective_box, vectorized=True)
 
 
 class TestQuadrature:
@@ -542,6 +544,72 @@ class TestIntegralBox:
         with pytest.raises(ValueError, match=f"^prior box {message}$"):
             estimate(counted_copy(wrapped, points), prior, None)
         assert points == []  # refused before the MAP search
+
+
+class TestRegion:
+    """Every evidence integral and importance draw stays in the support cut to ``prior.box``."""
+
+    ESTIMATES = TestIntegralBox.ESTIMATES + [
+        lambda model, prior, start: ek.evidence_importance(model, prior, 20_000, 0, start=start),
+    ]
+    IDS = TestIntegralBox.IDS + ["importance-sampling"]
+    # Log-lik -((theta - 0.05) / 0.2)^2 / 2 under a flat prior on the support [0, 1]:
+    # log E = log(0.2 sqrt(2 pi) (Phi(4.75) - Phi(-0.25))).
+    EXACT = -1.2034851534418654
+
+    @staticmethod
+    def _near_a_face(points):
+        """The model of ``EXACT``, appending every point it is given to ``points``."""
+        def log_lik(theta):
+            points.extend(theta[:, 0])
+            return -0.5 * ((theta[:, 0] - 0.05) / 0.2) ** 2
+
+        return ek.GenericModelSpec(dim=1, log_lik=log_lik, support=[[0.0, 1.0]],
+                                   regularizer=lambda theta: np.zeros(len(theta)),
+                                   vectorized=True)
+
+    @staticmethod
+    def _closed_form(box):
+        return ek.NormalizedPrior(log_norm_const=0.0, method="closed-form", err_estimate=0.0,
+                                  box=box)
+
+    @pytest.mark.parametrize("estimate", ESTIMATES, ids=IDS)
+    def test_a_prior_box_wider_than_the_support(self, estimate):
+        points = []
+        dec = estimate(self._near_a_face(points), self._closed_form([[-1.0, 2.0]]), [0.3])
+        assert points and all(0.0 <= theta <= 1.0 for theta in points)
+        assert abs(dec.log_evidence - self.EXACT) <= dec.err_estimate
+
+    def test_quadrature_integrates_the_support_only(self):
+        dec = ek.evidence_quadrature(self._near_a_face([]), self._closed_form([[-1.0, 2.0]]), 41,
+                                     start=[0.3])
+        assert abs(dec.log_evidence - self.EXACT) < 1e-3
+        assert dec.info["box"] == [[0.0, 1.0]]
+
+    def test_importance_sampling_keeps_its_value(self):
+        # Its draws were already held to the support and the prior's box.
+        dec = ek.evidence_importance(self._near_a_face([]), self._closed_form([[-1.0, 2.0]]),
+                                     20_000, 0, start=[0.3])
+        assert dec.log_evidence == -1.2024854546492847
+        assert dec.err_estimate == 0.007354843254318229
+
+    @pytest.mark.parametrize("box", [[[1.0, 2.0]], [[2.0, 3.0]]], ids=["face", "outside"])
+    @pytest.mark.parametrize("estimate", ESTIMATES, ids=IDS)
+    def test_a_prior_box_that_leaves_no_region_is_refused(self, estimate, box):
+        points = []
+        model = counted_copy(self._near_a_face([]), points)
+        message = re.escape(f"prior box {box} does not overlap the support [[0.0, 1.0]]")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            estimate(model, self._closed_form(box), None)
+        assert points == []  # refused before the MAP search
+
+    @pytest.mark.filterwarnings("error")
+    def test_no_draw_in_the_region_is_degenerate(self):
+        with pytest.raises(DegeneracyFailure, match="no draw of 2000 has positive weight") \
+                as excinfo:
+            ek.evidence_importance(self._near_a_face([]), self._closed_form([[0.9, 0.9000001]]),
+                                   2000, 0)
+        assert excinfo.value.ess == 0.0
 
 
 NODE_LIMIT = r"^grid of 301\^3 nodes exceeds the 20000000 node limit$"

@@ -530,6 +530,24 @@ class TestNormalizePrior:
             evidkit.generic.resolve_integration_box(model, log_integrand)
         assert calls == []
 
+    @pytest.mark.parametrize("support, limits", [
+        ([[0.0, 1.0]], [[0.0, 0.5]]),
+        ([[0.0, np.inf]], [[0.25, np.inf]]),
+    ], ids=["bounded", "half-bounded"])
+    def test_the_default_box_stays_inside_the_limits(self, support, limits):
+        model = ek.GenericModelSpec(dim=1, log_lik=lambda theta: 0.0,
+                                    regularizer=lambda theta: 0.5 * float(theta[0]) ** 2,
+                                    support=support, effective_box=[[-1.0, 1.0]])
+        points = []
+
+        def log_integrand(theta):
+            points.extend(theta[:, 0])
+            return -0.5 * theta[:, 0] ** 2
+
+        box = evidkit.generic.resolve_integration_box(model, log_integrand, limits=limits)
+        assert limits[0][0] == box[0, 0] < box[0, 1] <= limits[0][1]
+        assert all(limits[0][0] <= theta <= limits[0][1] for theta in points)
+
     def test_two_dimensional_gaussian(self):
         model = ek.GenericModelSpec(
             dim=2, log_lik=lambda theta: 0.0,
