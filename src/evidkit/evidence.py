@@ -34,10 +34,9 @@ from .generic import (
     _richardson_log_integral,
     _search,
     _value_at,
-    resolve_integration_box,
 )
 from .glm import (LOG_2PI, GaussianLinearSpec, ObservationSet, _check_count, _check_scale,
-                  _precision, glm_log_evidence)
+                  _evidence_terms)
 from .records import EvidenceDecomposition
 
 __all__ = [
@@ -55,11 +54,6 @@ __all__ = [
     "bic_sweep",
     "polynomial_sweep_family",
 ]
-
-# Half-width of the evidence integration box, in posterior sd about the MAP.
-BOX_SDS = 8.0
-# No err_estimate is below this many roundings of the value it bounds.
-ROUNDING_ULPS = 64.0
 
 MIN_ESS_FRACTION = 0.01
 DEFAULT_INFLATION = 1.5
@@ -117,45 +111,29 @@ def _laplace_mode(model: GenericModelSpec, start=None, theta_hat=None, curvature
             "the Laplace approximation is undefined here") from exc
 
 
-def _posterior_integral(model: GenericModelSpec, prior: NormalizedPrior, region, theta_hat,
-                        chol_lower, grid_points_per_dim, max_err, what):
-    """``(log E, err, info)`` by :func:`evidence_quadrature`'s rule, on a checked grid and box."""
-    log_joint = _log_joint_fn(model, prior)
-    box = None  # resolves to the declared box within the region, built only then
-    if chol_lower is not None:
-        # The posterior covariance is L^-T L^-1, so each sd is a column norm of L^-1.
-        sd = np.linalg.norm(np.linalg.inv(chol_lower), axis=0)
-        centre = np.clip(theta_hat, region[:, 0], region[:, 1])
-        box = np.clip(centre[:, None] + BOX_SDS * np.outer(sd, [-1.0, 1.0]),
-                      region[:, :1], region[:, 1:])
-    box = resolve_integration_box(model, log_joint, box, region)
-    log_e, err = _richardson_log_integral(model, log_joint, box, grid_points_per_dim, max_err, what)
-    floor = ROUNDING_ULPS * np.finfo(float).eps * max(1.0, abs(log_e))
-    info = {"grid_points_per_dim": grid_points_per_dim, "box": box.tolist()}
-    return log_e, max(err, floor) + prior.err_estimate, info
-
-
 def evidence_quadrature(model: GenericModelSpec, prior: NormalizedPrior,
                         grid_points_per_dim: int, *, start=None,
                         max_err: float | None = None) -> EvidenceDecomposition:
     """Log-evidence by dense trapezoid quadrature in log space, dim <= 3.
 
     The MAP search (from ``start``, or the declared box's centre) comes
-    first.  ``exp(log_lik - R) / Z_R`` is then integrated over the MAP +-
-    ``BOX_SDS`` (8) posterior sd of the Laplace curvature, the negative of
-    the search's last stencil Hessian, clipped to the region (the support
-    cut to ``prior.box``, where the normalizer holds), and widened while
-    mass sits at a face short of it.  A curvature that is not positive
-    definite leaves the declared box within the region, resolved.  A
-    second mode outside the widened box is not integrated.  The error
-    estimate is the Richardson one of :func:`evidkit.generic.normalize_prior`,
-    floored at 64 roundings of log E, plus ``prior.err_estimate``.
+    first.  ``exp(log_lik - R) / Z_R`` is then integrated over the MAP +- 8
+    posterior sd of the Laplace curvature, the negative of the search's last
+    stencil Hessian, clipped to the region (the support cut to ``prior.box``,
+    where the normalizer holds), and widened while mass sits at a face short
+    of it.  A curvature that is not positive definite leaves the declared box
+    within the region, resolved.  A second mode outside the widened box is
+    not integrated.  The error estimate is the Richardson one of
+    :func:`evidkit.generic.normalize_prior`, floored at 64 roundings of log E,
+    plus ``prior.err_estimate``; ``max_err`` is checked against that sum.  A
+    NaN or +inf integrand raises :class:`~evidkit.exceptions.NumericFailure`.
     """
     grid_points_per_dim = _check_grid(grid_points_per_dim, model.dim)  # before the search
     region = _region(model, prior)
     theta_hat, _, chol_lower = _laplace_mode(model, start, strict=False)
-    log_e, err, info = _posterior_integral(model, prior, region, theta_hat, chol_lower,
-                                           grid_points_per_dim, max_err, "quadrature")
+    log_e, err, info = _richardson_log_integral(
+        model, _log_joint_fn(model, prior), region, grid_points_per_dim, max_err, "quadrature",
+        theta_hat, chol_lower, prior.err_estimate)
     log_fit = _value_at(model._log_lik_batch, theta_hat)
     return EvidenceDecomposition(
         log_evidence=log_e, log_fit=log_fit, flexibility=log_fit - log_e,
@@ -200,9 +178,9 @@ def evidence_laplace(model: GenericModelSpec, prior: NormalizedPrior, *, start=N
     err = float("nan")  # no reference quadrature above dim 3
     info = {"log_det_curvature": log_det}
     if model.dim in DEFAULT_GRID:
-        reference, reference_err, reference_info = _posterior_integral(
-            model, prior, region, theta_hat, chol_lower, err_check_grid, None,
-            "Laplace reference")
+        reference, reference_err, reference_info = _richardson_log_integral(
+            model, _log_joint_fn(model, prior), region, err_check_grid, None,
+            "Laplace reference", theta_hat, chol_lower, prior.err_estimate)
         err = abs(log_e - reference) + reference_err
         info.update(reference_info)
 
@@ -412,12 +390,10 @@ def bic_sweep(family_generator, ns, seed: int) -> AsymptoticSweepResult:
         if k and spec.d != d:
             raise ValueError(f"family dimension changed from {d} to {spec.d} at n={n}")
         d = spec.d
-        exact = glm_log_evidence(spec, obs)
-        flexibilities[k] = exact.flexibility
+        gram, m_hat, _, flexibilities[k] = _evidence_terms(spec, obs.y)
         gaps[k] = flexibilities[k] - bic_penalty(spec.d, n)
 
-    m_hat = exact.theta_hat  # spec and exact are the largest sample size's
-    H_hat = _precision(spec)[0] / spec.n  # G'G, from a C-order copy as the closed form forms it
+    H_hat = gram / spec.n  # the closed form's own G'G, at the largest sample size, as m_hat
     sign, log_det_h = np.linalg.slogdet(H_hat)
     if sign <= 0:
         raise ValueError("empirical design moment matrix is not positive definite")

@@ -44,6 +44,10 @@ MULTISTART_STARTS = 8
 STALL_ULPS = 16.0
 SHIFT_FLOOR = 1e-3
 
+# Half-width of the evidence integration box, in posterior sd about the MAP.
+BOX_SDS = 8.0
+# No err_estimate is below this many roundings of the value it bounds.
+ROUNDING_ULPS = 64.0
 BOUNDARY_MASS_RATIO = 1e-12
 MAX_BOX_DOUBLINGS = 6
 # Probe resolution for the widening decision only; undersampling the peak
@@ -572,6 +576,8 @@ def resolve_integration_box(model: GenericModelSpec, log_integrand, box=None,
         return box
     for _ in range(MAX_BOX_DOUBLINGS + 1):  # the last widening is never probed
         _, values = _evaluate_grid(model, log_integrand, box, PROBE_POINTS_PER_DIM)
+        if not np.all(values < np.inf):  # a NaN or +inf node is no mass at a face
+            raise NumericFailure(f"integrand is NaN or +inf on the probe grid over {box.tolist()}")
         values = values.reshape([PROBE_POINTS_PER_DIM] * model.dim)
         peak = float(values.max())
         boundary_max = -np.inf
@@ -590,25 +596,40 @@ def resolve_integration_box(model: GenericModelSpec, log_integrand, box=None,
         err_estimate=float(np.exp(boundary_max - peak)))
 
 
-def _richardson_log_integral(model: GenericModelSpec, log_integrand, box, g, max_err, what):
-    """``(fine, err)``: the trapezoid log-integral over ``box`` and its Richardson error estimate.
+def _richardson_log_integral(model: GenericModelSpec, log_integrand, limits, g, max_err, what,
+                             theta_hat=None, chol_lower=None, base_err=0.0):
+    """``(value, err, info)``: a black-box log-integral, its error bar, and its grid and box.
 
-    ``g`` passed :func:`_check_grid`, so it is odd: its even-indexed nodes hold
-    the half-resolution rule, ``(g + 1) // 2`` points per axis, and the
-    integrand is evaluated once.  :class:`AccuracyFailure` names the integral
-    by ``what``.
+    The box is ``theta_hat`` +- ``BOX_SDS`` sd read from the curvature's lower factor
+    ``chol_lower``, else the declared box, inside ``limits`` and widened by
+    :func:`resolve_integration_box`.  The odd ``g`` of :func:`_check_grid` holds the half
+    rule on its even-indexed nodes, so the integrand is evaluated once.  The bar, which
+    ``max_err`` checks, is a third of the two sums' change (trapezoid error scales as the
+    squared step), floored at ``ROUNDING_ULPS`` roundings of the value, plus ``base_err``.
     """
+    box = None  # resolves to the declared box within the limits, built only then
+    if chol_lower is not None:
+        # The posterior covariance is L^-T L^-1, so each sd is a column norm of L^-1.
+        sd = np.linalg.norm(np.linalg.inv(chol_lower), axis=0)
+        centre = np.clip(theta_hat, limits[:, 0], limits[:, 1])
+        box = np.clip(centre[:, None] + BOX_SDS * np.outer(sd, [-1.0, 1.0]),
+                      limits[:, :1], limits[:, 1:])
+    box = resolve_integration_box(model, log_integrand, box, limits)
     axes, values = _evaluate_grid(model, log_integrand, box, g)
     fine = _log_trapezoid_sum(axes, values)
     even_nodes = values.reshape([g] * model.dim)[(slice(None, None, 2),) * model.dim]
     coarse = _log_trapezoid_sum([nodes[::2] for nodes in axes], even_nodes.reshape(-1))
-    err = abs(fine - coarse) / 3.0
+    if not (np.isfinite(fine) and np.isfinite(coarse)):
+        # A NaN or +inf node, or -inf at every node: no bar would be true.
+        raise NumericFailure(f"{what} is not finite: fine {fine}, half-resolution {coarse}")
+    floor = ROUNDING_ULPS * np.finfo(float).eps * max(1.0, abs(fine))
+    err = max(abs(fine - coarse) / 3.0, floor) + base_err
     if max_err is not None and err > max_err:
         raise AccuracyFailure(
             f"{what} error estimate {err:.3e} exceeds tolerance {max_err:.3e} "
             f"(fine {fine:.12g}, half-resolution {coarse:.12g})",
             value=fine, coarse_value=coarse, err_estimate=err)
-    return fine, err
+    return fine, err, {"grid_points_per_dim": g, "box": box.tolist()}
 
 
 def normalize_prior(model: GenericModelSpec, grid_points_per_dim: int,
@@ -617,7 +638,8 @@ def normalize_prior(model: GenericModelSpec, grid_points_per_dim: int,
 
     ``grid_points_per_dim`` is odd, and the error estimate is a Richardson
     comparison against the same rule on its even-indexed nodes (trapezoid error
-    scales as the squared step, so a third of the change bounds the fine error).
+    scales as the squared step, so a third of the change bounds the fine error),
+    floored at 64 roundings of log Z.  A NaN or +inf ``-R`` raises NumericFailure.
 
     Raises
     ------
@@ -629,11 +651,11 @@ def normalize_prior(model: GenericModelSpec, grid_points_per_dim: int,
         return -model._regularizer_batch(points)
 
     g = _check_grid(grid_points_per_dim, model.dim)  # before the probe
-    box = resolve_integration_box(model, neg_reg)
-    log_z, err = _richardson_log_integral(model, neg_reg, box, g, max_err, "prior normalizer")
+    log_z, err, info = _richardson_log_integral(model, neg_reg, model.bounds(), g, max_err,
+                                                "prior normalizer")
     return NormalizedPrior(
         log_norm_const=log_z, method="grid-quadrature", err_estimate=err,
-        box=box, grid_points_per_dim=g)
+        box=info["box"], grid_points_per_dim=g)
 
 
 # ---------------------------------------------------------------------------

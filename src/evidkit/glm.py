@@ -354,7 +354,7 @@ def flexibility_exact(spec: GaussianLinearSpec, obs: ObservationSet) -> float:
     Both summands are nonnegative for this model, so the result is >= 0.
     The determinant ratio is evaluated in log space from Cholesky diagonals.
     """
-    return glm_log_evidence(spec, obs).flexibility
+    return _evidence_terms(spec, obs.y)[3]
 
 
 def gram_eigen_range(spec: GaussianLinearSpec) -> tuple[float, float]:

@@ -9,7 +9,7 @@ from scipy.stats import norm
 import evidkit as ek
 import evidkit.evidence
 import evidkit.generic
-from evidkit.exceptions import CurvatureFailure, DegeneracyFailure
+from evidkit.exceptions import AccuracyFailure, CurvatureFailure, DegeneracyFailure, NumericFailure
 
 from helpers import logistic_model, random_glm_instance
 
@@ -185,7 +185,7 @@ class TestLaplace:
 
         reference = evidkit.generic.log_trapezoid_integral(model, log_joint, box, 101)
         coarse = evidkit.generic.log_trapezoid_integral(model, log_joint, box, 51)
-        floor = evidkit.evidence.ROUNDING_ULPS * np.finfo(float).eps * max(1.0, abs(reference))
+        floor = evidkit.generic.ROUNDING_ULPS * np.finfo(float).eps * max(1.0, abs(reference))
         assert dec.err_estimate == abs(dec.log_evidence - reference) \
             + max(abs(reference - coarse) / 3.0, floor)
 
@@ -218,10 +218,10 @@ class TestImportanceSampling:
         spec, obs, model, prior = wrapped_instance(rng, n=15, d=2, lam_range=(0.5, 2.0))
         exact = ek.glm_log_evidence(spec, obs)
 
-        def forbidden(model, log_integrand):
+        def forbidden(model, *args):
             raise AssertionError("resolved an integration box although start was given")
 
-        monkeypatch.setattr(evidkit.evidence, "resolve_integration_box", forbidden)
+        monkeypatch.setattr(evidkit.generic, "resolve_integration_box", forbidden)
         dec = ek.evidence_importance(model, prior, 2000, seed=1, start=exact.theta_hat + 0.1)
         np.testing.assert_allclose(dec.theta_hat, exact.theta_hat, atol=1e-6)
 
@@ -456,12 +456,13 @@ class TestLaplaceBox:
         spec, obs, model, prior = wrapped_instance(rng, n=20, d=4, lam_range=(0.5, 2.0))
         exact = ek.glm_log_evidence(spec, obs)
         resolved = []
+        resolve = evidkit.generic.resolve_integration_box
 
-        def counting(model, log_integrand):
+        def counting(model, *args):
             resolved.append(model)
-            return evidkit.generic.resolve_integration_box(model, log_integrand)
+            return resolve(model, *args)
 
-        monkeypatch.setattr(evidkit.evidence, "resolve_integration_box", counting)
+        monkeypatch.setattr(evidkit.generic, "resolve_integration_box", counting)
         dec = ek.evidence_laplace(model, prior, start=exact.theta_hat + 0.1)
         assert resolved == []
         assert np.isnan(dec.err_estimate)
@@ -782,3 +783,81 @@ class TestModeRecord:
         assert given.log_evidence == searched.log_evidence
         assert given.err_estimate == searched.err_estimate
         assert given.info == searched.info
+
+
+class TestOneIntegralRule:
+    """Every black-box integral reports one bar, checks it and refuses a non-finite sum."""
+
+    @staticmethod
+    def _kinked():
+        return ek.GenericModelSpec(
+            dim=1, log_lik=lambda theta: -0.5 * ((float(theta[0]) - 1.0) / 0.5) ** 2,
+            regularizer=lambda theta: abs(float(theta[0])), support=[[-30.0, 30.0]])
+
+    @staticmethod
+    def _nan_band():
+        def log_lik(theta):
+            if 4.9 < float(theta[0]) < 5.1:
+                return float("nan")
+            return -((float(theta[0]) - 1.0) / 2.0) ** 2 / 2.0
+
+        return ek.GenericModelSpec(dim=1, log_lik=log_lik, regularizer=lambda theta: 0.0,
+                                   support=[[-30.0, 30.0]])
+
+    def test_the_tolerance_is_checked_against_the_reported_bar(self):
+        # The Richardson term alone is under 1e-3; the prior's kinked error is not.
+        model = self._kinked()
+        prior = ek.normalize_prior(model, 41)
+        with pytest.raises(AccuracyFailure, match="^quadrature error estimate 1.132e-01") as info:
+            ek.evidence_quadrature(model, prior, 41, max_err=1e-3)
+        assert info.value.err_estimate == 0.1131930673285489
+        assert ek.evidence_quadrature(model, prior, 41).err_estimate == 0.1131930673285489
+
+    @pytest.mark.parametrize("estimate", [
+        lambda model, prior: ek.evidence_quadrature(model, prior, 41),
+        lambda model, prior: ek.evidence_quadrature(model, prior, 2001),
+        lambda model, prior: ek.evidence_laplace(model, prior, err_check_grid=2001),
+    ], ids=["quadrature-41", "quadrature-2001", "laplace-2001"])
+    def test_a_nan_integrand_fails_loud(self, estimate):
+        model = self._nan_band()
+        prior = ek.normalize_prior(model, 41)
+        with pytest.raises(NumericFailure, match="NaN or \\+inf on the probe grid"):
+            estimate(model, prior)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_a_non_finite_node_of_an_unprobed_box_fails_loud(self, bad):
+        # Bounded support: the declared box is the support, so no probe runs
+        # and the sums meet the value first.
+        def regularizer(theta):
+            return -bad if 4.9 < float(theta[0]) < 5.1 else 0.5 * float(theta[0]) ** 2
+
+        model = ek.GenericModelSpec(dim=1, log_lik=lambda theta: 0.0,
+                                    regularizer=regularizer, support=[[-30.0, 30.0]])
+        with pytest.raises(NumericFailure, match="^prior normalizer is not finite"):
+            ek.normalize_prior(model, 2001)
+
+    def test_minus_inf_nodes_stay_legal(self):
+        # Zero likelihood 6 sd below the peak: the box's lower nodes are -inf.
+        def log_lik(theta):
+            return -np.inf if float(theta[0]) < -3.0 else -0.5 * (float(theta[0]) - 3.0) ** 2
+
+        model = ek.GenericModelSpec(dim=1, log_lik=log_lik, regularizer=lambda theta: 0.0,
+                                    support=[[-30.0, 30.0]])
+        prior = ek.normalize_prior(model, 41)
+        dec = ek.evidence_quadrature(model, prior, 2001)
+        assert dec.info["box"][0][0] < -3.0
+        exact = np.log(np.sqrt(2.0 * np.pi) * norm.cdf(6.0)) - np.log(60.0)
+        assert dec.log_evidence == pytest.approx(exact, abs=1e-6)
+        assert np.isfinite(dec.err_estimate)
+
+    def test_every_node_minus_inf_fails_loud(self):
+        model = ek.GenericModelSpec(dim=1, log_lik=lambda theta: 0.0,
+                                    regularizer=lambda theta: np.inf, support=[[-1.0, 1.0]])
+        with pytest.raises(NumericFailure, match="^prior normalizer is not finite"):
+            ek.normalize_prior(model, 41)
+
+    def test_the_public_trapezoid_rule_still_passes_nan_on(self):
+        model = self._nan_band()
+        value = evidkit.generic.log_trapezoid_integral(
+            model, lambda points: np.where(points[:, 0] == 5.0, np.nan, 0.0), [[4.0, 6.0]], 21)
+        assert np.isnan(value)

@@ -5,7 +5,7 @@ import pytest
 
 import evidkit as ek
 import evidkit.generic
-from evidkit.evidence import ROUNDING_ULPS
+from evidkit.generic import ROUNDING_ULPS
 from evidkit.exceptions import AccuracyFailure, ConvergenceFailure
 from evidkit.generic import GRAD_STEP, HESS_STEP, _stencil_derivatives, log_trapezoid_integral
 
@@ -556,6 +556,28 @@ class TestNormalizePrior:
         prior = ek.normalize_prior(model, 201)
         assert prior.log_norm_const == pytest.approx(np.log(2 * np.pi), abs=1e-8)
 
+    def test_the_prior_bar_is_floored_at_its_rounding(self):
+        # The Richardson change is 1.5e-16 here, under the actual error of 8.0e-15.
+        model = ek.GenericModelSpec(
+            dim=2, log_lik=lambda theta: 0.0,
+            regularizer=lambda theta: 0.5 * float(np.sum(np.square(theta))),
+            support=[[-10.0, 10.0]] * 2)
+        prior = ek.normalize_prior(model, 201)
+        log_z = prior.log_norm_const
+        assert prior.err_estimate == ROUNDING_ULPS * np.finfo(float).eps * log_z
+        assert abs(log_z - np.log(2 * np.pi)) <= prior.err_estimate
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_a_non_finite_probe_node_is_not_boundary_mass(self, bad):
+        model = ek.GenericModelSpec(dim=1, log_lik=lambda theta: 0.0,
+                                    regularizer=lambda theta: 0.0, effective_box=[[-1.0, 1.0]])
+
+        def log_integrand(points):
+            return np.where(points[:, 0] == 0.0, bad, -0.5 * points[:, 0] ** 2)
+
+        with pytest.raises(ek.NumericFailure, match="NaN or \\+inf on the probe grid"):
+            evidkit.generic.resolve_integration_box(model, log_integrand)
+
 
 class TestWrapGlm:
     def test_wrapped_log_likelihood_matches(self):
@@ -682,4 +704,7 @@ class TestRichardsonGrid:
         with pytest.raises(AccuracyFailure, match="^quadrature error estimate") as excinfo:
             ek.evidence_quadrature(model, prior, 41, max_err=1e-300)
         failure = excinfo.value
-        assert failure.err_estimate == abs(failure.value - failure.coarse_value) / 3.0
+        # The tolerance is checked against the reported bar: floored, plus the prior's error.
+        floor = ROUNDING_ULPS * np.finfo(float).eps * max(1.0, abs(failure.value))
+        assert failure.err_estimate == \
+            max(abs(failure.value - failure.coarse_value) / 3.0, floor) + prior.err_estimate

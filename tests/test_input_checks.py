@@ -1,0 +1,81 @@
+"""Input checks that no other test reaches: each refuses its bad input by name."""
+
+import numpy as np
+import pytest
+
+import evidkit as ek
+import evidkit.generic
+from evidkit.records import EvidenceDecomposition
+
+
+def _line(**kwargs):
+    return ek.GenericModelSpec(dim=1, log_lik=lambda theta: 0.0,
+                               regularizer=lambda theta: 0.5 * float(theta[0]) ** 2, **kwargs)
+
+
+def _spec():
+    return ek.GaussianLinearSpec(G=[[1.0], [2.0]], sigma=1.0, lam=1.0)
+
+
+CASES = {
+    "model-dim-below-1": (
+        lambda: ek.GenericModelSpec(dim=0, log_lik=abs, regularizer=abs),
+        ValueError, "dim must be >= 1"),
+    "normalizer-method": (
+        lambda: ek.NormalizedPrior(log_norm_const=0.0, method="guess", err_estimate=0.0),
+        ValueError, "unknown normalizer method 'guess'"),
+    "search-start-shape": (
+        lambda: ek.map_optimize(_line(support=[[-1.0, 1.0]]), [0.0, 0.0]),
+        ValueError, "start has shape \\(2,\\), expected \\(1,\\)"),
+    "search-start-not-finite": (
+        lambda: ek.map_optimize(ek.GenericModelSpec(
+            dim=1, log_lik=lambda theta: -np.inf, regularizer=lambda theta: 0.0), [0.0]),
+        ValueError, "objective is not finite at the start point"),
+    "declared-box-empty": (
+        lambda: ek.normalize_prior(
+            _line(support=[[20.0, np.inf]], effective_box=[[-10.0, 10.0]]), 41),
+        ValueError, "integration box has lower >= upper"),
+    "trapezoid-two-points": (
+        lambda: evidkit.generic.log_trapezoid_integral(_line(), abs, [[-1.0, 1.0]], 2),
+        ValueError, "points_per_dim must be >= 3"),
+    "frozen-array-ndim": (
+        lambda: ek.ObservationSet(y=[[1.0, 2.0]]),
+        ValueError, "y must be 1-dimensional, got shape \\(1, 2\\)"),
+    "posterior-not-symmetric": (
+        lambda: ek.GaussianPosterior(theta_hat=[0.0, 0.0],
+                                     post_precision=[[2.0, 1.0], [0.0, 2.0]],
+                                     prior_precision=np.eye(2)),
+        ValueError, "post_precision is not symmetric"),
+    "log-likelihood-theta-shape": (
+        lambda: ek.glm_log_likelihood(_spec(), ek.ObservationSet(y=[1.0, 2.0]), [1.0, 2.0]),
+        ValueError, "theta has shape \\(2,\\), expected \\(1,\\)"),
+    "decomposition-estimator": (
+        lambda: EvidenceDecomposition(log_evidence=0.0, log_fit=0.0, flexibility=0.0,
+                                      estimator="guess", err_estimate=0.0, theta_hat=[0.0]),
+        ValueError, "unknown estimator 'guess'"),
+    "model-set-member-type": (
+        lambda: ek.ModelSet(members=[_spec(), "linear"]),
+        TypeError, "member 1 has unsupported type str"),
+    "model-set-labels": (
+        lambda: ek.ModelSet(members=[_spec()], labels=["a", "b"]),
+        ValueError, "labels length does not match members"),
+    "degrees-empty": (
+        lambda: ek.polynomial_family([1.0, 2.0], [], sigma=1.0, lam=1.0),
+        ValueError, "degrees must be nonempty"),
+    "family-x-empty": (
+        lambda: ek.polynomial_family([], [0, 1], sigma=1.0, lam=1.0),
+        ValueError, "x must be a nonempty vector"),
+    "sample-sizes-empty": (
+        lambda: ek.bic_sweep(ek.polynomial_sweep_family([1.0], 1.0, 1.0), [], seed=0),
+        ValueError, "ns must be nonempty"),
+    "sweep-family-empty": (
+        lambda: ek.polynomial_sweep_family([], sigma=1.0, lam=1.0),
+        ValueError, "theta_true must be a nonempty vector"),
+}
+
+
+@pytest.mark.parametrize("case", list(CASES), ids=list(CASES))
+def test_bad_input_is_refused_by_name(case):
+    build, error, message = CASES[case]
+    with pytest.raises(error, match=f"^{message}"):
+        build()

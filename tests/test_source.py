@@ -3,6 +3,7 @@
 import ast
 import glob
 import os
+import re
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -35,3 +36,19 @@ def test_every_private_definition_is_referenced():
                 referenced.add(node.attr)
     assert defined
     assert sorted(place for name, place in defined.items() if name not in referenced) == []
+
+
+def test_the_integral_rule_lives_in_generic_only():
+    # One routine owns every black-box integral's box, sums, bar and tolerance; a second
+    # module that names these pieces could split the rule again.
+    owned = ("resolve_integration_box", "_evaluate_grid", "_log_trapezoid_sum", "BOX_SDS",
+             "ROUNDING_ULPS")
+    named = []
+    for path in sorted(glob.glob(os.path.join(ROOT, "src", "evidkit", "*.py"))):
+        if os.path.basename(path) == "generic.py":
+            continue
+        with open(path, encoding="utf-8") as handle:
+            for number, line in enumerate(handle, start=1):
+                named += [f"{os.path.basename(path)}:{number} {name}"
+                          for name in owned if re.search(rf"\b{name}\b", line)]
+    assert named == []
