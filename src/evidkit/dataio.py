@@ -38,8 +38,8 @@ def read_observations(path: str) -> ObservationSet:
         raw.decode("utf-8")  # the whole file, before any row is parsed
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    except UnicodeDecodeError:
-        raise DataError(_undecodable_line(path)) from None
+    except UnicodeDecodeError as exc:
+        raise DataError(_undecodable_line(path, raw, exc)) from None
     rows = _csv_rows(raw)
     header_line, header = next(rows, (0, []))
     if [cell.strip() for cell in header] in (["y"], ["x", "y"]) and next(rows, None) is not None:
@@ -61,15 +61,13 @@ def _csv_rows(raw: bytes):
     return ((reader.line_num, row) for row in reader if row)
 
 
-def _undecodable_line(path: str) -> str:
-    """The message naming the first line of ``path`` that is not UTF-8."""
-    with open(path, "rb") as handle:
-        for line_no, raw in enumerate(handle, start=1):
-            try:
-                raw.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                return f"{path}: row {line_no}: not UTF-8 text: {exc}"
-    return f"{path}: not UTF-8 text"
+def _undecodable_line(path: str, raw: bytes, exc: UnicodeDecodeError) -> str:
+    """The message naming the line of ``raw`` where ``exc`` arose, with ``exc`` re-based on it."""
+    first = raw.rfind(b"\n", 0, exc.start) + 1  # no UTF-8 sequence holds the \n that ends a line
+    reason = UnicodeDecodeError(exc.encoding, raw[first:], exc.start - first, exc.end - first,
+                                exc.reason)
+    row = raw.count(b"\n", 0, first) + 1
+    return f"{path}: row {row}: not UTF-8 text: {reason}"
 
 
 def _parse_rows(path: str, rows) -> ObservationSet:

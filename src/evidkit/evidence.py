@@ -177,7 +177,7 @@ def evidence_laplace(model: GenericModelSpec, prior: NormalizedPrior, *, start=N
 
     err = float("nan")  # no reference quadrature above dim 3
     info = {"log_det_curvature": log_det}
-    if model.dim in DEFAULT_GRID:
+    if err_check_grid is not None:
         reference, reference_err, reference_info = _richardson_log_integral(
             model, _log_joint_fn(model, prior), region, err_check_grid, None,
             "Laplace reference", theta_hat, chol_lower, prior.err_estimate)

@@ -162,6 +162,42 @@ class TestParseArgs:
         assert first == second == usage_error() == expected
 
 
+# Files that are not UTF-8, each with the message the reader gives, path aside.
+_UNDECODABLE = {
+    "lf": ("x,y\n1,2\n3,4 caf\u00e9\n5,6\n".encode("latin-1"),
+           "row 3: not UTF-8 text: 'utf-8' codec can't decode byte 0xe9 in position 7: "
+           "invalid continuation byte"),
+    "crlf": ("x,y\r\n1,2\r\n3,4 caf\u00e9\r\n5,6\r\n".encode("latin-1"),
+             "row 3: not UTF-8 text: 'utf-8' codec can't decode byte 0xe9 in position 7: "
+             "invalid continuation byte"),
+    "cr-only": ("x,y\r1,2\r3,4 caf\u00e9\r5,6\r".encode("latin-1"),
+                "row 1: not UTF-8 text: 'utf-8' codec can't decode byte 0xe9 in position 15: "
+                "invalid continuation byte"),
+    "first-line": (b"\xffy\n1\n",
+                   "row 1: not UTF-8 text: 'utf-8' codec can't decode byte 0xff in position 0: "
+                   "invalid start byte"),
+    # The whole file is decoded before any row is parsed, so the bad byte wins over row 2.
+    "line-5003": (b"y\nabc\n" + b"1.0\n" * 5000 + b"caf\xe9\n",
+                  "row 5003: not UTF-8 text: 'utf-8' codec can't decode byte 0xe9 in position 3: "
+                  "invalid continuation byte"),
+    "cut-1-of-2": (b"y\n1\n\xc3",
+                   "row 3: not UTF-8 text: 'utf-8' codec can't decode byte 0xc3 in position 0: "
+                   "unexpected end of data"),
+    "cut-2-of-3": (b"y\n1\n\xe2\x82",
+                   "row 3: not UTF-8 text: 'utf-8' codec can't decode bytes in position 0-1: "
+                   "unexpected end of data"),
+    "cut-3-of-4": (b"y\n1\n\xf0\x9f\x98",
+                   "row 3: not UTF-8 text: 'utf-8' codec can't decode bytes in position 0-2: "
+                   "unexpected end of data"),
+    "overlong": (b"y\n\xc0\xaf\n",
+                 "row 2: not UTF-8 text: 'utf-8' codec can't decode byte 0xc0 in position 0: "
+                 "invalid start byte"),
+    "surrogate": (b"y\n1\n\xed\xa0\x80\n",
+                  "row 3: not UTF-8 text: 'utf-8' codec can't decode byte 0xed in position 0: "
+                  "invalid continuation byte"),
+}
+
+
 class TestReadObservations:
     def test_y_only(self, y_csv):
         obs = read_observations(y_csv)
@@ -194,22 +230,25 @@ class TestReadObservations:
         with pytest.raises(DataError, match=f"row {line}: non-numeric value 'abc'"):
             read_observations(str(path))
 
-    def test_not_utf8_names_file_and_line(self, tmp_path, capsys):
-        path = tmp_path / "latin1.csv"
-        path.write_bytes("x,y\n1,2\n3,4 caf\u00e9\n5,6\n".encode("latin-1"))
-        with pytest.raises(DataError, match="row 3: not UTF-8 text: .*byte 0xe9"):
+    @pytest.mark.parametrize("raw, message", list(_UNDECODABLE.values()), ids=list(_UNDECODABLE))
+    def test_not_utf8_names_file_and_line(self, tmp_path, capsys, monkeypatch, raw, message):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(raw)
+        opened, real_open = [], open
+
+        def counting_open(*args, **kwargs):
+            opened.append(args[0])
+            return real_open(*args, **kwargs)
+
+        monkeypatch.setattr("builtins.open", counting_open)
+        with pytest.raises(DataError) as caught:
             read_observations(str(path))
+        assert str(caught.value) == f"{path}: {message}"
+        assert len(opened) == 1  # the message comes from the decode error, not a second read
+        monkeypatch.undo()
         argv = ["fit", "--data", str(path), *_MODEL, "--out", str(tmp_path / "o.json")]
         assert main(argv) == 1
-        assert capsys.readouterr().err.startswith(f"evidkit: error: {path}: row 3: not UTF-8")
-
-    def test_not_utf8_anywhere_precedes_row_errors(self, tmp_path):
-        # The whole file is decoded before any row is parsed, so the message no
-        # longer depends on how far ahead the decoder has read.
-        path = tmp_path / "late.csv"
-        path.write_bytes(b"y\nabc\n" + b"1.0\n" * 5000 + b"caf\xe9\n")
-        with pytest.raises(DataError, match="row 5003: not UTF-8 text"):
-            read_observations(str(path))
+        assert capsys.readouterr().err == f"evidkit: error: {path}: {message}\n"
 
     def test_comma_decimal_breaks_column_count(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -360,7 +399,7 @@ class TestRun:
         code = main(["evidence", "--data", y_csv, "--sigma", "1", "--lambda", "1",
                      "--out", out])
         assert code == 0
-        payload = json.loads(open(out, encoding="utf-8").read())
+        payload = json.loads(Path(out).read_text(encoding="utf-8"))
         assert payload["result"]["log_evidence"] == pytest.approx(-2.265512, abs=1e-6)
         assert payload["result"]["flexibility"] == pytest.approx(0.846574, abs=1e-6)
         assert payload["config"]["params"]["seed"] == 0
@@ -372,7 +411,8 @@ class TestRun:
             out = str(tmp_path / f"{estimator}.json")
             assert main(["evidence", "--data", y_csv, "--sigma", "1", "--lambda", "1",
                          "--estimator", estimator, "--out", out]) == 0
-            values[estimator] = json.loads(open(out).read())["result"]["log_evidence"]
+            payload = json.loads(Path(out).read_text(encoding="utf-8"))
+            values[estimator] = payload["result"]["log_evidence"]
         assert values["quadrature"] == pytest.approx(values["glm-exact"], abs=1e-6)
         assert values["laplace"] == pytest.approx(values["glm-exact"], abs=1e-6)
 
@@ -381,14 +421,14 @@ class TestRun:
         assert main(["evidence", "--data", y_csv, "--sigma", "1", "--lambda", "1",
                      "--estimator", "importance-sampling", "--samples", "20000",
                      "--seed", "1", "--out", out]) == 0
-        payload = json.loads(open(out).read())
+        payload = json.loads(Path(out).read_text(encoding="utf-8"))
         assert payload["result"]["log_evidence"] == pytest.approx(-2.265512, abs=0.05)
 
     def test_fit_and_select_csv(self, xy_csv, tmp_path):
         fit_out = str(tmp_path / "fit.csv")
         assert main(["fit", "--data", xy_csv, "--sigma", "0.3", "--lambda", "1",
                      "--degree", "2", "--out", fit_out, "--format", "csv"]) == 0
-        lines = open(fit_out).read().splitlines()
+        lines = Path(fit_out).read_text(encoding="utf-8").splitlines()
         assert lines[0].startswith("# argv:")
         assert lines[2] == "coefficient,theta_hat,column_scale"
         assert len(lines) == 6
@@ -396,21 +436,29 @@ class TestRun:
         sel_out = str(tmp_path / "sel.json")
         assert main(["select", "--data", xy_csv, "--degrees", "0..5",
                      "--sigma", "0.3", "--lambda", "1", "--out", sel_out]) == 0
-        payload = json.loads(open(sel_out).read())
+        payload = json.loads(Path(sel_out).read_text(encoding="utf-8"))
         assert payload["result"]["chosen_label"] == "degree-2"
 
     def test_decompose_output(self, tmp_path):
         out = str(tmp_path / "dec.json")
         assert main(["decompose", "--log-evidence", "-2.265512",
                      "--log-fit", "-1.418939", "--out", out]) == 0
-        payload = json.loads(open(out).read())
+        payload = json.loads(Path(out).read_text(encoding="utf-8"))
+        assert payload["result"]["flexibility"] == pytest.approx(0.846573, abs=1e-6)
+
+    def test_main_reads_its_arguments_from_the_command_line(self, tmp_path, monkeypatch):
+        out = tmp_path / "dec.json"
+        monkeypatch.setattr(sys, "argv", ["evidkit", "decompose", "--log-evidence", "-2.265512",
+                                          "--log-fit", "-1.418939", "--out", str(out)])
+        assert main() == 0
+        payload = json.loads(out.read_text(encoding="utf-8"))
         assert payload["result"]["flexibility"] == pytest.approx(0.846573, abs=1e-6)
 
     def test_mackay_demo_csv_has_two_crossover_rows(self, tmp_path):
         out = str(tmp_path / "mk.csv")
         assert main(["mackay-demo", "--lambda-simple", "10", "--lambda-complex", "0.1",
                      "--out", out, "--format", "csv"]) == 0
-        lines = open(out).read().splitlines()
+        lines = Path(out).read_text(encoding="utf-8").splitlines()
         crossover_rows = [line for line in lines if line.startswith("crossover,")]
         assert len(crossover_rows) == 2
         for row in crossover_rows:
@@ -421,20 +469,20 @@ class TestRun:
         assert main(["risk", "--degrees", "1,5", "--n", "60", "--sigma", "0.3",
                      "--lambda", "1", "--reps", "40", "--seed", "2",
                      "--out", risk_out]) == 0
-        payload = json.loads(open(risk_out).read())
+        payload = json.loads(Path(risk_out).read_text(encoding="utf-8"))
         assert payload["result"]["risks"][0] < 0.5
 
         poly_out = str(tmp_path / "poly.json")
         assert main(["poly-demo", "--true-degree", "1", "--degrees", "0..3",
                      "--n", "60", "--sigma", "1", "--lambda", "1", "--reps", "20",
                      "--seed", "8", "--out", poly_out]) == 0
-        payload = json.loads(open(poly_out).read())
+        payload = json.loads(Path(poly_out).read_text(encoding="utf-8"))
         assert payload["result"]["modal_degree"] == 1
 
         sweep_out = str(tmp_path / "sweep.csv")
         assert main(["bic-sweep", "--d", "2", "--ns", "100,1000,10000",
                      "--seed", "13", "--out", sweep_out, "--format", "csv"]) == 0
-        lines = open(sweep_out).read().splitlines()
+        lines = Path(sweep_out).read_text(encoding="utf-8").splitlines()
         assert lines[2].split(",")[0] == "n"
         assert len(lines) == 6
 
@@ -442,7 +490,8 @@ class TestRun:
         out = str(tmp_path / "sweep.csv")
         assert main(["bic-sweep", "--d", "2", "--ns", "100,1000,10000",
                      "--seed", "13", "--out", out, "--format", "csv"]) == 0
-        lines = [line for line in open(out).read().splitlines() if not line.startswith("#")]
+        lines = [line for line in Path(out).read_text(encoding="utf-8").splitlines()
+                 if not line.startswith("#")]
         header = lines[0].split(",")
         rows = [dict(zip(header, map(float, line.split(",")))) for line in lines[1:]]
         assert [row["n"] for row in rows] == [100, 1000, 10000]
@@ -456,16 +505,16 @@ class TestRun:
         args = ["risk", "--degrees", "0,2", "--n", "40", "--sigma", "1",
                 "--lambda", "1", "--reps", "30", "--seed", "5", "--out", out]
         assert main(args) == 0
-        first = open(out, "rb").read()
+        first = Path(out).read_bytes()
         assert main(args) == 0
-        assert open(out, "rb").read() == first
+        assert Path(out).read_bytes() == first
 
     def test_input_file_not_mutated(self, xy_csv, tmp_path):
-        digest = hashlib.sha256(open(xy_csv, "rb").read()).hexdigest()
+        digest = hashlib.sha256(Path(xy_csv).read_bytes()).hexdigest()
         out = str(tmp_path / "r.json")
         assert main(["evidence", "--data", xy_csv, "--sigma", "1", "--lambda", "1",
                      "--out", out]) == 0
-        assert hashlib.sha256(open(xy_csv, "rb").read()).hexdigest() == digest
+        assert hashlib.sha256(Path(xy_csv).read_bytes()).hexdigest() == digest
 
     def test_no_temp_files_left_behind(self, y_csv, tmp_path):
         out = str(tmp_path / "r.json")
@@ -480,7 +529,7 @@ class TestRun:
                 "--seed", "3", "--out", out]
         config = parse_args(argv)
         assert run(config) == 0
-        payload = json.loads(open(out).read())
+        payload = json.loads(Path(out).read_text(encoding="utf-8"))
         replayed = parse_args(payload["config"]["argv"])
         assert replayed == config
 
@@ -490,7 +539,7 @@ class TestRun:
                 "--out", out, "--format", "csv"]
         config = parse_args(argv)
         assert run(config) == 0
-        first_line = open(out).read().splitlines()[0]
+        first_line = Path(out).read_text(encoding="utf-8").splitlines()[0]
         assert first_line.startswith("# argv: ")
         replayed = parse_args(json.loads(first_line[len("# argv: "):]))
         assert replayed == config

@@ -1,5 +1,7 @@
 """Black-box model interface: MAP search and prior normalization."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -314,6 +316,27 @@ class TestMapOptimize:
         model = gaussian_prior_model()
         with pytest.raises(ValueError, match="outside"):
             ek.map_optimize(model, np.array([50.0]))
+
+    @pytest.mark.parametrize("start", [1e-6, 1e-4, 0.5, 3.0, 49.9999])
+    def test_a_start_near_a_finite_bound_reaches_the_mode(self, start):
+        # 2 log theta - theta peaks at 2 and is -inf below 0.  A stencil centred at 1e-6
+        # would reach past 0, and no step would be left: its centre moves in instead.
+        evaluated = []
+
+        def log_lik(theta):
+            evaluated.append(theta[0])
+            return 2.0 * np.log(theta[0]) - theta[0] if theta[0] > 0 else -np.inf
+
+        model = ek.GenericModelSpec(dim=1, log_lik=log_lik, regularizer=lambda theta: 0.0,
+                                    support=[[0.0, 50.0]])
+        assert ek.map_optimize(model, np.array([start]))[0] == pytest.approx(2.0, abs=1e-6)
+        assert 0.0 <= min(evaluated) and max(evaluated) <= 50.0  # on the support
+
+    def test_an_overflowing_shift_gives_no_step(self):
+        # -hess + tau I is 0 at the first shift, and doubling tau overflows to inf.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert evidkit.generic._ascent_step(np.array([1.0]), np.array([[1e308]])) is None
 
 
 class TestMultistart:

@@ -470,7 +470,7 @@ class TestDesignStacks:
             for r in range(m):
                 single = ek.GaussianLinearSpec(G=G[r], sigma=sigma, lam=lam)
                 dec = ek.glm_log_evidence(single, ek.ObservationSet(y=Y[r]))
-                assert np.array_equal(gram[r], evidkit.glm._precision(single)[0])
+                assert np.array_equal(gram[r], evidkit.glm._precision(single)[1])
                 assert np.array_equal(theta_hat[r], dec.theta_hat)
                 assert log_fit[r] == dec.log_fit
                 assert flexibility[r] == dec.flexibility

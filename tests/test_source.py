@@ -52,3 +52,26 @@ def test_the_integral_rule_lives_in_generic_only():
                 named += [f"{os.path.basename(path)}:{number} {name}"
                           for name in owned if re.search(rf"\b{name}\b", line)]
     assert named == []
+
+
+def _definitions(module):
+    with open(os.path.join(ROOT, "src", "evidkit", module), encoding="utf-8") as handle:
+        tree = ast.parse(handle.read())
+    return tree, {node.name: node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+
+
+def test_each_closed_form_decision_is_made_once():
+    # The design's C-order copy, the finiteness test and Laplace's reference gate each have
+    # one home; a second copy of a decision can drift from the first.
+    glm, functions = _definitions("glm.py")
+    imported = {alias.name for node in ast.walk(glm) if isinstance(node, ast.Import)
+                for alias in node.names}
+    assert "math" not in imported
+    assert [arg.arg for arg in functions["_precision"].args.args] == ["spec"]
+    copies = [node for node in ast.walk(glm)
+              if isinstance(node, ast.Attribute) and node.attr == "ascontiguousarray"]
+    assert len(copies) == 1
+    _, functions = _definitions("evidence.py")
+    gates = [node for node in ast.walk(functions["evidence_laplace"])
+             if isinstance(node, ast.Name) and node.id == "DEFAULT_GRID"]
+    assert len(gates) == 1
