@@ -313,11 +313,11 @@ class _Mode(NamedTuple):
 def map_optimize(model: GenericModelSpec, start, *, max_iter=MAX_ITER) -> np.ndarray:
     """Local maximizer of ``log_lik(theta) - regularizer(theta)``.
 
-    Newton with backtracking on finite-difference derivatives.  ``-H`` is shifted by
-    ``tau I`` until it factors (:func:`_ascent_step`), so one step rule serves every finite
-    Hessian; a concave one keeps ``tau = 0``.  A non-finite Hessian or gradient gives no
-    step.  Box constraints are handled by projection, and a stencil nearer a finite bound
-    than twice its reach is centred that far inside it.
+    Newton with backtracking on finite-difference derivatives.  ``-H`` is shifted by ``tau I``
+    until it factors (:func:`_ascent_step`), so one step rule serves every finite Hessian; a
+    concave one keeps ``tau = 0``.  A non-finite Hessian or gradient gives no step.  Box
+    constraints are handled by projection; a stencil that would leave the support is centred
+    twice its reach inside it, and its quadratic model gives the gradient at ``theta``.
 
     Each iteration evaluates the gradient and Hessian stencils as one batch.
     Convergence requires an interior point whose Hessian is negative
@@ -375,10 +375,18 @@ def _search_all(model: GenericModelSpec, starts, max_iter=MAX_ITER) -> list:
 
     searching = list(range(len(thetas)))
     for iteration in range(1, max_iter + 1):
-        # A stencil within twice its reach of a finite bound moves in: no point leaves the support.
-        reach = 2.0 * HESS_STEP * (1.0 + np.abs(thetas[searching]))
-        centres = np.clip(thetas[searching], bounds[:, 0] + reach, bounds[:, 1] - reach)
+        # A stencil that would leave the support moves in; its quadratic model gives theta's slope.
+        current = thetas[searching]
+        reach = HESS_STEP * (1.0 + np.abs(current))
+        outside = (current - reach < bounds[:, 0]) | (current + reach > bounds[:, 1])
+        centres = current
+        if outside.any():
+            centres = np.where(outside, np.clip(
+                current, bounds[:, 0] + 2.0 * reach, bounds[:, 1] - 2.0 * reach), current)
         grads, hesses = _stencil_derivatives(psi_batch, centres, GRAD_STEP, HESS_STEP)
+        moved = outside.any(axis=1)
+        if moved.any():
+            grads[moved] += np.einsum("kij,kj->ki", hesses[moved], (current - centres)[moved])
         steps = {}
         for k, grad, hess in zip(searching, grads, hesses):
             theta, value = thetas[k], values[k]

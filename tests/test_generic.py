@@ -332,6 +332,15 @@ class TestMapOptimize:
         assert ek.map_optimize(model, np.array([start]))[0] == pytest.approx(2.0, abs=1e-6)
         assert 0.0 <= min(evaluated) and max(evaluated) <= 50.0  # on the support
 
+    @pytest.mark.parametrize("peak", [5e-5, 1.8e-4, 50.0 - 5e-5])
+    def test_a_mode_near_a_bound_is_found_where_the_model_is_finite_past_it(self, peak):
+        # Within one stencil reach (~1.2e-4) of a bound the stencil moves in, and its
+        # quadratic model still puts the gradient's zero at the peak; between one and two
+        # reaches the stencil stays where it is.
+        model = ek.GenericModelSpec(dim=1, log_lik=lambda theta: -0.5 * (theta[0] - peak) ** 2,
+                                    regularizer=lambda theta: 0.0, support=[[0.0, 50.0]])
+        assert ek.map_optimize(model, np.array([1.0]))[0] == pytest.approx(peak, abs=1e-8)
+
     def test_an_overflowing_shift_gives_no_step(self):
         # -hess + tau I is 0 at the first shift, and doubling tau overflows to inf.
         with warnings.catch_warnings():

@@ -66,6 +66,7 @@ def test_each_closed_form_decision_is_made_once():
     glm, functions = _definitions("glm.py")
     imported = {alias.name for node in ast.walk(glm) if isinstance(node, ast.Import)
                 for alias in node.names}
+    imported |= {node.module for node in ast.walk(glm) if isinstance(node, ast.ImportFrom)}
     assert "math" not in imported
     assert [arg.arg for arg in functions["_precision"].args.args] == ["spec"]
     copies = [node for node in ast.walk(glm)
