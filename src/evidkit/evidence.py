@@ -15,6 +15,7 @@ never materialized.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +34,7 @@ from .generic import (
     _stencil_derivatives,
     _richardson_log_integral,
     _search,
+    _stencil_centres,
     _value_at,
 )
 from .glm import (LOG_2PI, GaussianLinearSpec, ObservationSet, _check_count, _check_scale,
@@ -80,7 +82,7 @@ def _check_sample_sizes(ns) -> tuple[int, ...]:
 
 def _log_joint_fn(model: GenericModelSpec, prior: NormalizedPrior):
     psi, log_z = _objective(model), prior.log_norm_const
-    return lambda points: psi(points) - log_z
+    return lambda points: operator.isub(psi(points), log_z)  # psi's array is fresh: shift in place
 
 
 def _laplace_mode(model: GenericModelSpec, start=None, theta_hat=None, curvature=None,
@@ -89,8 +91,9 @@ def _laplace_mode(model: GenericModelSpec, start=None, theta_hat=None, curvature
 
     The MAP is searched from ``start`` (default: the declared box's centre),
     and ``A`` is ``-hess`` of its :class:`~evidkit.generic._Mode`.  A given
-    ``theta_hat`` is not searched and takes a stencil; a given ``curvature``
-    is ``A``.  An ``A`` that fails the factorization raises
+    ``theta_hat`` is not searched and takes a stencil, moved inside the
+    support as the search moves its own; a given ``curvature`` is ``A``.  An
+    ``A`` that is not finite or fails the factorization raises
     :class:`CurvatureFailure`, or gives ``L = None`` when not ``strict``.
     """
     if theta_hat is None:
@@ -99,16 +102,20 @@ def _laplace_mode(model: GenericModelSpec, start=None, theta_hat=None, curvature
     else:
         theta_hat = np.asarray(theta_hat, dtype=float)
         if curvature is None:
-            hess = _stencil_derivatives(_objective(model), theta_hat, hess_step=HESS_STEP)[1]
+            centre = _stencil_centres(theta_hat, model.bounds())
+            hess = _stencil_derivatives(_objective(model), centre, hess_step=HESS_STEP)[1]
     curvature = -hess if curvature is None else curvature
-    try:
-        return theta_hat, curvature, np.linalg.cholesky(curvature)
-    except LinAlgError as exc:
-        if not strict:
-            return theta_hat, curvature, None
-        raise CurvatureFailure(
-            "Hessian at the MAP is not positive definite (saddle or ridge); "
-            "the Laplace approximation is undefined here") from exc
+    # numpy's Cholesky factors an inf or NaN matrix without complaint.
+    if np.all(np.isfinite(curvature)):
+        try:
+            return theta_hat, curvature, np.linalg.cholesky(curvature)
+        except LinAlgError:
+            pass
+    if not strict:
+        return theta_hat, curvature, None
+    raise CurvatureFailure(
+        "Hessian at the MAP is not positive definite (saddle or ridge); "
+        "the Laplace approximation is undefined here")
 
 
 def evidence_quadrature(model: GenericModelSpec, prior: NormalizedPrior,

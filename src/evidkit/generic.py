@@ -100,7 +100,8 @@ class GenericModelSpec:
     vectorized : bool
         When True the two callables accept an ``(m, dim)`` array and return
         an ``(m,)`` array, which is dramatically faster on dense grids.  A
-        row's value must not depend on the other rows in the batch.
+        row's value must not depend on the other rows in the batch.  The
+        batch is in no promised memory order: grid nodes come column-major.
 
     Notes
     -----
@@ -301,6 +302,20 @@ def _ascent_step(grad, hess):
     return None
 
 
+def _stencil_centres(thetas, bounds):
+    """Where the stencils of ``thetas`` (one point or a stack) are taken, inside the support.
+
+    A coordinate within one reach ``HESS_STEP (1 + |theta|)`` of a finite bound is centred
+    two reaches inside it; every other coordinate stays where it is.
+    """
+    reach = HESS_STEP * (1.0 + np.abs(thetas))
+    outside = (thetas - reach < bounds[:, 0]) | (thetas + reach > bounds[:, 1])
+    if not outside.any():
+        return thetas
+    return np.where(outside, np.clip(
+        thetas, bounds[:, 0] + 2.0 * reach, bounds[:, 1] - 2.0 * reach), thetas)
+
+
 class _Mode(NamedTuple):
     """A converged MAP search: its ``theta``, objective ``value`` and
     confirming stencil ``hess``."""
@@ -377,14 +392,9 @@ def _search_all(model: GenericModelSpec, starts, max_iter=MAX_ITER) -> list:
     for iteration in range(1, max_iter + 1):
         # A stencil that would leave the support moves in; its quadratic model gives theta's slope.
         current = thetas[searching]
-        reach = HESS_STEP * (1.0 + np.abs(current))
-        outside = (current - reach < bounds[:, 0]) | (current + reach > bounds[:, 1])
-        centres = current
-        if outside.any():
-            centres = np.where(outside, np.clip(
-                current, bounds[:, 0] + 2.0 * reach, bounds[:, 1] - 2.0 * reach), current)
+        centres = _stencil_centres(current, bounds)
         grads, hesses = _stencil_derivatives(psi_batch, centres, GRAD_STEP, HESS_STEP)
-        moved = outside.any(axis=1)
+        moved = (centres != current).any(axis=1)
         if moved.any():
             grads[moved] += np.einsum("kij,kj->ki", hesses[moved], (current - centres)[moved])
         steps = {}
@@ -518,12 +528,13 @@ def _log_trapezoid_sum(axes, values) -> float:
         w[0] += np.log(0.5)
         w[-1] += np.log(0.5)
         total = (total[:, None] + w[None, :]).reshape(-1)
-    values = values + total
+    values = values + total  # a buffer of its own, shifted and exponentiated in place
     # Shifted by the peak, no exp is subnormal: subnormals are slow as well as imprecise.
     top = float(np.max(values))
     if not np.isfinite(top):  # every node -inf, or one +inf or NaN
         return top
-    return top + float(np.log(np.sum(np.exp(values - top))))
+    values -= top
+    return top + float(np.log(np.sum(np.exp(values, out=values))))
 
 
 def _check_node_limit(points_per_dim, dim):
@@ -556,15 +567,16 @@ def _evaluate_grid(model: GenericModelSpec, log_integrand, box, points_per_dim):
     _check_node_limit(points_per_dim, model.dim)
     box = np.asarray(box, dtype=float)
     axes = [np.linspace(box[k, 0], box[k, 1], points_per_dim) for k in range(box.shape[0])]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    points = np.column_stack([m.reshape(-1) for m in mesh])
-    return axes, log_integrand(points)
+    # One stacked buffer, transposed: (N, dim) nodes in grid order with contiguous columns.
+    mesh = np.stack(np.meshgrid(*axes, indexing="ij", copy=False))
+    return axes, log_integrand(mesh.reshape(len(axes), -1).T)
 
 
 def log_trapezoid_integral(model: GenericModelSpec, log_integrand, box, points_per_dim) -> float:
     """``log integral exp(log_integrand)`` by composite trapezoid in log space.
 
-    ``log_integrand`` maps an ``(m, dim)`` batch of points to ``m`` values.
+    ``log_integrand`` maps an ``(m, dim)`` batch of points to ``m`` values.  The
+    batch is in no promised memory order; the grid's nodes come column-major.
     """
     return _log_trapezoid_sum(*_evaluate_grid(model, log_integrand, box, points_per_dim))
 

@@ -442,12 +442,33 @@ class TestCurvatureFactor:
         ek.evidence_importance(model, prior, 500, seed=2)
         assert len(calls) == 1
 
-    def test_supplied_indefinite_curvature_is_a_curvature_failure(self):
+    # numpy's Cholesky factors [[inf]] and [[nan]]; the draws' triangular solve would refuse them.
+    @pytest.mark.parametrize("curvature", [-1.0, 0.0, np.inf, np.nan])
+    def test_a_supplied_curvature_that_does_not_factor_is_a_curvature_failure(self, curvature):
         model = logistic_model()
         prior = ek.normalize_prior(model, 201)
         with pytest.raises(CurvatureFailure):
             ek.evidence_importance(model, prior, 100, seed=0, theta_hat=[0.0],
-                                   curvature=[[-1.0]])
+                                   curvature=[[curvature]])
+
+    def test_a_given_map_near_a_bound_takes_its_stencil_inside_the_support(self):
+        seen = []
+
+        def log_lik(theta):  # -inf for theta <= 0, where the stencil must not go
+            seen.append(float(theta[0]))
+            return 2.0 * np.log(theta[0]) - theta[0] if theta[0] > 0 else -np.inf
+
+        model = ek.GenericModelSpec(dim=1, log_lik=log_lik, regularizer=lambda theta: 0.0,
+                                    support=[[0.0, 50.0]])
+        prior = ek.NormalizedPrior(log_norm_const=0.0, method="closed-form",
+                                   err_estimate=0.0, box=[[0.0, 50.0]])
+        near = ek.laplace_curvature(model, prior, [5e-5])
+        assert np.all(np.isfinite(near)) and near[0, 0] > 0
+        assert min(seen) > 0.0 and max(seen) < 50.0
+        seen.clear()
+        # Away from the bound the stencil stays at theta_hat, where -d2/dtheta2 is 2 / theta^2.
+        assert ek.laplace_curvature(model, prior, [2.0])[0, 0] == pytest.approx(0.5, rel=1e-6)
+        assert min(seen) < 2.0 < max(seen)
 
 
 class TestLaplaceBox:

@@ -1,5 +1,6 @@
 """Black-box model interface: MAP search and prior normalization."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -729,6 +730,36 @@ class TestRichardsonGrid:
                                     support=base.support, vectorized=True)
         ek.evidence_quadrature(model, prior, g)
         assert {size: sizes.count(size) for size in batches} == batches
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_nodes_are_the_meshgrid_rows_with_contiguous_columns(self, d):
+        box = np.array([[-1.0, 2.0], [0.5, 3.0], [-4.0, -1.0]][:d])
+        batches = []
+
+        def log_integrand(points):
+            batches.append(points)
+            return np.zeros(len(points))
+
+        axes, _ = evidkit.generic._evaluate_grid(self._model(d), log_integrand, box, 7)
+        mesh = np.meshgrid(*axes, indexing="ij")
+        assert np.array_equal(batches[0], np.column_stack([m.reshape(-1) for m in mesh]))
+        assert all(batches[0][:, k].flags.c_contiguous for k in range(d))
+
+    # One stacked node buffer peaks at 5.1, 5.0 and 6.0 buffers of N doubles here; a copy of
+    # each axis's coordinates plus a column_stack of them peaked at 7.1, 7.0 and 9.0.
+    @pytest.mark.parametrize("d, g", [(1, 2001), (2, 201), (3, 41)])
+    def test_the_grid_path_peaks_below_six_and_a_half_node_buffers(self, d, g):
+        model = ek.GenericModelSpec(dim=d, log_lik=_zero, regularizer=_zero, vectorized=True)
+        log_integrand = evidkit.generic._objective(model)
+        box = [[-1.0, 1.0]] * d
+        log_trapezoid_integral(model, log_integrand, box, g)  # warm any lazy set-up
+        tracemalloc.start()
+        try:
+            log_trapezoid_integral(model, log_integrand, box, g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6.5 * g ** d * 8
 
     def test_accuracy_failure_from_quadrature_carries_both_values(self):
         model = self._model(1)
