@@ -98,7 +98,7 @@ def _laplace_mode(model: GenericModelSpec, start=None, theta_hat=None, curvature
     """
     if theta_hat is None:
         start = _declared_box(model).mean(axis=1) if start is None else start
-        theta_hat, _, hess = _search(model, start)
+        theta_hat, _, hess, _ = _search(model, start)
     else:
         theta_hat = np.asarray(theta_hat, dtype=float)
         if curvature is None:

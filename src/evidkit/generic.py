@@ -317,12 +317,13 @@ def _stencil_centres(thetas, bounds):
 
 
 class _Mode(NamedTuple):
-    """A converged MAP search: its ``theta``, objective ``value`` and
-    confirming stencil ``hess``."""
+    """Where a MAP search ended: its ``theta`` and objective ``value``, with the confirming
+    stencil ``hess`` if it converged, else ``hess`` None and the ``failure`` that stopped it."""
 
     theta: np.ndarray
     value: float
-    hess: np.ndarray
+    hess: np.ndarray | None
+    failure: str | None = None
 
 
 def map_optimize(model: GenericModelSpec, start, *, max_iter=MAX_ITER) -> np.ndarray:
@@ -349,8 +350,8 @@ def map_optimize(model: GenericModelSpec, start, *, max_iter=MAX_ITER) -> np.nda
     ------
     ConvergenceFailure
         At the first iteration whose line search finds no ascent step
-        (every later one would repeat it), or after ``max_iter``
-        iterations; the error carries the best iterate.
+        (every later one would repeat it), or after ``max_iter`` iterations;
+        the error carries the last iterate, the best since every step ascends.
     """
     return _search(model, start, max_iter).theta
 
@@ -358,19 +359,21 @@ def map_optimize(model: GenericModelSpec, start, *, max_iter=MAX_ITER) -> np.nda
 def _search(model: GenericModelSpec, start, max_iter=MAX_ITER) -> _Mode:
     """The search :func:`map_optimize` states, returning its converged :class:`_Mode`."""
     mode = _search_all(model, np.asarray(start, dtype=float)[None], max_iter)[0]
-    if isinstance(mode, ConvergenceFailure):
-        raise mode
+    if mode.failure is not None:
+        raise ConvergenceFailure(f"no interior stationary point found: {mode.failure} "
+                                 f"(best objective {mode.value:.6g})",
+                                 best_theta=mode.theta, best_value=mode.value)
     return mode
 
 
-def _search_all(model: GenericModelSpec, starts, max_iter=MAX_ITER) -> list:
+def _search_all(model: GenericModelSpec, starts, max_iter=MAX_ITER) -> list[_Mode]:
     """The search :func:`map_optimize` states, from every row of ``starts`` in lockstep.
 
-    Each start keeps its own path, so it ends as it would alone, in a
-    :class:`_Mode` or a :class:`ConvergenceFailure` in the returned list.
-    Only the model evaluations are shared: one batch for the start values,
-    one per iteration for every searching start's stencil, and one per
-    backtracking round for every start still line-searching.
+    Each start keeps its own path, so it ends as it would alone, in one :class:`_Mode` of the
+    returned list; a failed start's is its last iterate, its best since an accepted step gains
+    ``1e-4 t`` times a decrement that is never negative.  Only the model evaluations are
+    shared: one batch for the start values, one per iteration for every searching start's
+    stencil, and one per backtracking round for every start still line-searching.
     """
     bounds = model.bounds()
     thetas = np.array(starts, dtype=float)
@@ -383,7 +386,6 @@ def _search_all(model: GenericModelSpec, starts, max_iter=MAX_ITER) -> list:
     values = [float(value) for value in psi_batch(thetas)]
     if not np.all(np.isfinite(values)):
         raise ValueError("objective is not finite at the start point")
-    best = [(theta.copy(), value) for theta, value in zip(thetas, values)]
     stall = STALL_ULPS * np.finfo(float).eps
     # Each start's end: a _Mode, or why its search stopped.
     ends = [f"the {max_iter}-iteration limit was reached"] * len(thetas)
@@ -431,13 +433,10 @@ def _search_all(model: GenericModelSpec, starts, max_iter=MAX_ITER) -> list:
             if k not in searching:
                 # No step ascends: every later iteration would start here and fail alike.
                 ends[k] = f"no ascent step was left at iteration {iteration}"
-            elif values[k] > best[k][1]:
-                best[k] = thetas[k].copy(), values[k]
         if not searching:
             break
-    return [end if isinstance(end, _Mode) else ConvergenceFailure(
-        f"no interior stationary point found: {end} (best objective {value:.6g})",
-        best_theta=theta, best_value=value) for end, (theta, value) in zip(ends, best)]
+    return [end if isinstance(end, _Mode) else _Mode(theta.copy(), value, None, end)
+            for end, theta, value in zip(ends, thetas, values)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -482,13 +481,8 @@ def map_optimize_multistart(model: GenericModelSpec, seed: int, *, box=None) -> 
               + rng.uniform(size=(MULTISTART_STARTS, model.dim))) / MULTISTART_STARTS
     starts = box[:, 0] + strata * (box[:, 1] - box[:, 0])
 
-    basins = []
-    for start, end in zip(starts, _search_all(model, starts)):
-        if isinstance(end, ConvergenceFailure):
-            theta, value = end.best_theta, float(end.best_value)
-        else:
-            theta, value, _ = end
-        basins.append((start, theta, value))
+    basins = [(start, mode.theta, mode.value)
+              for start, mode in zip(starts, _search_all(model, starts))]
     _, theta, value = max(basins, key=lambda basin: basin[2])  # the first of equal values
     return MultistartResult(theta=theta, value=value, basins=tuple(basins))
 
@@ -524,7 +518,7 @@ def _log_trapezoid_sum(axes, values) -> float:
     """Log trapezoid sum over the grid ``axes`` of ``exp(values)``, values in grid order."""
     total = np.zeros(1)  # tensor product of the per-axis log weights, in grid order
     for nodes in axes:
-        w = np.full(nodes.size, np.log(nodes[1] - nodes[0]))
+        w = np.full(nodes.size, np.log((nodes[-1] - nodes[0]) / (nodes.size - 1)))
         w[0] += np.log(0.5)
         w[-1] += np.log(0.5)
         total = (total[:, None] + w[None, :]).reshape(-1)

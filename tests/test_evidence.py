@@ -831,8 +831,8 @@ class TestOneIntegralRule:
         prior = ek.normalize_prior(model, 41)
         with pytest.raises(AccuracyFailure, match="^quadrature error estimate 1.132e-01") as info:
             ek.evidence_quadrature(model, prior, 41, max_err=1e-3)
-        assert info.value.err_estimate == 0.1131930673285489
-        assert ek.evidence_quadrature(model, prior, 41).err_estimate == 0.1131930673285489
+        assert info.value.err_estimate == 0.11319306732854928
+        assert ek.evidence_quadrature(model, prior, 41).err_estimate == 0.11319306732854928
 
     @pytest.mark.parametrize("estimate", [
         lambda model, prior: ek.evidence_quadrature(model, prior, 41),

@@ -313,6 +313,25 @@ class TestMapOptimize:
         assert len(calls) <= 3
         assert excinfo.value.best_theta[0] == pytest.approx(0.0, abs=1e-9)
 
+    def test_a_failed_search_reports_its_last_iterate_as_its_best(self):
+        # Newton converges only linearly on a quartic, so every budget ends at its limit.  Each
+        # accepted step ascends, so the value reported rises with the budget, and it is the
+        # objective at the reported theta itself.
+        model = ek.GenericModelSpec(dim=1, log_lik=lambda pts: -(pts[:, 0] - 5.0) ** 4,
+                                    regularizer=lambda pts: np.zeros(len(pts)),
+                                    support=[[-20.0, 20.0]], vectorized=True)
+        values = []
+        for max_iter in range(1, 13):
+            with pytest.raises(ConvergenceFailure,
+                               match=f"the {max_iter}-iteration limit was reached") as excinfo:
+                ek.map_optimize(model, np.array([0.0]), max_iter=max_iter)
+            failure = excinfo.value
+            assert failure.best_value == model.log_lik(failure.best_theta[None])[0]
+            values.append(failure.best_value)
+        assert all(earlier < later for earlier, later in zip(values, values[1:]))
+        assert values[0] == pytest.approx(-123.45679, abs=1e-5)
+        assert values[-1] == pytest.approx(-2.2057e-6, rel=1e-4)
+
     def test_start_outside_support_rejected(self):
         model = gaussian_prior_model()
         with pytest.raises(ValueError, match="outside"):
@@ -418,6 +437,7 @@ class TestMultistart:
                 ek.map_optimize(model, start)
             assert np.array_equal(theta, excinfo.value.best_theta)
             assert value == excinfo.value.best_value
+            assert theta.flags.owndata  # its own copy, not a view of the search's iterates
         best = max(result.basins, key=lambda basin: basin[2])
         assert np.array_equal(result.theta, best[1])
         assert result.value == best[2]
@@ -599,6 +619,13 @@ class TestNormalizePrior:
         log_z = prior.log_norm_const
         assert prior.err_estimate == ROUNDING_ULPS * np.finfo(float).eps * log_z
         assert abs(log_z - np.log(2 * np.pi)) <= prior.err_estimate
+
+    def test_a_long_one_dimensional_sum_is_within_its_bar(self):
+        # On [-10, 10] at 2001 nodes, linspace's first neighbour difference is 2.1e-14 off
+        # the step in relative terms; weighed by it, log Z was off by 2.18e-14, outside the
+        # floored bar of 1.42e-14.  The step is the axis's extent over its intervals.
+        prior = ek.normalize_prior(gaussian_prior_model(bound=10.0), 2001)
+        assert abs(prior.log_norm_const - HALF_LOG_2PI) <= prior.err_estimate
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_a_non_finite_probe_node_is_not_boundary_mass(self, bad):

@@ -76,3 +76,31 @@ def test_each_closed_form_decision_is_made_once():
     gates = [node for node in ast.walk(functions["evidence_laplace"])
              if isinstance(node, ast.Name) and node.id == "DEFAULT_GRID"]
     assert len(gates) == 1
+
+
+def _calls_to(tree, name):
+    """The calls in ``tree`` of a function or class named ``name``, bare or as an attribute."""
+    return [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))]
+
+
+def test_a_search_start_ends_in_one_record():
+    # Every start of the MAP search ends in one _Mode, failed or converged, and only the
+    # one-start _search turns a failed record into ConvergenceFailure: a second home for a
+    # failed start, or a second copy of its best iterate, could drift from the first.
+    built, tested = [], []
+    for path in sorted(glob.glob(os.path.join(ROOT, "src", "evidkit", "*.py"))):
+        with open(path, encoding="utf-8") as handle:
+            tree = ast.parse(handle.read(), filename=path)
+        module = os.path.basename(path)
+        built += [(module, node.lineno) for node in _calls_to(tree, "ConvergenceFailure")]
+        tested += [f"{module}:{node.lineno}" for node in _calls_to(tree, "isinstance")
+                   if "ConvergenceFailure" in ast.unparse(node.args[1])]
+    _, functions = _definitions("generic.py")
+    in_search = [("generic.py", node.lineno)
+                 for node in _calls_to(functions["_search"], "ConvergenceFailure")]
+    assert in_search and built == in_search
+    assert tested == []
+    assert [node.lineno for node in ast.walk(functions["_search_all"])
+            if isinstance(node, ast.Name) and node.id == "best"
+            and isinstance(node.ctx, ast.Store)] == []
