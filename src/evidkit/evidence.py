@@ -34,7 +34,6 @@ from .generic import (
     _stencil_derivatives,
     _richardson_log_integral,
     _search,
-    _stencil_centres,
     _value_at,
 )
 from .glm import (LOG_2PI, GaussianLinearSpec, ObservationSet, _check_count, _check_scale,
@@ -89,21 +88,23 @@ def _laplace_mode(model: GenericModelSpec, start=None, theta_hat=None, curvature
                   strict=True):
     """``(theta_hat, A, L)``: the MAP, the Laplace curvature ``A`` there and its lower factor.
 
-    The MAP is searched from ``start`` (default: the declared box's centre),
-    and ``A`` is ``-hess`` of its :class:`~evidkit.generic._Mode`.  A given
-    ``theta_hat`` is not searched and takes a stencil, moved inside the
-    support as the search moves its own; a given ``curvature`` is ``A``.  An
-    ``A`` that is not finite or fails the factorization raises
-    :class:`CurvatureFailure`, or gives ``L = None`` when not ``strict``.
+    The MAP is searched from ``start`` (default: the declared box's centre), and ``A`` is
+    ``-hess`` of its :class:`~evidkit.generic._Mode`.  A given ``theta_hat`` is not searched; it
+    must lie in the support (else ValueError), and its stencil's step shrinks near a bound as
+    the search's does.  A given ``curvature`` is ``A``.  An ``A`` that is not finite or fails
+    the factorization raises :class:`CurvatureFailure`, or gives ``L = None`` when not ``strict``.
     """
     if theta_hat is None:
         start = _declared_box(model).mean(axis=1) if start is None else start
         theta_hat, _, hess, _ = _search(model, start)
     else:
         theta_hat = np.asarray(theta_hat, dtype=float)
+        bounds = model.bounds()
+        if np.any(theta_hat < bounds[:, 0]) or np.any(theta_hat > bounds[:, 1]):
+            raise ValueError("theta_hat lies outside the support box")
         if curvature is None:
-            centre = _stencil_centres(theta_hat, model.bounds())
-            hess = _stencil_derivatives(_objective(model), centre, hess_step=HESS_STEP)[1]
+            hess = _stencil_derivatives(_objective(model), theta_hat, hess_step=HESS_STEP,
+                                        bounds=bounds)[1]
     curvature = -hess if curvature is None else curvature
     # numpy's Cholesky factors an inf or NaN matrix without complaint.
     if np.all(np.isfinite(curvature)):
@@ -150,9 +151,10 @@ def evidence_quadrature(model: GenericModelSpec, prior: NormalizedPrior,
 def laplace_curvature(model: GenericModelSpec, prior: NormalizedPrior, theta_hat) -> np.ndarray:
     """Negative Hessian of ``log_lik + log prior`` at the MAP.
 
-    The prior's normalizer is constant, so this is the negative Hessian of
-    ``log_lik - R``.  Raises :class:`CurvatureFailure` when the result is
-    not positive definite.
+    The prior's normalizer is constant, so this is the negative Hessian of ``log_lik - R`` from
+    a stencil centred at ``theta_hat``; within a step of a finite bound, the step is half the
+    gap.  Raises ValueError for a ``theta_hat`` outside the support, and
+    :class:`CurvatureFailure` when the result is not positive definite, as on a finite bound.
     """
     return _laplace_mode(model, theta_hat=theta_hat)[1]
 
@@ -201,15 +203,14 @@ def evidence_importance(model: GenericModelSpec, prior: NormalizedPrior,
                         start=None, theta_hat=None, curvature=None) -> EvidenceDecomposition:
     """Importance-sampling estimate of the log-evidence.
 
-    The proposal is a Gaussian at the MAP whose covariance is the inverse
-    Laplace curvature inflated by ``inflation`` (default 1.5, guarding
-    against an underdispersed proposal).  The estimate is the log-mean-exp
-    of ``log_lik + log prior - log proposal`` over the draws, where a draw
-    outside :func:`evidence_quadrature`'s region weighs 0 and is not
-    evaluated; the error estimate maps the weight standard error to the log
-    scale by the delta method.  ``theta_hat`` and ``curvature`` override the
-    searched MAP and its last stencil's curvature, e.g. to propose from a
-    known exact posterior; a given ``theta_hat`` alone takes a stencil there.
+    The proposal is a Gaussian at the MAP whose covariance is the inverse Laplace curvature
+    inflated by ``inflation`` (default 1.5, guarding against an underdispersed proposal).  The
+    estimate is the log-mean-exp of ``log_lik + log prior - log proposal`` over the draws,
+    where a draw outside :func:`evidence_quadrature`'s region weighs 0 and is not evaluated;
+    the error estimate maps the weight standard error to the log scale by the delta method.
+    ``theta_hat`` and ``curvature`` override the searched MAP and its last stencil's curvature,
+    e.g. to propose from a known exact posterior.  A given ``theta_hat`` must lie in the
+    support (else ValueError), and alone takes a stencil there, as :func:`laplace_curvature`.
 
     Draws come from a counter-based Philox stream keyed by ``seed``, so the
     result is reproducible bit for bit and independent of evaluation order.

@@ -217,39 +217,44 @@ def _stencil_table(d):
     return table
 
 
-def _stencil_derivatives(f_batch, theta, grad_step=None, hess_step=None):
+def _stencil_derivatives(f_batch, theta, grad_step=None, hess_step=None, bounds=None):
     """Central-difference gradient and Hessian from one batch of evaluations.
 
-    The points and formulas are those of :func:`finite_difference_gradient`
-    (step ``grad_step``) and :func:`finite_difference_hessian` (step
-    ``hess_step``); a step of None leaves that derivative out and returns
-    None in its place.  A stack ``theta`` of shape (m, d) evaluates every
-    row's stencil in the one batch and returns (m, d) gradients and
-    (m, d, d) Hessians.
+    The points and formulas are those of :func:`finite_difference_gradient` (step
+    ``grad_step``) and :func:`finite_difference_hessian` (step ``hess_step``); a step of None
+    leaves that derivative out and returns None in its place.  A stack ``theta`` of shape
+    (m, d) evaluates every row's stencil in the one batch and returns (m, d) gradients and
+    (m, d, d) Hessians.  Every stencil is centred at its ``theta``: given the support's
+    ``bounds``, a coordinate nearer a finite bound than its step steps half that gap, so no
+    point leaves the support, and one on a bound steps 0 and gets NaN derivatives.
     """
     theta = np.asarray(theta, dtype=float)
     rows = np.atleast_2d(theta)
     m, d = rows.shape
     offsets, i, j = _stencil_table(d)
+    gap = np.inf if bounds is None else np.minimum(rows - bounds[:, 0], bounds[:, 1] - rows)
     scaled = []
     if grad_step is not None:
         hg = grad_step * (1.0 + np.abs(rows))
+        hg = np.where(gap < hg, gap / 2.0, hg)
         scaled.append(offsets[1:2 * d + 1] * hg[:, None, :])
     if hess_step is not None:
         h = hess_step * (1.0 + np.abs(rows))
+        h = np.where(gap < h, gap / 2.0, h)
         scaled.append(offsets * h[:, None, :])
     points = rows[:, None, :] + np.concatenate(scaled, axis=1)
     values = f_batch(points.reshape(-1, d)).reshape(m, -1)
 
     grad = hess = None
-    if grad_step is not None:
-        grad = (values[:, :d] - values[:, d:2 * d]) / (2.0 * hg)
-    if hess_step is not None:
-        f0, f_up, f_dn, f_pp, f_pm, f_mp, f_mm = np.split(
-            values[:, -len(offsets):], np.cumsum([1, d, d] + [i.size] * 3), axis=1)
-        hess = np.zeros((m, d, d))
-        hess[:, range(d), range(d)] = (f_up - 2.0 * f0 + f_dn) / h ** 2
-        hess[:, i, j] = hess[:, j, i] = (f_pp - f_pm - f_mp + f_mm) / (4.0 * h[:, i] * h[:, j])
+    with np.errstate(divide="ignore", invalid="ignore"):  # a step of 0 gives NaN, silently
+        if grad_step is not None:
+            grad = (values[:, :d] - values[:, d:2 * d]) / (2.0 * hg)
+        if hess_step is not None:
+            f0, f_up, f_dn, f_pp, f_pm, f_mp, f_mm = np.split(
+                values[:, -len(offsets):], np.cumsum([1, d, d] + [i.size] * 3), axis=1)
+            hess = np.zeros((m, d, d))
+            hess[:, range(d), range(d)] = (f_up - 2.0 * f0 + f_dn) / h ** 2
+            hess[:, i, j] = hess[:, j, i] = (f_pp - f_pm - f_mp + f_mm) / (4.0 * h[:, i] * h[:, j])
     if theta.ndim < 2:  # one point: its results unstacked
         grad = None if grad is None else grad[0]
         hess = None if hess is None else hess[0]
@@ -302,20 +307,6 @@ def _ascent_step(grad, hess):
     return None
 
 
-def _stencil_centres(thetas, bounds):
-    """Where the stencils of ``thetas`` (one point or a stack) are taken, inside the support.
-
-    A coordinate within one reach ``HESS_STEP (1 + |theta|)`` of a finite bound is centred
-    two reaches inside it; every other coordinate stays where it is.
-    """
-    reach = HESS_STEP * (1.0 + np.abs(thetas))
-    outside = (thetas - reach < bounds[:, 0]) | (thetas + reach > bounds[:, 1])
-    if not outside.any():
-        return thetas
-    return np.where(outside, np.clip(
-        thetas, bounds[:, 0] + 2.0 * reach, bounds[:, 1] - 2.0 * reach), thetas)
-
-
 class _Mode(NamedTuple):
     """Where a MAP search ended: its ``theta`` and objective ``value``, with the confirming
     stencil ``hess`` if it converged, else ``hess`` None and the ``failure`` that stopped it."""
@@ -331,9 +322,9 @@ def map_optimize(model: GenericModelSpec, start, *, max_iter=MAX_ITER) -> np.nda
 
     Newton with backtracking on finite-difference derivatives.  ``-H`` is shifted by ``tau I``
     until it factors (:func:`_ascent_step`), so one step rule serves every finite Hessian; a
-    concave one keeps ``tau = 0``.  A non-finite Hessian or gradient gives no step.  Box
-    constraints are handled by projection; a stencil that would leave the support is centred
-    twice its reach inside it, and its quadratic model gives the gradient at ``theta``.
+    concave one keeps ``tau = 0``.  A non-finite Hessian or gradient gives no step.  Every
+    stencil is centred at ``theta``, its step shrunk to half the gap near a finite bound, and
+    a line-search trial past a finite bound stops halfway to it, so no iterate lands on one.
 
     Each iteration evaluates the gradient and Hessian stencils as one batch.
     Convergence requires an interior point whose Hessian is negative
@@ -352,6 +343,7 @@ def map_optimize(model: GenericModelSpec, start, *, max_iter=MAX_ITER) -> np.nda
         At the first iteration whose line search finds no ascent step
         (every later one would repeat it), or after ``max_iter`` iterations;
         the error carries the last iterate, the best since every step ascends.
+        A start on a finite bound leaves no room for a stencil and fails at iteration 1.
     """
     return _search(model, start, max_iter).theta
 
@@ -382,8 +374,8 @@ def _search_all(model: GenericModelSpec, starts, max_iter=MAX_ITER) -> list[_Mod
     if np.any(thetas < bounds[:, 0]) or np.any(thetas > bounds[:, 1]):
         raise ValueError("start lies outside the support box")
 
-    psi_batch = _objective(model)
-    values = [float(value) for value in psi_batch(thetas)]
+    psi = _objective(model)
+    values = [float(value) for value in psi(thetas)]
     if not np.all(np.isfinite(values)):
         raise ValueError("objective is not finite at the start point")
     stall = STALL_ULPS * np.finfo(float).eps
@@ -392,13 +384,7 @@ def _search_all(model: GenericModelSpec, starts, max_iter=MAX_ITER) -> list[_Mod
 
     searching = list(range(len(thetas)))
     for iteration in range(1, max_iter + 1):
-        # A stencil that would leave the support moves in; its quadratic model gives theta's slope.
-        current = thetas[searching]
-        centres = _stencil_centres(current, bounds)
-        grads, hesses = _stencil_derivatives(psi_batch, centres, GRAD_STEP, HESS_STEP)
-        moved = (centres != current).any(axis=1)
-        if moved.any():
-            grads[moved] += np.einsum("kij,kj->ki", hesses[moved], (current - centres)[moved])
+        grads, hesses = _stencil_derivatives(psi, thetas[searching], GRAD_STEP, HESS_STEP, bounds)
         steps = {}
         for k, grad, hess in zip(searching, grads, hesses):
             theta, value = thetas[k], values[k]
@@ -421,9 +407,12 @@ def _search_all(model: GenericModelSpec, starts, max_iter=MAX_ITER) -> list[_Mod
         backtracking = [k for k, (step, _) in steps.items() if step is not None]
         searching = []  # the starts whose line search accepts a step
         while backtracking and t > 1e-12:
-            trials = np.clip(thetas[backtracking] + t * np.array(
-                [steps[k][0] for k in backtracking]), bounds[:, 0], bounds[:, 1])
-            for k, trial, trial_value in zip(backtracking, trials, psi_batch(trials)):
+            current = thetas[backtracking]
+            trials = current + t * np.array([steps[k][0] for k in backtracking])
+            # A trial past a finite bound stops halfway there, so no iterate lands on a bound.
+            trials = np.where(trials < bounds[:, 0], (current + bounds[:, 0]) / 2.0, trials)
+            trials = np.where(trials > bounds[:, 1], (current + bounds[:, 1]) / 2.0, trials)
+            for k, trial, trial_value in zip(backtracking, trials, psi(trials)):
                 if np.isfinite(trial_value) and trial_value >= values[k] + 1e-4 * t * steps[k][1]:
                     thetas[k], values[k] = trial, float(trial_value)
                     searching.append(k)

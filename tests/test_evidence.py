@@ -462,13 +462,47 @@ class TestCurvatureFactor:
                                     support=[[0.0, 50.0]])
         prior = ek.NormalizedPrior(log_norm_const=0.0, method="closed-form",
                                    err_estimate=0.0, box=[[0.0, 50.0]])
+        # The stencil stays at theta_hat, where -d2/dtheta2 is 2 / theta^2; near the bound its
+        # step is half the gap, which puts it 15% high rather than 20 times low.
         near = ek.laplace_curvature(model, prior, [5e-5])
-        assert np.all(np.isfinite(near)) and near[0, 0] > 0
+        assert near[0, 0] == pytest.approx(2.0 / 5e-5 ** 2, rel=0.2)
         assert min(seen) > 0.0 and max(seen) < 50.0
         seen.clear()
-        # Away from the bound the stencil stays at theta_hat, where -d2/dtheta2 is 2 / theta^2.
+        # Away from the bound the stencil keeps its full step.
         assert ek.laplace_curvature(model, prior, [2.0])[0, 0] == pytest.approx(0.5, rel=1e-6)
         assert min(seen) < 2.0 < max(seen)
+
+    @staticmethod
+    def _cubic_near_a_bound():
+        """-(theta - 5e-5)^2 (1 + theta / 1e-3) / 2 on [0, 50], with a flat prior."""
+        model = ek.GenericModelSpec(
+            dim=1, log_lik=lambda theta: -0.5 * (theta[0] - 5e-5) ** 2 * (1.0 + theta[0] / 1e-3),
+            regularizer=lambda theta: 0.0, support=[[0.0, 50.0]])
+        return model, ek.NormalizedPrior(log_norm_const=0.0, method="closed-form",
+                                         err_estimate=0.0, box=[[0.0, 50.0]])
+
+    @pytest.mark.parametrize("start", [1.0, 0.3])
+    def test_a_map_near_a_bound_and_its_curvature_are_taken_at_the_map(self, start):
+        # The curvature changes by 20% over a full stencil step here, so a stencil centred away
+        # from theta put the mode at 8.5e-5 and the curvature 40% high.  At the MAP itself,
+        # -d2/dtheta2 = (1 + theta / 1e-3) + 2 (theta - 5e-5) / 1e-3.
+        model, prior = self._cubic_near_a_bound()
+        assert ek.map_optimize(model, [start])[0] == pytest.approx(5e-5, abs=1e-6)
+        dec = ek.evidence_laplace(model, prior, start=[start])
+        theta = dec.theta_hat[0]
+        exact = (1.0 + theta / 1e-3) + 2.0 * (theta - 5e-5) / 1e-3
+        assert np.exp(dec.info["log_det_curvature"]) == pytest.approx(exact, rel=1e-6)
+        assert ek.laplace_curvature(model, prior, [5e-5])[0, 0] == pytest.approx(1.05, rel=1e-6)
+
+    @pytest.mark.filterwarnings("error")
+    def test_a_given_map_off_the_support_is_refused_and_one_on_a_bound_has_no_curvature(self):
+        model = ek.GenericModelSpec(dim=1, log_lik=lambda theta: -0.5 * (theta[0] - 1.0) ** 2,
+                                    regularizer=lambda theta: 0.0, support=[[0.0, 50.0]])
+        prior = self._cubic_near_a_bound()[1]
+        with pytest.raises(ValueError, match="outside the support"):
+            ek.laplace_curvature(model, prior, [-1.0])
+        with pytest.raises(CurvatureFailure):  # a step of 0 leaves a NaN curvature
+            ek.laplace_curvature(model, prior, [0.0])
 
 
 class TestLaplaceBox:
@@ -882,3 +916,42 @@ class TestOneIntegralRule:
         value = evidkit.generic.log_trapezoid_integral(
             model, lambda points: np.where(points[:, 0] == 5.0, np.nan, 0.0), [[4.0, 6.0]], 21)
         assert np.isnan(value)
+
+
+class TestChunkedBatch:
+    """A vectorized callable sees at most ``EVAL_CHUNK`` rows a call, with the same sums."""
+
+    @staticmethod
+    def _both_chunks(monkeypatch, run):
+        """``run(points)`` at the default chunk, then at 1000 rows; its batch sizes at 1000."""
+        default = run([])
+        monkeypatch.setattr(evidkit.generic, "EVAL_CHUNK", 1000)
+        points = []
+        return default, run(points), points
+
+    def test_quadrature_over_many_chunks_keeps_its_bits(self, monkeypatch):
+        _, _, wrapped, prior = wrapped_instance(np.random.default_rng(81), n=20, d=2)
+
+        def run(points):  # 201^2 = 40 401 nodes
+            return ek.evidence_quadrature(counted_copy(wrapped, points), prior, 201)
+
+        default, chunked, points = self._both_chunks(monkeypatch, run)
+        assert max(points) == 1000 and len(points) > 40  # the grid alone takes 41 calls
+        assert chunked.log_evidence == default.log_evidence
+        assert chunked.err_estimate == default.err_estimate
+
+    def test_a_normalizer_over_many_chunks_keeps_its_bits(self, monkeypatch):
+        def run(points):
+            def regularizer(theta):
+                points.append(len(theta))
+                return 0.5 * np.einsum("ij,ij->i", theta, theta) + 0.1 * theta[:, 0] ** 4
+
+            model = ek.GenericModelSpec(dim=2, log_lik=lambda theta: np.zeros(len(theta)),
+                                        regularizer=regularizer, support=[[-6.0, 6.0]] * 2,
+                                        vectorized=True)
+            return ek.normalize_prior(model, 201)
+
+        default, chunked, points = self._both_chunks(monkeypatch, run)
+        assert max(points) == 1000 and len(points) > 40  # the grid alone takes 41 calls
+        assert chunked.log_norm_const == default.log_norm_const
+        assert chunked.err_estimate == default.err_estimate

@@ -339,8 +339,8 @@ class TestMapOptimize:
 
     @pytest.mark.parametrize("start", [1e-6, 1e-4, 0.5, 3.0, 49.9999])
     def test_a_start_near_a_finite_bound_reaches_the_mode(self, start):
-        # 2 log theta - theta peaks at 2 and is -inf below 0.  A stencil centred at 1e-6
-        # would reach past 0, and no step would be left: its centre moves in instead.
+        # 2 log theta - theta peaks at 2 and is -inf below 0.  A full stencil step at 1e-6
+        # would reach past 0, so the step shrinks to half the gap and the stencil stays at theta.
         evaluated = []
 
         def log_lik(theta):
@@ -354,12 +354,36 @@ class TestMapOptimize:
 
     @pytest.mark.parametrize("peak", [5e-5, 1.8e-4, 50.0 - 5e-5])
     def test_a_mode_near_a_bound_is_found_where_the_model_is_finite_past_it(self, peak):
-        # Within one stencil reach (~1.2e-4) of a bound the stencil moves in, and its
-        # quadratic model still puts the gradient's zero at the peak; between one and two
-        # reaches the stencil stays where it is.
+        # Within one stencil step (~1.2e-4) of a bound the step shrinks to half the gap, and
+        # the stencil, still centred at theta, puts the gradient's zero at the peak; beyond one
+        # step the stencil keeps its full step.
         model = ek.GenericModelSpec(dim=1, log_lik=lambda theta: -0.5 * (theta[0] - peak) ** 2,
                                     regularizer=lambda theta: 0.0, support=[[0.0, 50.0]])
         assert ek.map_optimize(model, np.array([1.0]))[0] == pytest.approx(peak, abs=1e-8)
+
+    @pytest.mark.parametrize("start", [1e-6, 1e-4, 2.9e-4])
+    def test_a_support_narrower_than_a_stencil_reaches_the_mode(self, start):
+        # log theta + log(3e-4 - theta) peaks at 1.5e-4 and is -inf off [0, 3e-4], a support
+        # narrower than four full stencil steps.
+        evaluated = []
+
+        def log_lik(theta):
+            evaluated.append(theta[0])
+            inside = 0.0 < theta[0] < 3e-4
+            return np.log(theta[0]) + np.log(3e-4 - theta[0]) if inside else -np.inf
+
+        model = ek.GenericModelSpec(dim=1, log_lik=log_lik, regularizer=lambda theta: 0.0,
+                                    support=[[0.0, 3e-4]])
+        assert ek.map_optimize(model, np.array([start]))[0] == pytest.approx(1.5e-4, abs=1e-8)
+        assert 0.0 <= min(evaluated) and max(evaluated) <= 3e-4  # on the support
+
+    @pytest.mark.filterwarnings("error")
+    def test_a_start_on_a_finite_bound_has_no_room_for_a_stencil(self):
+        model = ek.GenericModelSpec(dim=1, log_lik=lambda theta: -0.5 * (theta[0] - 1.0) ** 2,
+                                    regularizer=lambda theta: 0.0, support=[[0.0, 50.0]])
+        with pytest.raises(ConvergenceFailure, match="iteration 1") as excinfo:
+            ek.map_optimize(model, np.array([0.0]))
+        assert excinfo.value.best_theta.tolist() == [0.0]
 
     def test_an_overflowing_shift_gives_no_step(self):
         # -hess + tau I is 0 at the first shift, and doubling tau overflows to inf.

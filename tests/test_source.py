@@ -104,3 +104,22 @@ def test_a_search_start_ends_in_one_record():
     assert [node.lineno for node in ast.walk(functions["_search_all"])
             if isinstance(node, ast.Name) and node.id == "best"
             and isinstance(node.ctx, ast.Store)] == []
+
+
+def test_every_stencil_is_taken_at_its_point():
+    # One near-bound rule: a stencil's step shrinks to fit the support, and the stencil stays
+    # at theta.  A moved centre, a projected trial or a gradient carried back through the
+    # Hessian would be a second rule, right only where the curvature is constant.
+    named = []
+    for path in sorted(glob.glob(os.path.join(ROOT, "src", "evidkit", "*.py"))):
+        with open(path, encoding="utf-8") as handle:
+            if "_stencil_centres" in handle.read():
+                named.append(os.path.basename(path))
+    assert named == []
+    _, functions = _definitions("generic.py")
+    assert _calls_to(functions["_search_all"], "clip") == []
+    assert _calls_to(functions["_search_all"], "einsum") == []
+    _, functions = _definitions("evidence.py")
+    stencils = _calls_to(functions["_laplace_mode"], "_stencil_derivatives")
+    assert stencils and all("bounds" in [keyword.arg for keyword in call.keywords]
+                            for call in stencils)
