@@ -57,7 +57,9 @@ MAX_GRID_NODES = 20_000_000
 # The one table of default evidence grids, keyed by the dimensions grid quadrature
 # supports: the half grid has a node every 0.8 posterior sd.
 DEFAULT_GRID = {1: 41, 2: 41, 3: 41}
-EVAL_CHUNK = 262_144
+# Rows per vectorized call: a d = 3 block's temporaries (0.4 MB) are reused call to call.
+# At 262 144 rows a 41^3 quadrature faulted in ~1 220 pages a call, a Laplace check ~1 820.
+EVAL_CHUNK = 16_384
 
 
 def _as_box(value, dim, name, require_finite):
@@ -99,9 +101,10 @@ class GenericModelSpec:
         below 1e-12 of its peak.
     vectorized : bool
         When True the two callables accept an ``(m, dim)`` array and return
-        an ``(m,)`` array, which is dramatically faster on dense grids.  A
-        row's value must not depend on the other rows in the batch.  The
-        batch is in no promised memory order: grid nodes come column-major.
+        an ``(m,)`` array, which is dramatically faster on dense grids; ``m``
+        is at most ``EVAL_CHUNK`` (16 384).  A row's value must not depend on
+        the other rows in the batch.  The batch is in no promised memory
+        order: grid nodes come column-major.
 
     Notes
     -----
@@ -177,7 +180,7 @@ def _scalar_batch(fn, points) -> np.ndarray:
 
 
 def _chunked_batch(fn, points) -> np.ndarray:
-    """A vectorized callable over ``points``, ``EVAL_CHUNK`` rows at a time."""
+    """A vectorized callable over ``points``, at most ``EVAL_CHUNK`` (16 384) rows a call."""
     out = np.empty(points.shape[0])
     for start in range(0, points.shape[0], EVAL_CHUNK):
         out[start:start + EVAL_CHUNK] = fn(points[start:start + EVAL_CHUNK])

@@ -923,11 +923,11 @@ class TestChunkedBatch:
 
     @staticmethod
     def _both_chunks(monkeypatch, run):
-        """``run(points)`` at the default chunk, then at 1000 rows; its batch sizes at 1000."""
-        default = run([])
+        """``run(points)`` at the default chunk, then at 1000 rows; its batch sizes at each."""
+        default_points, points = [], []
+        default = run(default_points)
         monkeypatch.setattr(evidkit.generic, "EVAL_CHUNK", 1000)
-        points = []
-        return default, run(points), points
+        return default, run(points), default_points, points
 
     def test_quadrature_over_many_chunks_keeps_its_bits(self, monkeypatch):
         _, _, wrapped, prior = wrapped_instance(np.random.default_rng(81), n=20, d=2)
@@ -935,10 +935,30 @@ class TestChunkedBatch:
         def run(points):  # 201^2 = 40 401 nodes
             return ek.evidence_quadrature(counted_copy(wrapped, points), prior, 201)
 
-        default, chunked, points = self._both_chunks(monkeypatch, run)
+        default, chunked, _, points = self._both_chunks(monkeypatch, run)
         assert max(points) == 1000 and len(points) > 40  # the grid alone takes 41 calls
         assert chunked.log_evidence == default.log_evidence
         assert chunked.err_estimate == default.err_estimate
+
+    def test_laplace_and_importance_at_d3_keep_their_bits(self, monkeypatch):
+        _, _, wrapped, prior = wrapped_instance(np.random.default_rng(83), n=50, d=3)
+
+        def run(points):  # a 41^3 = 68 921-node Laplace reference, then 20 000 draws
+            model = counted_copy(wrapped, points)
+            return (ek.evidence_laplace(model, prior),
+                    ek.evidence_importance(model, prior, 20_000, 7))
+
+        default_chunk = evidkit.generic.EVAL_CHUNK
+        (laplace, importance), (chunked_laplace, chunked_importance), default_points, points = \
+            self._both_chunks(monkeypatch, run)
+        # A 16 384-row block splits the reference grid into five calls and the draws into two.
+        assert max(default_points) <= default_chunk
+        assert max(points) == 1000 and len(points) > 2 * (69 + 20)
+        assert chunked_laplace.log_evidence == laplace.log_evidence
+        assert chunked_laplace.err_estimate == laplace.err_estimate
+        assert chunked_importance.log_evidence == importance.log_evidence
+        assert chunked_importance.err_estimate == importance.err_estimate
+        assert chunked_importance.info["ess"] == importance.info["ess"]
 
     def test_a_normalizer_over_many_chunks_keeps_its_bits(self, monkeypatch):
         def run(points):
@@ -951,7 +971,7 @@ class TestChunkedBatch:
                                         vectorized=True)
             return ek.normalize_prior(model, 201)
 
-        default, chunked, points = self._both_chunks(monkeypatch, run)
+        default, chunked, _, points = self._both_chunks(monkeypatch, run)
         assert max(points) == 1000 and len(points) > 40  # the grid alone takes 41 calls
         assert chunked.log_norm_const == default.log_norm_const
         assert chunked.err_estimate == default.err_estimate

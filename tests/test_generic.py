@@ -30,6 +30,17 @@ def _zero(points):
     return np.zeros(len(points))
 
 
+def _warm_peak(call):
+    """The ``tracemalloc`` peak of ``call()``, after one call to warm any lazy set-up."""
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def _mixture(rng, dim):
     means = rng.uniform(-3.0, 3.0, size=(3, dim))
     scales = rng.uniform(0.4, 1.2, size=3)
@@ -803,13 +814,16 @@ class TestRichardsonGrid:
         model = ek.GenericModelSpec(dim=d, log_lik=_zero, regularizer=_zero, vectorized=True)
         log_integrand = evidkit.generic._objective(model)
         box = [[-1.0, 1.0]] * d
-        log_trapezoid_integral(model, log_integrand, box, g)  # warm any lazy set-up
-        tracemalloc.start()
-        try:
-            log_trapezoid_integral(model, log_integrand, box, g)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = _warm_peak(lambda: log_trapezoid_integral(model, log_integrand, box, g))
+        assert peak < 6.5 * g ** d * 8
+
+    # Blocks of EVAL_CHUNK rows keep a wrapped GLM's (m, d) temporaries off the peak: 5.5 and
+    # 5.9 buffers of N doubles here, where one call over the whole grid peaked at 9.0 and 12.0.
+    @pytest.mark.parametrize("d, g", [(2, 201), (3, 41)])
+    def test_a_wrapped_glm_quadrature_peaks_below_six_and_a_half_node_buffers(self, d, g):
+        spec, obs = polynomial_glm(1511, d)
+        model, prior = ek.wrap_glm(spec, obs), ek.glm_normalized_prior(spec)
+        peak = _warm_peak(lambda: ek.evidence_quadrature(model, prior, g))
         assert peak < 6.5 * g ** d * 8
 
     def test_accuracy_failure_from_quadrature_carries_both_values(self):
