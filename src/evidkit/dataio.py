@@ -25,12 +25,12 @@ __all__ = ["read_observations", "format_number", "render_json", "write_json", "w
 def read_observations(path: str) -> ObservationSet:
     """Parse a UTF-8 CSV with header ``y`` or ``x,y`` into an ObservationSet.
 
-    Decimal separator is ``.``; cells may be quoted or padded with spaces.
-    Blank lines are skipped but count in line numbers: the first line is
-    line 1.  A row with a missing, extra, non-numeric or non-finite entry is
-    rejected naming its line and column; a file that is not UTF-8, naming its
-    first undecodable line.  The body is parsed in one numpy pass; a file
-    that pass refuses is parsed again row by row, which words every error.
+    Decimal separator is ``.``; cells may be quoted or padded with spaces, and a leading
+    byte-order mark (as Excel's "CSV UTF-8" writes) is dropped.  Blank lines are skipped but
+    count in line numbers: the first line is line 1.  A row with a missing, extra, non-numeric
+    or non-finite entry is rejected naming its line and column; a file that is not UTF-8,
+    naming its first undecodable line.  The body is parsed in one numpy pass; a file that
+    pass refuses is parsed again row by row, which words every error.
     """
     try:
         with open(path, "rb") as handle:
@@ -44,7 +44,7 @@ def read_observations(path: str) -> ObservationSet:
     header_line, header = next(rows, (0, []))
     if [cell.strip() for cell in header] in (["y"], ["x", "y"]) and next(rows, None) is not None:
         # Universal newlines end lines where the csv reader does; numpy alone ends them at \n.
-        lines = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", newline=None)
+        lines = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8-sig", newline=None)
         try:
             table = np.loadtxt(lines, delimiter=",", comments=None, quotechar='"',
                                skiprows=header_line, ndmin=2)
@@ -57,7 +57,7 @@ def read_observations(path: str) -> ObservationSet:
 
 def _csv_rows(raw: bytes):
     """The nonblank ``(file line, cells)`` rows of ``raw``, as the csv reader counts lines."""
-    reader = csv.reader(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", newline=""))
+    reader = csv.reader(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8-sig", newline=""))
     return ((reader.line_num, row) for row in reader if row)
 
 

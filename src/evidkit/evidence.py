@@ -19,21 +19,18 @@ import operator
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, solve_triangular
+from scipy.linalg import solve_triangular
 
-from .exceptions import CurvatureFailure, DegeneracyFailure
+from .exceptions import DegeneracyFailure
 from .generic import (
     GenericModelSpec,
     NormalizedPrior,
     DEFAULT_GRID,
-    HESS_STEP,
     _check_grid,
-    _declared_box,
+    _laplace_mode,
     _objective,
     _region,
-    _stencil_derivatives,
     _richardson_log_integral,
-    _search,
     _value_at,
 )
 from .glm import (LOG_2PI, GaussianLinearSpec, ObservationSet, _check_count, _check_scale,
@@ -82,41 +79,6 @@ def _check_sample_sizes(ns) -> tuple[int, ...]:
 def _log_joint_fn(model: GenericModelSpec, prior: NormalizedPrior):
     psi, log_z = _objective(model), prior.log_norm_const
     return lambda points: operator.isub(psi(points), log_z)  # psi's array is fresh: shift in place
-
-
-def _laplace_mode(model: GenericModelSpec, start=None, theta_hat=None, curvature=None,
-                  strict=True):
-    """``(theta_hat, A, L)``: the MAP, the Laplace curvature ``A`` there and its lower factor.
-
-    The MAP is searched from ``start`` (default: the declared box's centre), and ``A`` is
-    ``-hess`` of its :class:`~evidkit.generic._Mode`.  A given ``theta_hat`` is not searched; it
-    must lie in the support (else ValueError), and its stencil's step shrinks near a bound as
-    the search's does.  A given ``curvature`` is ``A``.  An ``A`` that is not finite or fails
-    the factorization raises :class:`CurvatureFailure`, or gives ``L = None`` when not ``strict``.
-    """
-    if theta_hat is None:
-        start = _declared_box(model).mean(axis=1) if start is None else start
-        theta_hat, _, hess, _ = _search(model, start)
-    else:
-        theta_hat = np.asarray(theta_hat, dtype=float)
-        bounds = model.bounds()
-        if np.any(theta_hat < bounds[:, 0]) or np.any(theta_hat > bounds[:, 1]):
-            raise ValueError("theta_hat lies outside the support box")
-        if curvature is None:
-            hess = _stencil_derivatives(_objective(model), theta_hat, hess_step=HESS_STEP,
-                                        bounds=bounds)[1]
-    curvature = -hess if curvature is None else curvature
-    # numpy's Cholesky factors an inf or NaN matrix without complaint.
-    if np.all(np.isfinite(curvature)):
-        try:
-            return theta_hat, curvature, np.linalg.cholesky(curvature)
-        except LinAlgError:
-            pass
-    if not strict:
-        return theta_hat, curvature, None
-    raise CurvatureFailure(
-        "Hessian at the MAP is not positive definite (saddle or ridge); "
-        "the Laplace approximation is undefined here")
 
 
 def evidence_quadrature(model: GenericModelSpec, prior: NormalizedPrior,
@@ -169,10 +131,10 @@ def evidence_laplace(model: GenericModelSpec, prior: NormalizedPrior, *, start=N
     Gaussian, which is what the closed-form tests exploit.
 
     When ``dim <= 3`` the error estimate is ``|log E - reference|`` plus the
-    reference's error, both as :func:`evidence_quadrature` finds them from
-    the same MAP and factor, on ``err_check_grid`` points per axis (at
-    least 5; default ``DEFAULT_GRID``); ``info`` records the reference's
-    box and grid.  Above that NaN is reported and a given grid is refused.
+    reference's error, both as :func:`evidence_quadrature` finds them from the
+    same MAP and factor, on ``err_check_grid`` points per axis (at least 5;
+    default: the evidence size of ``DEFAULT_GRID``'s row); ``info`` records the
+    reference's box and grid.  Above that NaN is reported and a given grid is refused.
     """
     if model.dim in DEFAULT_GRID or err_check_grid is not None:  # refuse before the search
         err_check_grid = _check_grid(err_check_grid, model.dim)
@@ -308,10 +270,8 @@ def bic_penalty(d: int, n) -> float:
     ``n`` may be any real >= 1 so the penalty can be evaluated at analytic
     sample sizes; real uses pass the integer count of observations.
     """
-    d = int(d)
+    d = _check_count(d, "d")
     n = float(n)
-    if d < 1:
-        raise ValueError("d must be >= 1")
     if not n >= 1:
         raise ValueError("n must be >= 1")
     return 0.5 * d * float(np.log(n))

@@ -80,11 +80,13 @@ def _check_scale(value, name) -> float:
 
 
 def _check_count(value, name, low: int = 1) -> int:
-    """A count, size or seed as an int: at least ``low``."""
-    value = int(value)
-    if value < low:
+    """A count, size or seed as an int: a whole number (a fraction is refused), >= ``low``."""
+    count = int(value)
+    if count != value:
+        raise ValueError(f"{name} must be a whole number, got {value}")
+    if count < low:
         raise ValueError(f"{name} must be >= {low}")
-    return value
+    return count
 
 
 @dataclass(frozen=True, eq=False)
@@ -243,10 +245,9 @@ _POTRF, _POTRS = get_lapack_funcs(("potrf", "potrs"), dtype=np.float64)
 def _cholesky_solve(matrix, rhs, name):
     """``(L, matrix^-1 rhs)`` for a finite SPD ``matrix``; ``rhs`` is a vector or rows of them.
 
-    A stack of matrices (m, d, d) takes a vector each as a row; a failure names its row.
+    A stack of matrices (m, d, d) takes a vector each as a row; a failure names its row.  Each
+    caller tests that its ``rhs`` is finite and names what is not, so no test is made here.
     """
-    if not np.isfinite(rhs).all():
-        raise ValueError("array must not contain infs or NaNs")
     if matrix.ndim == 2:
         return _factor_solve(matrix, rhs, name)
     pairs = [_factor_solve(a, b, name, row) for row, (a, b) in enumerate(zip(matrix, rhs))]

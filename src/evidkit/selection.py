@@ -177,18 +177,12 @@ class RiskReport:
     true_counts: np.ndarray
 
 
-# Grid sizes for a black-box member's prior normalizer.  Its box has the prior's
-# scale, and a kinked penalty converges only as h^2 there: on |theta| over
-# [-30, 30], 41 nodes put log Z 0.17 nats off and 2001 nodes 7.5e-5.
-_PRIOR_GRID = {1: 2001, 2: 201, 3: 41}
-
-
 def _member_evidence(member, obs: ObservationSet, generic_estimator: str,
                      grid_points_per_dim: int | None) -> EvidenceDecomposition:
     if isinstance(member, GaussianLinearSpec):
         return glm_log_evidence(member, obs)
     grid = _check_grid(grid_points_per_dim, member.dim)  # before the prior's grid
-    prior = normalize_prior(member, _PRIOR_GRID[member.dim])
+    prior = normalize_prior(member)
     if generic_estimator == "quadrature":
         return evidence_quadrature(member, prior, grid)
     return evidence_laplace(member, prior, err_check_grid=grid)
@@ -236,9 +230,10 @@ def select(model_set: ModelSet, obs: ObservationSet, rule: str = "max-evidence",
     zero-one loss.  With uniform weights the two rules agree, since the
     scores differ by a constant.  Gaussian linear members use the exact
     closed form; black-box members use the configured generic estimator,
-    with the prior normalized on a prior-scale grid (2001, 201^2 or 41^3
-    nodes).  ``grid_points_per_dim`` (default ``DEFAULT_GRID``) sizes the
-    quadrature; under either estimator it is checked before any evaluation.
+    with the prior normalized on the prior size of the member's ``DEFAULT_GRID``
+    row (2001, 201^2 or 41^3 nodes).  ``grid_points_per_dim`` (default: the
+    row's evidence size, 41) sizes the quadrature; under either estimator it is
+    checked before any evaluation.
 
     Ties within 1e-12 of the maximum go to the lowest index and set
     ``tie_broken``.  A failure raises ``SelectionFailure`` naming the member.

@@ -285,14 +285,25 @@ class TestReadObservations:
 
     @pytest.mark.parametrize("text", [
         "x,y\n1,2\n3,4\n", "x,y\r\n1,2\r\n3,4", "x,y\r1,2\r3,4\r",
-        '"x","y"\n"1", 2 \n\n\t3,"4\n"\n', "\n\ny\n1\n\n2\n",
-    ], ids=["lf", "crlf", "cr", "quoted-and-padded", "blank-lines"])
+        '"x","y"\n"1", 2 \n\n\t3,"4\n"\n', "\n\ny\n1\n\n2\n", "\ufeffx,y\n1,2\n3,4\n",
+    ], ids=["lf", "crlf", "cr", "quoted-and-padded", "blank-lines", "byte-order-mark"])
     def test_clean_file_never_reaches_the_row_wise_parse(self, tmp_path, monkeypatch, text):
         path = tmp_path / "clean.csv"
         path.write_bytes(text.encode("utf-8"))
         expected = _outcome(_row_wise, str(path))
         monkeypatch.setattr(evidkit.dataio, "_parse_rows", _unreachable)
         assert _outcome(read_observations, str(path)) == expected
+
+    def test_a_byte_order_mark_keeps_line_numbers(self, tmp_path):
+        # Excel's "CSV UTF-8" export starts with one; rows and byte offsets count as without it.
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"\xef\xbb\xbfx,y\n1,2\n3,a\n")
+        with pytest.raises(DataError, match="row 3: non-numeric value 'a' in column y$"):
+            read_observations(str(path))
+        path.write_bytes(b"\xef\xbb\xbfx,y\n1,\xff\n")
+        with pytest.raises(DataError, match="row 2: not UTF-8 text: 'utf-8' codec can't decode "
+                                            "byte 0xff in position 2"):
+            read_observations(str(path))
 
     def test_round_trip_is_bit_exact(self, tmp_path, monkeypatch):
         rng = np.random.default_rng(7)
@@ -340,7 +351,7 @@ def _generated_corpus(count, seed):
 
 
 def _row_wise(path):
-    with open(path, encoding="utf-8", newline="") as handle:
+    with open(path, encoding="utf-8-sig", newline="") as handle:
         reader = csv.reader(handle)
         return _parse_rows(path, ((reader.line_num, row) for row in reader if row))
 

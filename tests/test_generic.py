@@ -530,6 +530,19 @@ class TestMultistart:
 
 
 class TestNormalizePrior:
+    @pytest.mark.parametrize("d, g", [(1, 2001), (2, 201), (3, 41)])
+    def test_no_grid_takes_the_prior_size_of_the_table(self, d, g):
+        # A kinked penalty over a prior-scale box, as a black-box member's prior in select.
+        model = ek.GenericModelSpec(
+            dim=d, log_lik=_zero, regularizer=lambda points: np.abs(points).sum(axis=1),
+            support=[[-30.0, 30.0]] * d, vectorized=True)
+        assert evidkit.generic.DEFAULT_GRID[d][1] == g
+        default, given = ek.normalize_prior(model), ek.normalize_prior(model, g)
+        assert default.log_norm_const == given.log_norm_const
+        assert default.err_estimate == given.err_estimate
+        assert np.array_equal(default.box, given.box)
+        assert default.grid_points_per_dim == given.grid_points_per_dim == g
+
     def test_unit_gaussian(self):
         prior = ek.normalize_prior(gaussian_prior_model(), 2001)
         assert prior.log_norm_const == pytest.approx(HALF_LOG_2PI, abs=1e-8)

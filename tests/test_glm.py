@@ -447,11 +447,6 @@ class TestCholeskySolve:
         with pytest.raises(NumericFailure, match="^m factorization failed: leading minor 2 "):
             evidkit.glm._cholesky_solve(matrix, np.ones(2), "m")
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_non_finite_right_hand_side_rejected(self, bad):
-        with pytest.raises(ValueError, match="infs or NaNs"):
-            evidkit.glm._cholesky_solve(np.eye(2), np.array([1.0, bad]), "m")
-
 
 class TestDesignStacks:
     """The private closed form on designs stacked as (m, n, d), one per response row."""
@@ -506,20 +501,3 @@ class TestCholeskySolveStack:
                 as excinfo:
             evidkit.glm._cholesky_solve(matrices, np.ones((3, 2)), "m")
         assert excinfo.value.row == 2
-
-    def test_right_hand_side_checked_once_per_call(self, monkeypatch):
-        calls = []
-        isfinite = np.isfinite
-
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return isfinite(*args, **kwargs)
-
-        monkeypatch.setattr(np, "isfinite", counted)
-        evidkit.glm._cholesky_solve(np.stack([np.eye(3)] * 6), np.ones((6, 3)), "m")
-        assert len(calls) == 1
-        monkeypatch.undo()
-        rhs = np.ones((6, 3))
-        rhs[4, 1] = np.nan
-        with pytest.raises(ValueError, match="infs or NaNs"):
-            evidkit.glm._cholesky_solve(np.stack([np.eye(3)] * 6), rhs, "m")

@@ -79,3 +79,42 @@ def test_bad_input_is_refused_by_name(case):
     build, error, message = CASES[case]
     with pytest.raises(error, match=f"^{message}"):
         build()
+
+
+def _wrapped():
+    return ek.wrap_glm(_spec(), ek.ObservationSet(y=[1.0, 2.0])), ek.glm_normalized_prior(_spec())
+
+
+FRACTIONS = {
+    "model-dim": (lambda: ek.GenericModelSpec(dim=1.5, log_lik=abs, regularizer=abs),
+                  "dim", 1.5),
+    "bic-penalty-d": (lambda: ek.bic_penalty(2.5, 10), "d", 2.5),
+    "normalize-prior-grid": (lambda: ek.normalize_prior(_line(support=[[-1.0, 1.0]]), 41.5),
+                             "grid_points_per_dim", 41.5),
+    "quadrature-grid": (lambda: ek.evidence_quadrature(*_wrapped(), 41.5),
+                        "grid_points_per_dim", 41.5),
+    "importance-samples": (lambda: ek.evidence_importance(*_wrapped(), samples=2000.5, seed=0),
+                           "samples", 2000.5),
+    "risk-reps": (lambda: ek.risk_mc(ek.ModelSet(members=(_spec(),)), None, 10.5,
+                                     ["max-evidence"], seed=0), "reps", 10.5),
+}
+
+
+@pytest.mark.parametrize("case", list(FRACTIONS), ids=list(FRACTIONS))
+def test_a_fractional_count_is_refused_not_truncated(case):
+    build, name, value = FRACTIONS[case]
+    with pytest.raises(ValueError, match=f"^{name} must be a whole number, got {value}$"):
+        build()
+
+
+def test_a_whole_float_or_numpy_count_is_accepted():
+    model, prior = _wrapped()
+    dec = ek.evidence_importance(model, prior, samples=1e4, seed=0)
+    assert dec.info["samples"] == 10_000 and type(dec.info["samples"]) is int
+    line = _line(support=[[-1.0, 1.0]])
+    given, whole = ek.normalize_prior(line, np.int64(41)), ek.normalize_prior(line, 41)
+    assert given.grid_points_per_dim == 41 and type(given.grid_points_per_dim) is int
+    assert given.log_norm_const == whole.log_norm_const
+    spec = ek.GenericModelSpec(dim=np.int64(2), log_lik=abs, regularizer=abs)
+    assert spec.dim == 2 and type(spec.dim) is int
+    assert ek.bic_penalty(2.0, 10) == ek.bic_penalty(2, 10)

@@ -38,11 +38,8 @@ def test_every_private_definition_is_referenced():
     assert sorted(place for name, place in defined.items() if name not in referenced) == []
 
 
-def test_the_integral_rule_lives_in_generic_only():
-    # One routine owns every black-box integral's box, sums, bar and tolerance; a second
-    # module that names these pieces could split the rule again.
-    owned = ("resolve_integration_box", "_evaluate_grid", "_log_trapezoid_sum", "BOX_SDS",
-             "ROUNDING_ULPS")
+def _named_outside_generic(owned):
+    """``module:line name`` for every line outside ``generic.py`` that names one of ``owned``."""
     named = []
     for path in sorted(glob.glob(os.path.join(ROOT, "src", "evidkit", "*.py"))):
         if os.path.basename(path) == "generic.py":
@@ -51,7 +48,35 @@ def test_the_integral_rule_lives_in_generic_only():
             for number, line in enumerate(handle, start=1):
                 named += [f"{os.path.basename(path)}:{number} {name}"
                           for name in owned if re.search(rf"\b{name}\b", line)]
-    assert named == []
+    return named
+
+
+def test_the_integral_rule_lives_in_generic_only():
+    # One routine owns every black-box integral's box, sums, bar and tolerance; a second
+    # module that names these pieces could split the rule again.
+    assert _named_outside_generic(("resolve_integration_box", "_evaluate_grid",
+                                   "_log_trapezoid_sum", "BOX_SDS", "ROUNDING_ULPS")) == []
+
+
+def test_the_search_rule_lives_in_generic_only():
+    # The MAP search, its stencil, its record and its start box have one home, and the
+    # estimators take the MAP step from it: a second module naming them must change with it.
+    assert _named_outside_generic(("_search", "_search_all", "_Mode", "_stencil_derivatives",
+                                   "GRAD_STEP", "HESS_STEP", "_declared_box")) == []
+
+
+def test_one_table_of_default_grids():
+    # Each supported dimension has one row of grid sizes; a second table could disagree with
+    # it, or lack a row it has.
+    tables = []
+    for path in sorted(glob.glob(os.path.join(ROOT, "src", "evidkit", "*.py"))):
+        with open(path, encoding="utf-8") as handle:
+            tree = ast.parse(handle.read(), filename=path)
+        tables += [(os.path.basename(path), target.id) for node in ast.walk(tree)
+                   if isinstance(node, ast.Assign) and isinstance(node.value, ast.Dict)
+                   for target in node.targets
+                   if isinstance(target, ast.Name) and "GRID" in target.id]
+    assert tables == [("generic.py", "DEFAULT_GRID")]
 
 
 def _definitions(module):
@@ -72,10 +97,24 @@ def test_each_closed_form_decision_is_made_once():
     copies = [node for node in ast.walk(glm)
               if isinstance(node, ast.Attribute) and node.attr == "ascontiguousarray"]
     assert len(copies) == 1
+    # Each caller of the solve tests its own right-hand side, and names what is not finite.
+    assert _calls_to(functions["_cholesky_solve"], "isfinite") == []
     _, functions = _definitions("evidence.py")
     gates = [node for node in ast.walk(functions["evidence_laplace"])
              if isinstance(node, ast.Name) and node.id == "DEFAULT_GRID"]
     assert len(gates) == 1
+
+
+def test_every_count_is_checked_by_one_rule():
+    # One check refuses a fraction and a count below its least value; a hand-written copy
+    # could truncate 41.5 to 41 without a word, as each of these once did.
+    generic, functions = _definitions("generic.py")
+    spec = next(node for node in ast.walk(generic)
+                if isinstance(node, ast.ClassDef) and node.name == "GenericModelSpec")
+    checked = [next(node for node in spec.body if getattr(node, "name", None) == "__post_init__"),
+               functions["_check_grid"], functions["_evaluate_grid"],
+               _definitions("evidence.py")[1]["bic_penalty"]]
+    assert all(_calls_to(function, "_check_count") for function in checked)
 
 
 def _calls_to(tree, name):
@@ -119,7 +158,6 @@ def test_every_stencil_is_taken_at_its_point():
     _, functions = _definitions("generic.py")
     assert _calls_to(functions["_search_all"], "clip") == []
     assert _calls_to(functions["_search_all"], "einsum") == []
-    _, functions = _definitions("evidence.py")
     stencils = _calls_to(functions["_laplace_mode"], "_stencil_derivatives")
     assert stencils and all("bounds" in [keyword.arg for keyword in call.keywords]
                             for call in stencils)
