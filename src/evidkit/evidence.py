@@ -65,12 +65,10 @@ def _check_finite(value, name):
 
 
 def _check_sample_sizes(ns) -> tuple[int, ...]:
-    """Sample sizes as ints: nonempty, each >= 1, strictly increasing."""
-    ns = tuple(int(n) for n in ns)
+    """Sample sizes as ints: nonempty, each a whole number >= 1, strictly increasing."""
+    ns = tuple(_check_count(n, "ns") for n in ns)
     if len(ns) < 1:
         raise ValueError("ns must be nonempty")
-    if any(n < 1 for n in ns):
-        raise ValueError("ns must be >= 1")
     if any(b <= a for a, b in zip(ns, ns[1:])):
         raise ValueError("ns must be strictly increasing")
     return ns
@@ -305,9 +303,10 @@ def compare_penalties(flexibility: float, supplied_penalty: float,
     """Full penalty comparison record for one model."""
     flexibility = _check_finite(flexibility, "flexibility")
     supplied_penalty = _check_finite(supplied_penalty, "supplied_penalty")
+    n = _check_count(n, "n")  # the record's n is the one its penalty is taken at
     return PenaltyComparison(
         flexibility=flexibility, supplied_penalty=supplied_penalty,
-        d=int(d), n=int(n), bic_penalty=bic_penalty(d, n),
+        d=int(d), n=n, bic_penalty=bic_penalty(d, n),
         pen_prime=pen_prime(supplied_penalty, flexibility))
 
 

@@ -12,6 +12,7 @@ rule serves every curvature.  Gradients are never requested from the caller.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from typing import Callable, NamedTuple
@@ -19,7 +20,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .exceptions import AccuracyFailure, ConvergenceFailure, CurvatureFailure, NumericFailure
-from .glm import (LOG_2PI, GaussianLinearSpec, ObservationSet, _check_count, _cholesky_solve,
+from .glm import (LOG_2PI, GaussianLinearSpec, ObservationSet, _check_count, _factor_solve,
                   _posterior)
 
 __all__ = [
@@ -125,6 +126,7 @@ class GenericModelSpec:
     vectorized: bool = False
     _log_lik_batch: Callable = field(init=False, repr=False)
     _regularizer_batch: Callable = field(init=False, repr=False)
+    _bounds: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         dim = _check_count(self.dim, "dim")
@@ -139,12 +141,13 @@ class GenericModelSpec:
             object.__setattr__(
                 self, "effective_box",
                 _as_box(self.effective_box, dim, "effective_box", require_finite=True))
+        bounds = np.tile([-np.inf, np.inf], (dim, 1)) if self.support is None else self.support
+        bounds.setflags(write=False)
+        object.__setattr__(self, "_bounds", bounds)
 
     def bounds(self) -> np.ndarray:
-        """Hard bounds as a (dim, 2) array, infinite where unconstrained."""
-        if self.support is None:
-            return np.column_stack([np.full(self.dim, -np.inf), np.full(self.dim, np.inf)])
-        return np.asarray(self.support)
+        """Hard bounds as a read-only (dim, 2) array, infinite where unconstrained."""
+        return self._bounds
 
 
 @dataclass(frozen=True, eq=False)
@@ -236,15 +239,16 @@ def _stencil_derivatives(f_batch, theta, grad_step=None, hess_step=None, bounds=
     rows = np.atleast_2d(theta)
     m, d = rows.shape
     offsets, i, j = _stencil_table(d)
-    gap = np.inf if bounds is None else np.minimum(rows - bounds[:, 0], bounds[:, 1] - rows)
+    scale = 1.0 + np.abs(rows)
+    gap = None if bounds is None else np.minimum(rows - bounds[:, 0], bounds[:, 1] - rows)
     scaled = []
     if grad_step is not None:
-        hg = grad_step * (1.0 + np.abs(rows))
-        hg = np.where(gap < hg, gap / 2.0, hg)
+        hg = grad_step * scale
+        hg = hg if gap is None else np.where(gap < hg, gap / 2.0, hg)
         scaled.append(offsets[1:2 * d + 1] * hg[:, None, :])
     if hess_step is not None:
-        h = hess_step * (1.0 + np.abs(rows))
-        h = np.where(gap < h, gap / 2.0, h)
+        h = hess_step * scale
+        h = h if gap is None else np.where(gap < h, gap / 2.0, h)
         scaled.append(offsets * h[:, None, :])
     points = rows[:, None, :] + np.concatenate(scaled, axis=1)
     values = f_batch(points.reshape(-1, d)).reshape(m, -1)
@@ -254,11 +258,16 @@ def _stencil_derivatives(f_batch, theta, grad_step=None, hess_step=None, bounds=
         if grad_step is not None:
             grad = (values[:, :d] - values[:, d:2 * d]) / (2.0 * hg)
         if hess_step is not None:
-            f0, f_up, f_dn, f_pp, f_pm, f_mp, f_mm = np.split(
-                values[:, -len(offsets):], np.cumsum([1, d, d] + [i.size] * 3), axis=1)
-            hess = np.zeros((m, d, d))
-            hess[:, range(d), range(d)] = (f_up - 2.0 * f0 + f_dn) / h ** 2
-            hess[:, i, j] = hess[:, j, i] = (f_pp - f_pm - f_mp + f_mm) / (4.0 * h[:, i] * h[:, j])
+            c = values.shape[1] - len(offsets)  # the centre's column, after the gradient's
+            f0, f_up, f_dn = (values[:, c:c + 1], values[:, c + 1:c + 1 + d],
+                              values[:, c + 1 + d:c + 1 + 2 * d])
+            hess = np.empty((m, d, d))
+            hess.reshape(m, -1)[:, ::d + 1] = (f_up - 2.0 * f0 + f_dn) / h ** 2  # the diagonal
+            if i.size:
+                corners = values[:, c + 1 + 2 * d:].reshape(m, 4, i.size)
+                f_pp, f_pm, f_mp, f_mm = corners.transpose(1, 0, 2)
+                hess[:, i, j] = hess[:, j, i] = \
+                    (f_pp - f_pm - f_mp + f_mm) / (4.0 * h[:, i] * h[:, j])
     if theta.ndim < 2:  # one point: its results unstacked
         grad = None if grad is None else grad[0]
         hess = None if hess is None else hess[0]
@@ -298,14 +307,15 @@ def _ascent_step(grad, hess):
     (Nocedal and Wright, *Numerical Optimization*, 2006, Algorithm 3.3).
     """
     # potrf factors [[inf]] and the solve gives a zero step, which would pass as stationary.
-    if not (np.all(np.isfinite(hess)) and np.all(np.isfinite(grad))):
+    if not (np.isfinite(hess).all() and np.isfinite(grad).all()):
         return None
-    top = float(np.diag(hess).max())
+    top = float(hess.diagonal().max())
     tau = 0.0 if top < 0 else SHIFT_FLOOR + top
-    while np.isfinite(tau):
+    eye = _stencil_table(grad.size)[0][1:grad.size + 1]  # the stencil's up offsets, read-only
+    while math.isfinite(tau):
         try:
-            step = _cholesky_solve(tau * np.eye(grad.size) - hess, grad, "Hessian")[1]
-            return step if np.all(np.isfinite(step)) else None
+            step = _factor_solve(tau * eye - hess, grad, "Hessian")[1]
+            return step if np.isfinite(step).all() else None
         except NumericFailure:
             tau = max(2.0 * tau, SHIFT_FLOOR)
     return None
@@ -330,7 +340,10 @@ def map_optimize(model: GenericModelSpec, start, *, max_iter=MAX_ITER) -> np.nda
     stencil is centred at ``theta``, its step shrunk to half the gap near a finite bound, and
     a line-search trial past a finite bound stops halfway to it, so no iterate lands on one.
 
-    Each iteration evaluates the gradient and Hessian stencils as one batch.
+    Each iteration evaluates the gradient and Hessian stencils as one batch, and each
+    backtracking round its trial, unless the trial has not moved: one stopped at a bound stays
+    put while ``t * step`` still crosses it, and its value is kept.
+
     Convergence requires an interior point whose Hessian is negative
     semidefinite within ``CURVATURE_TOL`` and which is stationary: its
     central-difference gradient has sup-norm below ``GRAD_TOL``, or its
@@ -369,7 +382,7 @@ def _search_all(model: GenericModelSpec, starts, max_iter=MAX_ITER) -> list[_Mod
     returned list; a failed start's is its last iterate, its best since an accepted step gains
     ``1e-4 t`` times a decrement that is never negative.  Only the model evaluations are
     shared: one batch for the start values, one per iteration for every searching start's
-    stencil, and one per backtracking round for every start still line-searching.
+    stencil, and one per backtracking round for the trials that moved.
     """
     bounds = model.bounds()
     thetas = np.array(starts, dtype=float)
@@ -377,10 +390,12 @@ def _search_all(model: GenericModelSpec, starts, max_iter=MAX_ITER) -> list[_Mod
         raise ValueError(f"start has shape {thetas.shape[1:]}, expected ({model.dim},)")
     if np.any(thetas < bounds[:, 0]) or np.any(thetas > bounds[:, 1]):
         raise ValueError("start lies outside the support box")
+    # On an unbounded support no stencil step shrinks, no trial stops and every point is interior.
+    bounded = bool(np.isfinite(bounds).any())
 
     psi = _objective(model)
-    values = [float(value) for value in psi(thetas)]
-    if not np.all(np.isfinite(values)):
+    values = psi(thetas).tolist()
+    if not all(map(math.isfinite, values)):
         raise ValueError("objective is not finite at the start point")
     stall = STALL_ULPS * np.finfo(float).eps
     # Each start's end: a _Mode, or why its search stopped.
@@ -388,15 +403,16 @@ def _search_all(model: GenericModelSpec, starts, max_iter=MAX_ITER) -> list[_Mod
 
     searching = list(range(len(thetas)))
     for iteration in range(1, max_iter + 1):
-        grads, hesses = _stencil_derivatives(psi, thetas[searching], GRAD_STEP, HESS_STEP, bounds)
+        grads, hesses = _stencil_derivatives(psi, thetas[searching], GRAD_STEP, HESS_STEP,
+                                             bounds if bounded else None)
+        flat = (np.abs(grads).max(axis=1) < GRAD_TOL).tolist()
         steps = {}
-        for k, grad, hess in zip(searching, grads, hesses):
+        for k, grad, hess, small in zip(searching, grads, hesses, flat):
             theta, value = thetas[k], values[k]
             step = _ascent_step(grad, hess)
-            decrement = np.inf if step is None else float(grad @ step)
-            stationary = (np.max(np.abs(grad)) < GRAD_TOL
-                          or decrement <= stall * max(1.0, abs(value)))
-            if stationary and _strictly_interior(theta, bounds):
+            decrement = math.inf if step is None else float(grad @ step)
+            stationary = small or decrement <= stall * max(1.0, abs(value))
+            if stationary and (not bounded or _strictly_interior(theta, bounds)):
                 if float(np.linalg.eigvalsh(hess).max()) <= CURVATURE_TOL:
                     ends[k] = _Mode(theta.copy(), value, hess)
                     continue
@@ -407,20 +423,35 @@ def _search_all(model: GenericModelSpec, starts, max_iter=MAX_ITER) -> list[_Mod
                     decrement = 0.5 * curvature[-1] * float(step @ step)
             steps[k] = step, decrement
 
-        t = 1.0
+        t, tried = 1.0, None
         backtracking = [k for k, (step, _) in steps.items() if step is not None]
+        # One row per start still line-searching, built once and trimmed as starts accept.
+        current, directions = thetas[backtracking], np.array([steps[k][0] for k in backtracking])
         searching = []  # the starts whose line search accepts a step
         while backtracking and t > 1e-12:
-            current = thetas[backtracking]
-            trials = current + t * np.array([steps[k][0] for k in backtracking])
-            # A trial past a finite bound stops halfway there, so no iterate lands on a bound.
-            trials = np.where(trials < bounds[:, 0], (current + bounds[:, 0]) / 2.0, trials)
-            trials = np.where(trials > bounds[:, 1], (current + bounds[:, 1]) / 2.0, trials)
-            for k, trial, trial_value in zip(backtracking, trials, psi(trials)):
-                if np.isfinite(trial_value) and trial_value >= values[k] + 1e-4 * t * steps[k][1]:
-                    thetas[k], values[k] = trial, float(trial_value)
+            trials = current + t * directions
+            if bounded:  # a trial past a finite bound stops halfway there, off the bound
+                trials = np.where(trials < bounds[:, 0], (current + bounds[:, 0]) / 2.0, trials)
+                trials = np.where(trials > bounds[:, 1], (current + bounds[:, 1]) / 2.0, trials)
+            # A trial stopped at a bound stays put while t * step still crosses it: its value
+            # is kept, not evaluated again.
+            moved = None if tried is None else (trials != tried).any(axis=1)
+            if moved is None or moved.all():
+                trial_values = psi(trials)
+            elif moved.any():
+                trial_values[moved] = psi(trials[moved])
+            keep = []
+            for k, trial, value in zip(backtracking, trials, trial_values.tolist()):
+                ascends = math.isfinite(value) and value >= values[k] + 1e-4 * t * steps[k][1]
+                if ascends:
+                    thetas[k], values[k] = trial, value
                     searching.append(k)
-            backtracking = [k for k in backtracking if k not in searching]
+                keep.append(not ascends)
+            if not all(keep):
+                backtracking = [k for k, kept in zip(backtracking, keep) if kept]
+                current, directions, trials, trial_values = (
+                    current[keep], directions[keep], trials[keep], trial_values[keep])
+            tried = trials
             t /= 2.0
         for k in steps:
             if k not in searching:
@@ -491,7 +522,7 @@ def map_optimize_multistart(model: GenericModelSpec, seed: int, *, box=None) -> 
 
     The starts advance in lockstep: each iteration evaluates every searching
     start's stencil as one batch, and each backtracking round the trial
-    points of every start still line-searching.  Each start keeps the path
+    points that moved, of the starts still line-searching.  Each start keeps the path
     and the result it would have alone.
     """
     bounds = model.bounds()
@@ -521,11 +552,13 @@ def map_optimize_multistart(model: GenericModelSpec, seed: int, *, box=None) -> 
 
 def _declared_box(model: GenericModelSpec, limits=None) -> np.ndarray:
     """Initial finite box: ``limits`` (default: the support), the effective box where infinite."""
-    box = (model.bounds() if limits is None else limits).copy()
-    for k, side in zip(*np.nonzero(~np.isfinite(box))):
+    box = model.bounds() if limits is None else limits
+    unbounded = ~np.isfinite(box)
+    if unbounded.any():
         if model.effective_box is None:
+            k = np.argwhere(unbounded)[0, 0]
             raise ValueError(f"coordinate {k} has unbounded support; declare effective_box")
-        box[k, side] = model.effective_box[k, side]
+        box = np.where(unbounded, model.effective_box, box)
     if np.any(box[:, 0] >= box[:, 1]):
         raise ValueError("integration box has lower >= upper")
     return box

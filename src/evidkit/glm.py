@@ -259,7 +259,9 @@ def _factor_solve(matrix, rhs, name, row=None):
     if info > 0:
         raise NumericFailure(f"{name} factorization failed: leading minor {info} is not positive",
                              row=row)
-    blocks = [rhs] if rhs.ndim == 1 else np.split(rhs, range(_SOLVE_BLOCK, len(rhs), _SOLVE_BLOCK))
+    if rhs.ndim == 1:
+        return factor, _POTRS(factor, rhs, lower=True)[0]
+    blocks = np.split(rhs, range(_SOLVE_BLOCK, len(rhs), _SOLVE_BLOCK))
     return factor, np.concatenate([_POTRS(factor, b.T, lower=True)[0].T for b in blocks])
 
 

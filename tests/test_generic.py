@@ -1,5 +1,6 @@
 """Black-box model interface: MAP search and prior normalization."""
 
+import hashlib
 import tracemalloc
 import warnings
 
@@ -527,6 +528,145 @@ class TestMultistart:
         with pytest.raises(ValueError, match="^box must lie inside the support$"):
             ek.map_optimize_multistart(model, seed=0, box=[[-1.0, 3.0]])
         assert points == []
+
+
+def _search_cases():
+    """``name -> (model, starts)``: the searches whose bits :class:`TestSearchBits` pins."""
+    cases = {}
+    for d in (1, 2, 3):
+        model = ek.wrap_glm(*polynomial_glm(5, d))
+        cases[f"glm-d{d}-centre"] = model, [model.effective_box.mean(axis=1)]
+        basins = ek.map_optimize_multistart(model, seed=4, box=model.effective_box).basins
+        cases[f"glm-d{d}-multistart"] = model, [start for start, _, _ in basins]
+    logistic = logistic_model(seed=3)
+    cases["logistic-vectorized"] = logistic, [[0.5]]
+    cases["logistic-scalar"] = ek.GenericModelSpec(
+        dim=1, log_lik=lambda theta: logistic.log_lik(theta[None])[0],
+        regularizer=lambda theta: logistic.regularizer(theta[None])[0],
+        support=logistic.support), [[0.5]]
+    for peak in (5e-5, 1.8e-4, 50.0 - 5e-5):  # within a stencil step of a bound
+        cases[f"near-bound-{peak}"] = ek.GenericModelSpec(
+            dim=1, log_lik=lambda theta, peak=peak: -0.5 * (theta[0] - peak) ** 2,
+            regularizer=lambda theta: 0.0, support=[[0.0, 50.0]]), [[1.0]]
+    cases["saddle"] = ek.GenericModelSpec(
+        dim=2, log_lik=lambda pts: -(pts[:, 0] ** 2 - 1.0) ** 2 - pts[:, 1] ** 2,
+        regularizer=_zero, support=[[-3.0, 3.0]] * 2, vectorized=True), [[0.0, 0.0]]
+    cases["kink"] = ek.GenericModelSpec(
+        dim=1, log_lik=lambda pts: -0.125 * (pts[:, 0] - 1.0) ** 2,
+        regularizer=lambda pts: np.abs(pts[:, 0]), support=[[-30.0, 30.0]],
+        vectorized=True), [[0.0]]
+    # Each peaks on a finite bound, which every trial past it stops halfway to.
+    cases["bound-linear"] = _bound_model(lambda pts: pts[:, 0], 1.0), [[0.5]]
+    cases["bound-quadratic"] = _bound_model(lambda pts: -(pts[:, 0] + 1.0) ** 2, 5.0), [[2.0]]
+    return cases
+
+
+def _bound_model(log_lik, upper):
+    return ek.GenericModelSpec(dim=1, log_lik=log_lik, regularizer=_zero,
+                               support=[[0.0, upper]], vectorized=True)
+
+
+def _counted_search(monkeypatch, model, starts):
+    """``(modes, batches, points)`` of one lockstep search: the objective batches it made."""
+    objective = evidkit.generic._objective
+    sizes = []
+
+    def counted(model):
+        psi = objective(model)
+
+        def batch(points):
+            sizes.append(len(points))
+            return psi(points)
+
+        return batch
+
+    monkeypatch.setattr(evidkit.generic, "_objective", counted)
+    modes = evidkit.generic._search_all(model, np.array(starts, dtype=float))
+    return modes, len(sizes), sum(sizes)
+
+
+def _mode_digest(modes):
+    digest = hashlib.sha256()
+    for mode in modes:
+        digest.update(mode.theta.tobytes() + mode.value.hex().encode())
+        digest.update(b"-" if mode.hess is None else mode.hess.tobytes())
+        digest.update(str(mode.failure).encode())
+    return digest.hexdigest()[:16]
+
+
+class TestSearchBits:
+    # Each search's best mode (its theta and value as hex floats), a digest of every mode
+    # (theta, value, Hessian and failure), and, where no trial stops at a bound, its objective
+    # batches and points.  A cheaper search must keep every bit and every batch.
+    PINNED = {
+        "glm-d1-centre": (
+            ["-0x1.1b7549b9c8c6dp-1"],
+            "-0x1.17328fadd6f86p+7", "4343d975b20e38e1", (4, 12)),
+        "glm-d1-multistart": (
+            ["-0x1.1b7549d1d9f7cp-1"],
+            "-0x1.17328fadd6f85p+7", "d47574a5ab1d30a9", (6, 120)),
+        "glm-d2-centre": (
+            ["-0x1.19d16195ca7c9p-1", "-0x1.0f7a97a9db588p+1"],
+            "-0x1.1733673701502p+7", "50ff6c342a494813", (6, 42)),
+        "glm-d2-multistart": (
+            ["-0x1.19d16195c8b15p-1", "-0x1.0f7a97a9db4d2p+1"],
+            "-0x1.1733673701502p+7", "6f4e2970d3a54d8c", (6, 322)),
+        "glm-d3-centre": (
+            ["-0x1.0c02235b4f811p-1", "-0x1.07e0fc101f3dcp+1", "-0x1.3643d4e52c2c8p-1"],
+            "-0x1.17c738edfa1eep+7", "80e2ad02ff2245bb", (6, 78)),
+        "glm-d3-multistart": (
+            ["-0x1.0c02235b538a8p-1", "-0x1.07e0fc101f2a5p+1", "-0x1.3643d4e52acdep-1"],
+            "-0x1.17c738edfa1edp+7", "af8395c6a1a211d3", (6, 624)),
+        "logistic-vectorized": (
+            ["0x1.4d70c19b988c4p+0"],
+            "-0x1.dc16cc47da2c8p+1", "14790671b12167de", (10, 30)),
+        "logistic-scalar": (
+            ["0x1.4d70c19b988c4p+0"],
+            "-0x1.dc16cc47da2c8p+1", "14790671b12167de", (10, 30)),
+        "near-bound-5e-05": (
+            ["0x1.a36a2fb50c000p-15"],
+            "-0x1.fefcd9061baa5p-60", "dbead4d0841e2a23", (4, 12)),
+        "near-bound-0.00018": (
+            ["0x1.797bc3dd29000p-13"],
+            "-0x1.ff0b6ebf6278ep-60", "0c805a578ba79e35", (4, 12)),
+        "near-bound-49.99995": (
+            ["0x1.8fffe5c89a0ffp+5"],
+            "-0x1.0c3836e184000p-57", "bf8d886f31fe2184", (4, 12)),
+        "saddle": (
+            ["0x1.0000000000000p+0", "0x0.0p+0"],
+            "-0x0.0p+0", "232bba18b46e04a6", (4, 28)),
+        "kink": (
+            ["0x0.0p+0"],
+            "-0x1.0000000000000p-3", "67bbb772e2a6e648", (42, 46)),
+        "bound-linear": (
+            ["0x1.ffffffffff800p-1"],
+            "0x1.ffffffffff800p-1", "7dc00b19c1df5052", None),
+        "bound-quadratic": (
+            ["0x1.0000000000000p-41"],
+            "-0x1.0000000001000p+0", "2a5066906e59aa78", None),
+    }
+
+    @pytest.mark.parametrize("name", list(PINNED))
+    def test_every_mode_keeps_its_bits(self, monkeypatch, name):
+        model, starts = _search_cases()[name]
+        modes, batches, points = _counted_search(monkeypatch, model, starts)
+        best = max(modes, key=lambda mode: mode.value)
+        theta, value, digest, counts = self.PINNED[name]
+        assert [x.hex() for x in best.theta.tolist()] == theta
+        assert best.value.hex() == value
+        assert _mode_digest(modes) == digest
+        if counts is not None:
+            assert (batches, points) == counts
+
+    @pytest.mark.parametrize("name, iterations", [("bound-linear", 42), ("bound-quadratic", 43)])
+    def test_a_trial_stopped_at_a_bound_is_evaluated_once(self, monkeypatch, name, iterations):
+        # The peak is on the bound, so each trial stops at the same halfway point in every
+        # backtracking round until t * step no longer crosses the bound: after the start, one
+        # stencil batch (5 points) and one trial batch (1 point) per iteration.
+        model, starts = _search_cases()[name]
+        (mode,), batches, points = _counted_search(monkeypatch, model, starts)
+        assert mode.failure == f"no ascent step was left at iteration {iterations}"
+        assert (batches, points) == (1 + 2 * iterations, 1 + 6 * iterations)
 
 
 class TestNormalizePrior:

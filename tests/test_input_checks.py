@@ -97,6 +97,9 @@ FRACTIONS = {
                            "samples", 2000.5),
     "risk-reps": (lambda: ek.risk_mc(ek.ModelSet(members=(_spec(),)), None, 10.5,
                                      ["max-evidence"], seed=0), "reps", 10.5),
+    "bic-sweep-ns": (lambda: ek.bic_sweep(ek.polynomial_sweep_family([1.0, 0.5], 1.0, 1.0),
+                                          [100.5, 1000], seed=0), "ns", 100.5),
+    "compare-penalties-n": (lambda: ek.compare_penalties(0.8, 1.3, d=2, n=50.5), "n", 50.5),
 }
 
 

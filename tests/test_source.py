@@ -111,9 +111,10 @@ def test_every_count_is_checked_by_one_rule():
     generic, functions = _definitions("generic.py")
     spec = next(node for node in ast.walk(generic)
                 if isinstance(node, ast.ClassDef) and node.name == "GenericModelSpec")
+    evidence = _definitions("evidence.py")[1]
     checked = [next(node for node in spec.body if getattr(node, "name", None) == "__post_init__"),
-               functions["_check_grid"], functions["_evaluate_grid"],
-               _definitions("evidence.py")[1]["bic_penalty"]]
+               functions["_check_grid"], functions["_evaluate_grid"], evidence["bic_penalty"],
+               evidence["_check_sample_sizes"], evidence["compare_penalties"]]
     assert all(_calls_to(function, "_check_count") for function in checked)
 
 
