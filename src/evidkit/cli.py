@@ -88,26 +88,19 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
-    """Expand '0..9' ranges and comma lists of integers."""
+    """Expand a comma list of 'lo..hi' ranges; a lone integer is the range from itself to itself."""
     values: list[int] = []
     for part in text.split(","):
-        part = part.strip()
-        if not part:
-            raise argparse.ArgumentTypeError(f"empty entry in {text!r}")
-        if ".." in part:
-            lo_text, _, hi_text = part.partition("..")
-            try:
-                lo, hi = int(lo_text), int(hi_text)
-            except ValueError:
-                raise argparse.ArgumentTypeError(f"cannot parse range {part!r}") from None
-            if hi < lo:
-                raise argparse.ArgumentTypeError(f"descending range {part!r}")
-            values.extend(range(lo, hi + 1))
-        else:
-            try:
-                values.append(int(part))
-            except ValueError:
-                raise argparse.ArgumentTypeError(f"cannot parse integer {part!r}") from None
+        lo_text, dots, hi_text = part.partition("..")
+        try:
+            lo = int(lo_text)
+            hi = int(hi_text) if dots else lo
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"cannot parse {part.strip()!r} in {text!r} as an integer or a range") from None
+        if hi < lo:
+            raise argparse.ArgumentTypeError(f"descending range {part.strip()!r}")
+        values.extend(range(lo, hi + 1))
     return tuple(values)
 
 
@@ -139,14 +132,6 @@ def _checked(parse, check, *args):
 
     convert.__name__ = parse.__name__
     return convert
-
-
-def _library_check(check, *args):
-    """Run a library validator; its ``ValueError`` becomes a usage error."""
-    try:
-        check(*args)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
 
 
 _SIGMA = _checked(float, _check_scale, "sigma")
@@ -231,12 +216,15 @@ def parse_args(argv) -> RunConfig:
     if params.get("estimator") in ("glm-exact", "importance-sampling") \
             and params["grid"] is not None:
         raise UsageError(f"--grid does not apply to the {params['estimator']} estimator")
-    if params.get("weights") is not None:
-        _library_check(_check_weights, params["weights"], len(params["degrees"]))
-    if "true_degree" in params:
-        _library_check(_check_true_degree, params["true_degree"], params["degrees"])
-    if "y_min" in params:
-        _library_check(_check_y_grid, _y_grid(params))
+    try:  # a library validator's ValueError is a usage error
+        if params.get("weights") is not None:
+            _check_weights(params["weights"], len(params["degrees"]))
+        if "true_degree" in params:
+            _check_true_degree(params["true_degree"], params["degrees"])
+        if "y_min" in params:
+            _check_y_grid(_y_grid(params))
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     if "theta" in params:
         if params["theta"] is None:
             params["theta"] = tuple((-0.5) ** k for k in range(params["d"]))

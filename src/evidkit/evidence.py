@@ -184,6 +184,7 @@ def evidence_importance(model: GenericModelSpec, prior: NormalizedPrior,
         not a number, and with ``ess == 0`` when no draw has positive weight.
     """
     samples = _check_count(samples, "samples", 2)  # two at least, so the weights have a spread
+    seed = _check_count(seed, "seed", 0)
     inflation = _check_scale(inflation, "inflation")
     region = _region(model, prior)
     theta_hat, _, chol_lower = _laplace_mode(model, start, theta_hat, curvature)
@@ -226,7 +227,7 @@ def evidence_importance(model: GenericModelSpec, prior: NormalizedPrior,
     return EvidenceDecomposition(
         log_evidence=log_e, log_fit=log_fit, flexibility=log_fit - log_e,
         estimator="importance-sampling", err_estimate=err, theta_hat=theta_hat,
-        info={"samples": samples, "seed": int(seed), "inflation": float(inflation),
+        info={"samples": samples, "seed": seed, "inflation": float(inflation),
               "ess": ess})
 
 
@@ -306,7 +307,7 @@ def compare_penalties(flexibility: float, supplied_penalty: float,
     n = _check_count(n, "n")  # the record's n is the one its penalty is taken at
     return PenaltyComparison(
         flexibility=flexibility, supplied_penalty=supplied_penalty,
-        d=int(d), n=n, bic_penalty=bic_penalty(d, n),
+        d=_check_count(d, "d"), n=n, bic_penalty=bic_penalty(d, n),
         pen_prime=pen_prime(supplied_penalty, flexibility))
 
 
@@ -348,6 +349,7 @@ def bic_sweep(family_generator, ns, seed: int) -> AsymptoticSweepResult:
         Root seed; each n receives a spawned child stream.
     """
     ns = _check_sample_sizes(ns)
+    seed = _check_count(seed, "seed", 0)
 
     children = np.random.SeedSequence(seed).spawn(len(ns))
     gaps = np.empty(len(ns))
@@ -368,7 +370,7 @@ def bic_sweep(family_generator, ns, seed: int) -> AsymptoticSweepResult:
                        + log_det_h + spec.lam**2 * float(m_hat @ m_hat))
     return AsymptoticSweepResult(
         ns=ns, gaps=gaps, flexibilities=flexibilities, H_hat=H_hat, m_hat=m_hat,
-        predicted_constant=predicted, d=d, seed=int(seed))
+        predicted_constant=predicted, d=d, seed=seed)
 
 
 def polynomial_sweep_family(theta_true, sigma: float, lam: float):
@@ -384,9 +386,9 @@ def polynomial_sweep_family(theta_true, sigma: float, lam: float):
         raise ValueError("theta_true must be a nonempty vector")
 
     def generate(n, rng):
-        x = rng.standard_normal(int(n))
+        x = rng.standard_normal(n)
         G = np.column_stack([x**k for k in range(theta_true.size)])
-        y = G @ theta_true + sigma * rng.standard_normal(int(n))
+        y = G @ theta_true + sigma * rng.standard_normal(n)
         return GaussianLinearSpec(G=G, sigma=sigma, lam=lam), ObservationSet(y=y)
 
     return generate

@@ -535,7 +535,7 @@ def map_optimize_multistart(model: GenericModelSpec, seed: int, *, box=None) -> 
         if np.any(box[:, 0] < bounds[:, 0]) or np.any(box[:, 1] > bounds[:, 1]):
             raise ValueError("box must lie inside the support")
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_check_count(seed, "seed", 0))
     strata = (rng.permuted(np.tile(np.arange(MULTISTART_STARTS), (model.dim, 1)), axis=1).T
               + rng.uniform(size=(MULTISTART_STARTS, model.dim))) / MULTISTART_STARTS
     starts = box[:, 0] + strata * (box[:, 1] - box[:, 0])

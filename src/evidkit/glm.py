@@ -80,7 +80,7 @@ def _check_scale(value, name) -> float:
 
 
 def _check_count(value, name, low: int = 1) -> int:
-    """A count, size or seed as an int: a whole number (a fraction is refused), >= ``low``."""
+    """A count, size, degree, index or seed as an int: a whole number, not truncated, >= ``low``."""
     count = int(value)
     if count != value:
         raise ValueError(f"{name} must be a whole number, got {value}")

@@ -62,12 +62,10 @@ def _check_weights(weights, k: int) -> np.ndarray:
 
 
 def _check_degrees(degrees) -> list[int]:
-    """Polynomial degrees as ints: nonempty, nonnegative and distinct."""
-    degrees = [int(p) for p in degrees]
+    """Polynomial degrees as ints: nonempty, each a whole number >= 0, and distinct."""
+    degrees = [_check_count(p, "degrees", 0) for p in degrees]
     if len(degrees) == 0:
         raise ValueError("degrees must be nonempty")
-    if any(p < 0 for p in degrees):
-        raise ValueError("degrees must be nonnegative")
     if len(set(degrees)) != len(degrees):
         raise ValueError("degrees must be distinct")
     return degrees
@@ -75,7 +73,7 @@ def _check_degrees(degrees) -> list[int]:
 
 def _check_true_degree(true_degree, degrees) -> int:
     """The true degree as an int, which must be one of ``degrees``."""
-    true_degree = int(true_degree)
+    true_degree = _check_count(true_degree, "true_degree", 0)
     if true_degree not in degrees:
         raise ValueError(f"true_degree {true_degree} is not among degrees {list(degrees)}")
     return true_degree
@@ -296,6 +294,7 @@ def risk_mc(model_set: ModelSet, generator: Callable | None, reps: int,
     and the first failure are those of :func:`select` on every replicate.
     """
     reps = _check_count(reps, "reps")
+    seed = _check_count(seed, "seed", 0)
     rules = _check_rules(rules)
     if generator is None:
         generator = prior_predictive_generator(model_set)
@@ -314,9 +313,9 @@ def risk_mc(model_set: ModelSet, generator: Callable | None, reps: int,
         for rep in range(start, min(start + width, reps)):
             with _failure(replicate=rep):
                 true_index, obs = generator(np.random.default_rng(children[rep]))
-                true_index = int(true_index)
                 if not 0 <= true_index < k:
                     raise ValueError(f"generator returned out-of-range true index {true_index}")
+                true_index = _check_count(true_index, "true index", 0)
                 for i in gaussian:
                     _check_dims(members[i], obs.y)
             truth[rep] = true_index
@@ -333,7 +332,7 @@ def risk_mc(model_set: ModelSet, generator: Callable | None, reps: int,
     with np.errstate(invalid="ignore", divide="ignore"):
         per_true = errors / true_counts[:, None]
     return RiskReport(rule_names=rules, risks=errors.sum(axis=0) / reps, reps=reps,
-                      seed=int(seed), per_true_model=per_true, true_counts=true_counts)
+                      seed=seed, per_true_model=per_true, true_counts=true_counts)
 
 
 # ---------------------------------------------------------------------------
@@ -351,6 +350,7 @@ def scaled_polynomial_design(x, degree: int, scale_base) -> np.ndarray:
     The rows of an (m, n) ``x``, with (m, 1) scale bases, give an (m, n, degree + 1) stack.
     """
     x = np.asarray(x, dtype=float)
+    degree = _check_count(degree, "degree", 0)
     design = np.ones(x.shape + (degree + 1,))
     for k in range(1, degree + 1):  # whole columns; multiply.accumulate loops row by row
         np.multiply(design[..., k - 1], x, out=design[..., k])
@@ -451,6 +451,7 @@ def sweet_spot_experiment(true_degree: int, degrees: Sequence[int], n: int,
     true_degree = _check_true_degree(true_degree, degrees)
     n = _check_count(n, "n")
     reps = _check_count(reps, "reps")
+    seed = _check_count(seed, "seed", 0)
     sigma, lam = _check_scale(sigma, "sigma"), _check_scale(lam, "lam")
     _warn_if_prior_dominated(degrees, n)
 
@@ -488,8 +489,8 @@ def sweet_spot_experiment(true_degree: int, degrees: Sequence[int], n: int,
     counts = np.bincount(chosen, minlength=len(degrees))
     return SweetSpotReport(
         degrees=tuple(degrees), true_degree=true_degree, n=n, sigma=float(sigma),
-        lam=float(lam), reps=reps, seed=int(seed), counts=counts,
-        modal_degree=int(degrees[int(np.argmax(counts))]),
+        lam=float(lam), reps=reps, seed=seed, counts=counts,
+        modal_degree=degrees[int(np.argmax(counts))],
         selection_frequency=counts / reps, chosen_degrees=np.array(degrees)[chosen],
         best_degrees=np.array(degrees)[best], rmse=rmse,
         mean_regret=float((rmse[rows, chosen] - rmse[rows, best]).mean()),

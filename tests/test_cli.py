@@ -58,10 +58,12 @@ class TestParseArgs:
         assert config.params["degrees"] == tuple(range(10))
         assert config.format == "csv"
 
-    def test_degree_list_and_range_mix(self, y_csv):
-        config = parse_args(["select", "--degrees", "0..2,7", "--sigma", "1",
+    @pytest.mark.parametrize("text, degrees", [
+        ("0..2,7", (0, 1, 2, 7)), ("5..5", (5,)), (" 1 .. 3 ,7", (1, 2, 3, 7))])
+    def test_degree_list_and_range_mix(self, y_csv, text, degrees):
+        config = parse_args(["select", "--degrees", text, "--sigma", "1",
                              "--lambda", "1", "--data", y_csv, "--out", "s.json"])
-        assert config.params["degrees"] == (0, 1, 2, 7)
+        assert config.params["degrees"] == degrees
 
     def test_negative_sigma_rejected(self, y_csv):
         with pytest.raises(UsageError, match="sigma must be positive"):
@@ -729,6 +731,7 @@ REJECTED = {
     "select-degrees-empty-entry": ["select", *_DATA, *_MODEL, "--degrees", "0,,2"],
     "select-degrees-range-not-integer": ["select", *_DATA, *_MODEL, "--degrees", "a..3"],
     "select-degrees-range-descending": ["select", *_DATA, *_MODEL, "--degrees", "5..1"],
+    "select-degrees-range-open": ["select", *_DATA, *_MODEL, "--degrees", "1.."],
     "select-degrees-not-integer": ["select", *_DATA, *_MODEL, "--degrees", "x"],
     "risk-lambda-zero": ["risk", "--sigma", "1", "--lambda", "0", "--degrees", "0,1",
                          "--n", "10"],

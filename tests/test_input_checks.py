@@ -100,6 +100,21 @@ FRACTIONS = {
     "bic-sweep-ns": (lambda: ek.bic_sweep(ek.polynomial_sweep_family([1.0, 0.5], 1.0, 1.0),
                                           [100.5, 1000], seed=0), "ns", 100.5),
     "compare-penalties-n": (lambda: ek.compare_penalties(0.8, 1.3, d=2, n=50.5), "n", 50.5),
+    "family-degrees": (lambda: ek.polynomial_family([1.0, 2.0, 3.0], [0, 1.5], 1.0, 1.0),
+                       "degrees", 1.5),
+    "sweet-spot-true-degree": (lambda: ek.sweet_spot_experiment(2.9, [0, 1, 2, 3], 10, 1.0, 1.0,
+                                                                2, seed=0), "true_degree", 2.9),
+    "design-degree": (lambda: ek.scaled_polynomial_design([1.0, 2.0], 1.5, 1.0), "degree", 1.5),
+    "importance-seed": (lambda: ek.evidence_importance(*_wrapped(), samples=2000, seed=1.5),
+                        "seed", 1.5),
+    "risk-seed": (lambda: ek.risk_mc(ek.ModelSet(members=(_spec(),)), None, 10,
+                                     ["max-evidence"], seed=1.5), "seed", 1.5),
+    "sweet-spot-seed": (lambda: ek.sweet_spot_experiment(1, [0, 1], 10, 1.0, 1.0, 2, seed=1.5),
+                        "seed", 1.5),
+    "bic-sweep-seed": (lambda: ek.bic_sweep(ek.polynomial_sweep_family([1.0, 0.5], 1.0, 1.0),
+                                            [100, 1000], seed=1.5), "seed", 1.5),
+    "multistart-seed": (lambda: ek.map_optimize_multistart(_line(support=[[-1.0, 1.0]]),
+                                                           seed=1.5), "seed", 1.5),
 }
 
 
@@ -121,3 +136,9 @@ def test_a_whole_float_or_numpy_count_is_accepted():
     spec = ek.GenericModelSpec(dim=np.int64(2), log_lik=abs, regularizer=abs)
     assert spec.dim == 2 and type(spec.dim) is int
     assert ek.bic_penalty(2.0, 10) == ek.bic_penalty(2, 10)
+    family = ek.polynomial_family([1.0, 2.0, 3.0], [0, 2.0], sigma=1.0, lam=1.0)
+    assert family.labels == ("degree-0", "degree-2") and family.info["degrees"] == (0, 2)
+    assert all(type(p) is int for p in family.info["degrees"])
+    sweep = ek.bic_sweep(ek.polynomial_sweep_family([1.0], 1.0, 1.0), [10, 100],
+                         seed=np.int64(3))
+    assert sweep.seed == 3 and type(sweep.seed) is int

@@ -449,6 +449,14 @@ class TestRiskMcFailures:
             ek.risk_mc(model_set, lambda rng: (true_index, ek.ObservationSet(y=[1.0])), 5,
                        ["max-evidence"], 0)
 
+    def test_fractional_true_index_is_refused_not_truncated(self):
+        spec = ek.GaussianLinearSpec(G=[[1.0]], sigma=1.0, lam=1.0)
+        model_set = ek.ModelSet(members=(spec, spec))
+        with pytest.raises(ValueError, match="^replicate 0 failed: true index must be a whole "
+                                             "number, got 1.7$"):
+            ek.risk_mc(model_set, lambda rng: (1.7, ek.ObservationSet(y=[1.0])), 5,
+                       ["max-evidence"], 0)
+
     def test_observation_length_mismatch(self):
         spec = ek.GaussianLinearSpec(G=np.ones((3, 1)), sigma=1.0, lam=1.0)
         model_set = ek.ModelSet(members=(spec,))
@@ -586,6 +594,10 @@ class TestPolynomialFamily:
         with np.errstate(over="ignore"), \
                 pytest.raises(ValueError, match="design for degree 2 has non-finite entries"):
             ek.scaled_polynomial_design(np.array(x), 2, 1.0)
+
+    def test_negative_design_degree_rejected(self):
+        with pytest.raises(ValueError, match="^degree must be >= 0$"):
+            ek.scaled_polynomial_design(np.array([1.0, 2.0]), -1, 1.0)
 
     def test_duplicate_degrees_rejected(self):
         with pytest.raises(ValueError, match="distinct"):

@@ -112,10 +112,29 @@ def test_every_count_is_checked_by_one_rule():
     spec = next(node for node in ast.walk(generic)
                 if isinstance(node, ast.ClassDef) and node.name == "GenericModelSpec")
     evidence = _definitions("evidence.py")[1]
+    selection = _definitions("selection.py")[1]
     checked = [next(node for node in spec.body if getattr(node, "name", None) == "__post_init__"),
                functions["_check_grid"], functions["_evaluate_grid"], evidence["bic_penalty"],
-               evidence["_check_sample_sizes"], evidence["compare_penalties"]]
+               evidence["_check_sample_sizes"], evidence["compare_penalties"],
+               evidence["evidence_importance"], selection["_check_degrees"],
+               selection["_check_true_degree"], selection["scaled_polynomial_design"]]
     assert all(_calls_to(function, "_check_count") for function in checked)
+
+
+def test_no_argument_is_truncated_by_int():
+    # int(2.9) is 2 without a word: a function that casts its own argument with int() picks a
+    # degree, a seed or a size its caller never named, where _check_count would refuse it.
+    casts = []
+    for module in ("evidence.py", "generic.py", "selection.py"):
+        for function in _definitions(module)[1].values():
+            arguments = function.args
+            names = {arg.arg for arg in (*arguments.posonlyargs, *arguments.args,
+                                         *arguments.kwonlyargs, arguments.vararg,
+                                         arguments.kwarg) if arg is not None}
+            casts += [f"{module}:{call.lineno} int({call.args[0].id})"
+                      for call in _calls_to(function, "int") if call.args
+                      and isinstance(call.args[0], ast.Name) and call.args[0].id in names]
+    assert casts == []
 
 
 def _calls_to(tree, name):
