@@ -10,15 +10,14 @@ given explicit seeds.
 Each module's ``__all__`` is its public list; the package re-exports them all.
 """
 
-from . import evidence, exceptions, generic, glm, records, selection
+from . import evidence, exceptions, generic, glm, selection
 from .evidence import *
 from .exceptions import *
 from .generic import *
 from .glm import *
-from .records import *
 from .selection import *
 
 __version__ = "0.1.0"
 
-__all__ = sorted({name for module in (evidence, exceptions, generic, glm, records, selection)
+__all__ = sorted({name for module in (evidence, exceptions, generic, glm, selection)
                   for name in module.__all__})

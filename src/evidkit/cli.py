@@ -43,6 +43,7 @@ from .generic import (
     wrap_glm,
 )
 from .glm import (
+    ESTIMATORS,
     GaussianLinearSpec,
     ObservationSet,
     _check_count,
@@ -51,7 +52,6 @@ from .glm import (
     glm_log_likelihood,
     map_estimate,
 )
-from .records import ESTIMATORS
 from .selection import (
     RULES,
     _check_degrees,
@@ -293,8 +293,7 @@ def _run_evidence(config):
         prior = glm_normalized_prior(spec)
         # Generic estimators only find a local MAP; restart from 8 seeded
         # Latin-hypercube points and hand the estimators the best basin.
-        search = map_optimize_multistart(model, params["seed"],
-                                         box=model.effective_box)
+        search = map_optimize_multistart(model, params["seed"])
         if estimator == "quadrature":
             dec = evidence_quadrature(model, prior, grid, start=search.theta)
         elif estimator == "laplace":

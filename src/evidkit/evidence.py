@@ -19,7 +19,6 @@ import operator
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .exceptions import DegeneracyFailure
 from .generic import (
@@ -33,9 +32,8 @@ from .generic import (
     _richardson_log_integral,
     _value_at,
 )
-from .glm import (LOG_2PI, GaussianLinearSpec, ObservationSet, _check_count, _check_scale,
-                  _evidence_terms)
-from .records import EvidenceDecomposition
+from .glm import (LOG_2PI, _TRTRS, EvidenceDecomposition, GaussianLinearSpec, ObservationSet,
+                  _check_count, _check_scale, _evidence_terms)
 
 __all__ = [
     "Decomposition",
@@ -194,8 +192,7 @@ def evidence_importance(model: GenericModelSpec, prior: NormalizedPrior,
     rng = np.random.Generator(np.random.Philox(key=seed))
     z = rng.standard_normal((samples, d))
     # theta = theta_hat + inflation * L^-T z  has covariance inflation^2 A^-1.
-    points = theta_hat[None, :] + inflation * solve_triangular(
-        chol_lower, z.T, lower=True, trans="T").T
+    points = theta_hat[None, :] + inflation * _TRTRS(chol_lower, z.T, lower=1, trans=1)[0].T
     log_proposal = (-0.5 * d * LOG_2PI + 0.5 * log_det - d * np.log(inflation)
                     - 0.5 * np.einsum("ij,ij->i", z, z))
 

@@ -20,8 +20,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .exceptions import AccuracyFailure, ConvergenceFailure, CurvatureFailure, NumericFailure
-from .glm import (LOG_2PI, GaussianLinearSpec, ObservationSet, _check_count, _factor_solve,
-                  _posterior)
+from .glm import (LOG_2PI, GaussianLinearSpec, ObservationSet, _check_count, _factor,
+                  _factor_solve, _posterior)
 
 __all__ = [
     "GenericModelSpec",
@@ -485,11 +485,11 @@ def _laplace_mode(model: GenericModelSpec, start=None, theta_hat=None, curvature
             hess = _stencil_derivatives(_objective(model), theta_hat, hess_step=HESS_STEP,
                                         bounds=bounds)[1]
     curvature = -hess if curvature is None else curvature
-    # numpy's Cholesky factors an inf or NaN matrix without complaint.
+    # potrf factors an inf or NaN matrix without complaint.
     if np.all(np.isfinite(curvature)):
         try:
-            return theta_hat, curvature, np.linalg.cholesky(curvature)
-        except np.linalg.LinAlgError:
+            return theta_hat, curvature, np.tril(_factor(curvature, "Laplace curvature"))
+        except NumericFailure:
             pass
     if not strict:
         return theta_hat, curvature, None
@@ -516,8 +516,8 @@ def map_optimize_multistart(model: GenericModelSpec, seed: int, *, box=None) -> 
 
     :func:`map_optimize` is a local method; multimodal objectives need several
     starts.  The ``MULTISTART_STARTS`` (8) starts are a Latin-hypercube sample
-    over ``box`` (the support box by default, which must then be finite; a given
-    one must lie inside the support), one stratum per start in every coordinate.
+    over ``box`` (default: the support, with ``effective_box`` along unbounded coordinates;
+    a given one must lie inside the support), one stratum per start in every coordinate.
     The best local maximum wins; all basins are returned for inspection.
 
     The starts advance in lockstep: each iteration evaluates every searching
@@ -526,14 +526,10 @@ def map_optimize_multistart(model: GenericModelSpec, seed: int, *, box=None) -> 
     and the result it would have alone.
     """
     bounds = model.bounds()
-    if box is None:
-        box = bounds
-        if not np.all(np.isfinite(box)):
-            raise ValueError("multistart needs a finite box; pass one for unbounded support")
-    else:
-        box = _as_box(box, model.dim, "box", require_finite=True)
-        if np.any(box[:, 0] < bounds[:, 0]) or np.any(box[:, 1] > bounds[:, 1]):
-            raise ValueError("box must lie inside the support")
+    box = (_declared_box(model) if box is None
+           else _as_box(box, model.dim, "box", require_finite=True))
+    if np.any(box[:, 0] < bounds[:, 0]) or np.any(box[:, 1] > bounds[:, 1]):
+        raise ValueError("box must lie inside the support")
 
     rng = np.random.default_rng(_check_count(seed, "seed", 0))
     strata = (rng.permuted(np.tile(np.arange(MULTISTART_STARTS), (model.dim, 1)), axis=1).T

@@ -13,20 +13,22 @@ this conjugate pair everything is available exactly:
 All densities carry their normalization constants, because evidence values
 are compared across models of different dimension.  Linear solves and log
 determinants go through Cholesky factors; no matrix is ever inverted
-explicitly.
+explicitly.  The record every estimator returns, :class:`EvidenceDecomposition`,
+lives here with the closed form, and so does the one Cholesky routine, ``_factor``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Any, Mapping
 
 import numpy as np
-from scipy.linalg import LinAlgError, get_lapack_funcs
+from scipy.linalg import get_lapack_funcs
 
 from .exceptions import NumericFailure
-from .records import EvidenceDecomposition
 
 __all__ = [
+    "EvidenceDecomposition",
     "ObservationSet",
     "GaussianLinearSpec",
     "GaussianPosterior",
@@ -41,6 +43,7 @@ __all__ = [
 ]
 
 LOG_2PI = float(np.log(2.0 * np.pi))
+ESTIMATORS = ("glm-exact", "quadrature", "laplace", "importance-sampling")
 
 # Smallest/largest eigenvalue of G'G below this ratio triggers a rank warning.
 RANK_WARNING_RATIO = 1e-10
@@ -81,12 +84,58 @@ def _check_scale(value, name) -> float:
 
 def _check_count(value, name, low: int = 1) -> int:
     """A count, size, degree, index or seed as an int: a whole number, not truncated, >= ``low``."""
-    count = int(value)
+    count = int(value) if abs(value) < np.inf else None  # int(inf) raises OverflowError
     if count != value:
         raise ValueError(f"{name} must be a whole number, got {value}")
     if count < low:
         raise ValueError(f"{name} must be >= {low}")
     return count
+
+
+@dataclass(frozen=True, eq=False)
+class EvidenceDecomposition:
+    """Log-evidence split into fit at the MAP minus a flexibility penalty.
+
+    The identity ``log_evidence = log_fit - flexibility`` holds by
+    construction for every estimator: the exact route computes flexibility
+    in closed form and derives the evidence, while the numerical estimators
+    compute the evidence and derive flexibility as the difference.
+
+    Attributes
+    ----------
+    log_evidence : float
+        Log of the marginal likelihood of the observations.
+    log_fit : float
+        Log-likelihood at the MAP estimate, normalization constants included.
+    flexibility : float
+        Complexity penalty; log posterior density over prior density at the MAP.
+    estimator : str
+        One of ``glm-exact``, ``quadrature``, ``laplace``, ``importance-sampling``.
+    err_estimate : float
+        Estimated numerical error of ``log_evidence``. Zero for the exact
+        route; NaN when no estimate is available (Laplace above dimension 3).
+    theta_hat : ndarray
+        MAP estimate the decomposition was evaluated at.
+    warnings : tuple of str
+        Non-fatal diagnostics, e.g. a rank warning for a nearly collinear
+        model matrix.
+    info : mapping
+        Estimator-specific metadata (grid sizes, proposal inflation, ESS, ...).
+    """
+
+    log_evidence: float
+    log_fit: float
+    flexibility: float
+    estimator: str
+    err_estimate: float
+    theta_hat: np.ndarray
+    warnings: tuple[str, ...] = ()
+    info: Mapping[str, Any] = field(default_factory=dict)
+
+    def __post_init__(self):
+        if self.estimator not in ESTIMATORS:
+            raise ValueError(f"unknown estimator {self.estimator!r}; expected one of {ESTIMATORS}")
+        object.__setattr__(self, "theta_hat", np.asarray(self.theta_hat, dtype=float))
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,10 +232,7 @@ class GaussianPosterior:
             scale = np.abs(mat).max()
             if not np.allclose(mat, mat.T, atol=1e-10 * max(scale, 1.0)):
                 raise ValueError(f"{name} is not symmetric")
-            try:
-                object.__setattr__(self, factor, np.linalg.cholesky(mat))
-            except LinAlgError as exc:
-                raise NumericFailure(f"{name} is not positive definite: {exc}") from exc
+            object.__setattr__(self, factor, np.tril(_factor(mat, name)))
         gap = post - prior
         min_eig = float(np.linalg.eigvalsh((gap + gap.T) / 2.0).min())
         if min_eig < -1e-8 * max(np.abs(post).max(), 1.0):
@@ -212,7 +258,8 @@ def _gaussian_logpdf(theta, mean, L):
     """Multivariate normal log-density whose precision has the lower Cholesky factor ``L``."""
     log_det = 2.0 * float(np.sum(np.log(np.diag(L))))
     dev = theta - mean
-    quad = float(np.dot(L.T @ dev, L.T @ dev))
+    white = L.T @ dev
+    quad = float(np.dot(white, white))
     return 0.5 * (log_det - theta.size * LOG_2PI - quad)
 
 
@@ -238,8 +285,8 @@ def _precision(spec: GaussianLinearSpec) -> tuple[np.ndarray, np.ndarray, np.nda
 
 
 # LAPACK's Cholesky routines as scipy's wrappers call them, minus checks that cost twice the
-# work at d = 6.  numpy's ``cholesky`` rounds differently from d = 5 on; seeded MAPs use these.
-_POTRF, _POTRS = get_lapack_funcs(("potrf", "potrs"), dtype=np.float64)
+# work at d = 6: the package's one factor, its solve, and the triangular solve of its draws.
+_POTRF, _POTRS, _TRTRS = get_lapack_funcs(("potrf", "potrs", "trtrs"), dtype=np.float64)
 
 
 def _cholesky_solve(matrix, rhs, name):
@@ -254,11 +301,21 @@ def _cholesky_solve(matrix, rhs, name):
     return np.array([factor for factor, _ in pairs]), np.array([sol for _, sol in pairs])
 
 
-def _factor_solve(matrix, rhs, name, row=None):
+def _factor(matrix, name, row=None):
+    """The lower Cholesky factor of ``matrix``, its upper triangle left as given, by ``potrf``.
+
+    Raises NumericFailure, naming ``name`` and ``row``, when ``matrix`` is not positive definite.
+    ``potrf`` also factors a matrix holding inf or NaN, so a caller that may pass one tests it.
+    """
     factor, info = _POTRF(matrix, lower=True, clean=False)
     if info > 0:
         raise NumericFailure(f"{name} factorization failed: leading minor {info} is not positive",
                              row=row)
+    return factor
+
+
+def _factor_solve(matrix, rhs, name, row=None):
+    factor = _factor(matrix, name, row)
     if rhs.ndim == 1:
         return factor, _POTRS(factor, rhs, lower=True)[0]
     blocks = np.split(rhs, range(_SOLVE_BLOCK, len(rhs), _SOLVE_BLOCK))

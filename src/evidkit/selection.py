@@ -24,9 +24,9 @@ import numpy as np
 from .evidence import evidence_laplace, evidence_quadrature
 from .exceptions import EvidkitError, SelectionFailure
 from .generic import GenericModelSpec, _check_grid, normalize_prior
-from .glm import (GaussianLinearSpec, ObservationSet, _check_count, _check_dims, _check_scale,
-                  _evidence_terms, _log_evidences, _matvec, glm_log_evidence)
-from .records import EvidenceDecomposition
+from .glm import (EvidenceDecomposition, GaussianLinearSpec, ObservationSet, _check_count,
+                  _check_dims, _check_scale, _evidence_terms, _log_evidences, _matvec,
+                  glm_log_evidence)
 
 __all__ = [
     "ModelSet",

@@ -643,7 +643,8 @@ GOLDEN_DATA_PAYLOADS = {
         "evidence --data xy.csv --estimator importance-sampling --degree 2 --sigma 0.3 "
         "--lambda 1",
         "aca1fd537b64741a0ecefa7072aa32e882efdf0bed459bc41cce89113494df0f"),
-    # d = 5, where numpy's Cholesky and LAPACK's potrf round differently.
+    # d = 5, where numpy's Cholesky and LAPACK's potrf round differently: these pin the one
+    # routine, potrf, for the Laplace curvature and the importance draws alike.
     "evidence-laplace-degree-4-json": (
         "evidence --data xy.csv --estimator laplace --degree 4 --sigma 0.3 --lambda 1",
         "77c7f5996b57167cb64146793e8f87f979a36597be2d5f237328a6bb60d5cd0e"),

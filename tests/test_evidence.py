@@ -415,21 +415,26 @@ class TestBicSweep:
 
 class TestCurvatureFactor:
     @staticmethod
-    def _counting_cholesky(monkeypatch):
+    def _counting_factor(monkeypatch):
+        """The matrices the one Cholesky routine factors for ``generic``; Newton steps excluded.
+
+        The search's steps factor through ``glm._factor_solve``, so only the curvature factors
+        that ``generic`` asks for itself are counted.
+        """
         calls = []
-        original = np.linalg.cholesky
+        original = evidkit.generic._factor
 
-        def counting(matrix):
+        def counting(matrix, *args):
             calls.append(np.array(matrix))
-            return original(matrix)
+            return original(matrix, *args)
 
-        monkeypatch.setattr(np.linalg, "cholesky", counting)
+        monkeypatch.setattr(evidkit.generic, "_factor", counting)
         return calls
 
     def test_laplace_factors_once(self, monkeypatch):
         rng = np.random.default_rng(51)
         _, _, model, prior = wrapped_instance(rng, n=20, d=2, lam_range=(0.5, 2.0))
-        calls = self._counting_cholesky(monkeypatch)
+        calls = self._counting_factor(monkeypatch)
         dec = ek.evidence_laplace(model, prior, err_check_grid=21)
         assert len(calls) == 1
         sign, log_det = np.linalg.slogdet(calls[0])
@@ -439,11 +444,11 @@ class TestCurvatureFactor:
     def test_importance_factors_once(self, monkeypatch):
         rng = np.random.default_rng(52)
         _, _, model, prior = wrapped_instance(rng, n=20, d=4, lam_range=(0.5, 2.0))
-        calls = self._counting_cholesky(monkeypatch)
+        calls = self._counting_factor(monkeypatch)
         ek.evidence_importance(model, prior, 500, seed=2)
         assert len(calls) == 1
 
-    # numpy's Cholesky factors [[inf]] and [[nan]]; the draws' triangular solve would refuse them.
+    # potrf factors [[inf]] and [[nan]]: the finiteness guard, not the factor, refuses them.
     @pytest.mark.parametrize("curvature", [-1.0, 0.0, np.inf, np.nan])
     def test_a_supplied_curvature_that_does_not_factor_is_a_curvature_failure(self, curvature):
         model = logistic_model()

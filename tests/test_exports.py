@@ -8,7 +8,7 @@ import pytest
 
 import evidkit
 
-MODULES = ("evidence", "exceptions", "generic", "glm", "records", "selection")
+MODULES = ("evidence", "exceptions", "generic", "glm", "selection")
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 

@@ -432,14 +432,23 @@ class TestMultistart:
         assert first.theta[0] == second.theta[0]
         assert first.value == second.value
 
-    def test_requires_finite_box(self):
-        model = ek.GenericModelSpec(
-            dim=1, log_lik=lambda t: -float(t[0]) ** 2,
-            regularizer=lambda t: 0.0, effective_box=[[-2.0, 2.0]])
-        with pytest.raises(ValueError, match="finite box"):
+    def test_default_box_is_the_declared_box(self):
+        # The support, with the effective box along unbounded coordinates, whose centre the
+        # one-start search starts from.
+        for support, declared in ((None, [[-2.0, 2.0]]), ([[0.5, np.inf]], [[0.5, 2.0]])):
+            model = ek.GenericModelSpec(
+                dim=1, log_lik=lambda t: -float(t[0] - 1.0) ** 2, regularizer=lambda t: 0.0,
+                support=support, effective_box=[[-2.0, 2.0]])
+            default = ek.map_optimize_multistart(model, seed=0)
+            given = ek.map_optimize_multistart(model, seed=0, box=declared)
+            assert default.theta[0] == given.theta[0] == pytest.approx(1.0, abs=1e-6)
+            assert [start[0] for start, _, _ in default.basins] \
+                == [start[0] for start, _, _ in given.basins]
+        model = ek.GenericModelSpec(dim=1, log_lik=lambda t: -float(t[0]) ** 2,
+                                    regularizer=lambda t: 0.0)
+        with pytest.raises(ValueError,
+                           match="^coordinate 0 has unbounded support; declare effective_box$"):
             ek.map_optimize_multistart(model, seed=0)
-        result = ek.map_optimize_multistart(model, seed=0, box=[[-2.0, 2.0]])
-        assert result.theta[0] == pytest.approx(0.0, abs=1e-6)
 
     def test_evaluates_only_inside_its_searches(self):
         # A basin's value is the one its search ended on: the model sees exactly

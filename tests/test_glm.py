@@ -349,26 +349,26 @@ class TestGaussianPosterior:
         post = ek.gaussian_posterior(spec, obs)
         thetas = rng.standard_normal((5, 3))
         # The reference factors each precision afresh; the kept factors must match it bit for bit.
-        logpdf = evidkit.glm._gaussian_logpdf
-        prior_factor = np.linalg.cholesky(post.prior_precision)
-        post_factor = np.linalg.cholesky(post.post_precision)
+        logpdf, factor = evidkit.glm._gaussian_logpdf, evidkit.glm._factor
+        prior_factor = np.tril(factor(post.prior_precision, "prior"))
+        post_factor = np.tril(factor(post.post_precision, "post"))
         expected = [(logpdf(theta, np.zeros(3), prior_factor),
                      logpdf(theta, post.theta_hat, post_factor)) for theta in thetas]
         calls = []
-        cholesky = np.linalg.cholesky
 
-        def counting(matrix):
+        def counting(matrix, *args):
             calls.append(matrix)
-            return cholesky(matrix)
+            return factor(matrix, *args)
 
-        monkeypatch.setattr(np.linalg, "cholesky", counting)
+        monkeypatch.setattr(evidkit.glm, "_factor", counting)
         got = [(post.log_prior_density(theta), post.log_posterior_density(theta))
                for theta in thetas]
         assert calls == []
         assert got == expected
 
     def test_rejects_indefinite_precision(self):
-        with pytest.raises((ValueError, NumericFailure)):
+        with pytest.raises(NumericFailure, match="^post_precision factorization failed: "
+                                                 "leading minor 1 is not positive$"):
             ek.GaussianPosterior(theta_hat=[0.0], post_precision=[[-1.0]],
                                  prior_precision=[[1.0]])
 
@@ -406,7 +406,7 @@ class TestCandidateFactorization:
         rng = np.random.default_rng(15)
         spec, obs = random_glm_instance(rng, n=20, d=4)
         theta0 = rng.standard_normal(spec.d)
-        calls = {"_cholesky_solve": 0, "cholesky": 0, "eigvalsh": 0}
+        calls = {"_cholesky_solve": 0, "_factor": 0, "eigvalsh": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -416,10 +416,11 @@ class TestCandidateFactorization:
 
         monkeypatch.setattr(evidkit.glm, "_cholesky_solve",
                             counted("_cholesky_solve", evidkit.glm._cholesky_solve))
-        monkeypatch.setattr(np.linalg, "cholesky", counted("cholesky", np.linalg.cholesky))
+        monkeypatch.setattr(evidkit.glm, "_factor", counted("_factor", evidkit.glm._factor))
         monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
         ek.evidence_via_candidate(spec, obs, theta0)
-        assert calls == {"_cholesky_solve": 1, "cholesky": 0, "eigvalsh": 0}
+        # The one factorization is the posterior's: the prior's factor is lam * I, unfactored.
+        assert calls == {"_cholesky_solve": 1, "_factor": 1, "eigvalsh": 0}
 
 
 class TestCholeskySolve:

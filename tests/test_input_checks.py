@@ -5,7 +5,7 @@ import pytest
 
 import evidkit as ek
 import evidkit.generic
-from evidkit.records import EvidenceDecomposition
+from evidkit.glm import EvidenceDecomposition
 
 
 def _line(**kwargs):
@@ -88,6 +88,9 @@ def _wrapped():
 FRACTIONS = {
     "model-dim": (lambda: ek.GenericModelSpec(dim=1.5, log_lik=abs, regularizer=abs),
                   "dim", 1.5),
+    # A non-finite count has no int to compare with: int() would raise OverflowError at inf.
+    "model-dim-nan": (lambda: ek.GenericModelSpec(dim=np.nan, log_lik=abs, regularizer=abs),
+                      "dim", np.nan),
     "bic-penalty-d": (lambda: ek.bic_penalty(2.5, 10), "d", 2.5),
     "normalize-prior-grid": (lambda: ek.normalize_prior(_line(support=[[-1.0, 1.0]]), 41.5),
                              "grid_points_per_dim", 41.5),
@@ -97,9 +100,14 @@ FRACTIONS = {
                            "samples", 2000.5),
     "risk-reps": (lambda: ek.risk_mc(ek.ModelSet(members=(_spec(),)), None, 10.5,
                                      ["max-evidence"], seed=0), "reps", 10.5),
+    "risk-reps-inf": (lambda: ek.risk_mc(ek.ModelSet(members=(_spec(),)), None, float("inf"),
+                                         ["max-evidence"], seed=0), "reps", np.inf),
+    "importance-samples-inf": (lambda: ek.evidence_importance(*_wrapped(), samples=np.inf,
+                                                              seed=0), "samples", np.inf),
     "bic-sweep-ns": (lambda: ek.bic_sweep(ek.polynomial_sweep_family([1.0, 0.5], 1.0, 1.0),
                                           [100.5, 1000], seed=0), "ns", 100.5),
     "compare-penalties-n": (lambda: ek.compare_penalties(0.8, 1.3, d=2, n=50.5), "n", 50.5),
+    "compare-penalties-n-inf": (lambda: ek.compare_penalties(0.5, 1.0, 2, n=np.inf), "n", np.inf),
     "family-degrees": (lambda: ek.polynomial_family([1.0, 2.0, 3.0], [0, 1.5], 1.0, 1.0),
                        "degrees", 1.5),
     "sweet-spot-true-degree": (lambda: ek.sweet_spot_experiment(2.9, [0, 1, 2, 3], 10, 1.0, 1.0,

@@ -38,11 +38,11 @@ def test_every_private_definition_is_referenced():
     assert sorted(place for name, place in defined.items() if name not in referenced) == []
 
 
-def _named_outside_generic(owned):
-    """``module:line name`` for every line outside ``generic.py`` that names one of ``owned``."""
+def _named_outside(owned, home="generic.py"):
+    """``module:line name`` for every line outside ``home`` that names one of ``owned``."""
     named = []
     for path in sorted(glob.glob(os.path.join(ROOT, "src", "evidkit", "*.py"))):
-        if os.path.basename(path) == "generic.py":
+        if os.path.basename(path) == home:
             continue
         with open(path, encoding="utf-8") as handle:
             for number, line in enumerate(handle, start=1):
@@ -54,15 +54,22 @@ def _named_outside_generic(owned):
 def test_the_integral_rule_lives_in_generic_only():
     # One routine owns every black-box integral's box, sums, bar and tolerance; a second
     # module that names these pieces could split the rule again.
-    assert _named_outside_generic(("resolve_integration_box", "_evaluate_grid",
-                                   "_log_trapezoid_sum", "BOX_SDS", "ROUNDING_ULPS")) == []
+    assert _named_outside(("resolve_integration_box", "_evaluate_grid",
+                           "_log_trapezoid_sum", "BOX_SDS", "ROUNDING_ULPS")) == []
 
 
 def test_the_search_rule_lives_in_generic_only():
     # The MAP search, its stencil, its record and its start box have one home, and the
     # estimators take the MAP step from it: a second module naming them must change with it.
-    assert _named_outside_generic(("_search", "_search_all", "_Mode", "_stencil_derivatives",
-                                   "GRAD_STEP", "HESS_STEP", "_declared_box")) == []
+    assert _named_outside(("_search", "_search_all", "_Mode", "_stencil_derivatives",
+                           "GRAD_STEP", "HESS_STEP", "_declared_box")) == []
+
+
+def test_one_cholesky_routine():
+    # Every Gaussian is factored by glm's one routine, potrf, and its draws solved by trtrs: a
+    # second routine rounds differently from d = 5 on, so one model would get two factors.
+    assert _named_outside(("cholesky", "solve_triangular", "get_lapack_funcs", "LinAlgError"),
+                          home="glm.py") == []
 
 
 def test_one_table_of_default_grids():
